@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -174,25 +175,12 @@ def expectation(obs, rho) -> complex:
     return complex(np.einsum("ij,ji->", obs, m))
 
 
-class DensityDiagnostics(tuple):
+class DensityDiagnostics(NamedTuple):
     """(trace_err, herm_err, min_eig) with named access."""
 
-    __slots__ = ()
-
-    def __new__(cls, trace_err, herm_err, min_eig):
-        return super().__new__(cls, (trace_err, herm_err, min_eig))
-
-    @property
-    def trace_err(self):
-        return self[0]
-
-    @property
-    def herm_err(self):
-        return self[1]
-
-    @property
-    def min_eig(self):
-        return self[2]
+    trace_err: float
+    herm_err: float
+    min_eig: float
 
 
 def density_diagnostics(rho) -> DensityDiagnostics:

@@ -21,6 +21,7 @@ code path.
 
 from __future__ import annotations
 
+import cmath
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -147,38 +148,37 @@ class DriveFn:
         return cls(kind="fourier", harmonics=tuple(harmonics),
                    coefficients=tuple(coefficients))
 
-    @property
-    def is_none(self) -> bool:
-        return self.kind == "none"
+    def terms(self, params: LindbladParams) -> tuple:
+        """(k, c_k) pairs with f(t) = sum_k c_k e^{i k Omega t}."""
+        if self.kind == "cosine":
+            return ((1, 0.5 * params.f0), (-1, 0.5 * params.f0))
+        return tuple(zip(self.harmonics, self.coefficients))
+
+    def require_Omega(self, params: LindbladParams) -> None:
+        """Raise ValueError for a fourier drive without a base frequency."""
+        if self.kind == "fourier" and not params.Omega > 0:
+            raise ValueError("fourier drive requires Omega > 0")
 
     def value(self, t, params: LindbladParams):
-        """f(t); broadcasts over array t."""
-        if self.kind == "none":
-            return np.zeros_like(np.asarray(t, dtype=float)) if np.ndim(t) else 0.0
-        if self.kind == "cosine":
-            return params.f0 * np.cos(params.Omega * np.asarray(t, dtype=float)) \
-                if np.ndim(t) else params.f0 * math.cos(params.Omega * t)
-        if not params.Omega > 0:
-            raise ValueError("fourier drive requires Omega > 0")
+        """f(t) as a complex number; broadcasts over array t."""
+        self.require_Omega(params)
+        W = params.Omega
+        if isinstance(t, (int, float)):  # evolve calls this per RK4 stage
+            return sum([c * cmath.exp(1j * k * W * t)
+                        for k, c in self.terms(params)], 0j)
         t = np.asarray(t, dtype=float)
-        out = sum(c * np.exp(1j * k * params.Omega * t)
-                  for k, c in zip(self.harmonics, self.coefficients))
+        out = sum([c * np.exp(1j * k * W * t)
+                   for k, c in self.terms(params)],
+                  np.zeros(t.shape, dtype=np.complex128))
         return out if t.ndim else complex(out)
 
     def max_frequency(self, params: LindbladParams) -> float:
         """Highest angular frequency present in f(t); sets the default step."""
-        if self.kind == "none":
-            return 0.0
-        if self.kind == "cosine":
-            return params.Omega
-        return max(abs(k) for k in self.harmonics) * params.Omega
+        return max((abs(k) for k, _ in self.terms(params)),
+                   default=0) * params.Omega
 
     def is_active(self, params: LindbladParams) -> bool:
-        if self.kind == "none":
-            return False
-        if self.kind == "cosine":
-            return params.f0 != 0.0
-        return any(c != 0 for c in self.coefficients)
+        return any(c != 0 for _, c in self.terms(params))
 
 
 @dataclass(frozen=True)
@@ -258,7 +258,7 @@ def lindblad_rhs(rho, t: float, params: LindbladParams,
         raise ValueError("need dim >= 2")
     drive = drive if drive is not None else DriveFn.none()
     ws = _Workspace(m.shape[0], params)
-    f = complex(drive.value(t, params)) if drive.is_active(params) else None
+    f = drive.value(t, params) if drive.is_active(params) else None
     return ws.apply(m, f)
 
 
@@ -301,7 +301,7 @@ def evolve(rho0, t_grid, params: LindbladParams,
     active = drive.is_active(params)
 
     def fval(t):
-        return complex(drive.value(t, params)) if active else None
+        return drive.value(t, params) if active else None
 
     rho = rho0.matrix.copy()
     n_diag = np.arange(dim, dtype=float)

@@ -4,9 +4,10 @@ The first moment obeys a closed linear ODE,
 
     d<a>/dt = -(i*omega + gamma)*<a> + i*conj(f(t)),
 
-so <a>, <x>, <p> come out analytically for the supported drive kinds. The
-occupation <n> couples back to <a>; it is solved in closed form when f=0 and
-by a scalar RK4 otherwise. The classical oscillator
+so <a>, <x>, <p> come out analytically for every drive
+f(t) = sum_k c_k e^{i k Omega t}. The occupation follows from <a> by the exact
+identity <n>_t = |<a>_t|^2 + nu/2gamma + (n0 - |a0|^2 - nu/2gamma) e^{-2 gamma t}:
+the drive moves <n> and |<a>|^2 alike. The classical oscillator
 x'' + 2*gamma*x' + omega0**2 * x = ftilde(t) is included as the reference the
 quantum means are compared against (with omega0**2 <-> omega**2 + gamma**2
 as the explicit conversion between the two frequency conventions).
@@ -136,26 +137,15 @@ def classical_solution(x0: float, v0: float, t, omega0: float, gamma: float,
 # first moment <a>
 
 
-def _fourier_terms(params: LindbladParams, drive: DriveFn):
-    """Drive decomposed as f(t) = sum c_k exp(i k Omega t)."""
-    if drive.kind == "none" or not drive.is_active(params):
-        return []
-    if drive.kind == "cosine":
-        return [(1, 0.5 * params.f0), (-1, 0.5 * params.f0)]
-    if not params.Omega > 0:
-        raise ValueError("fourier drive requires Omega > 0")
-    return list(zip(drive.harmonics, drive.coefficients))
-
-
 def drive_response(t, params: LindbladParams, drive: DriveFn):
     """Particular part of <a>_t (zero initial amplitude response to f)."""
     t = np.asarray(t, dtype=float)
     out = np.zeros(t.shape, dtype=np.complex128)
-    terms = _fourier_terms(params, drive)
-    if terms:
+    if drive.is_active(params):
+        drive.require_Omega(params)
         w, g, W = params.omega, params.gamma, params.Omega
         ep = np.exp(-(1j * w + g) * t)
-        for k, c in terms:
+        for k, c in drive.terms(params):
             out += np.conj(c) * (np.exp(-1j * k * W * t) - ep) \
                 / ((w - k * W) - 1j * g)
     return complex(out) if t.ndim == 0 else out
@@ -311,51 +301,25 @@ def mean_n_limit_cycle(params: LindbladParams,
 
 def mean_n(t, n0: float, a0: complex, params: LindbladParams,
            drive: DriveFn | None = None):
-    """<n>_t from n' = nu - 2 gamma n + 2 Im(f(t) <a>_t).
+    """<n>_t = |<a>_t|^2 + nu/2gamma + (n0 - |a0|^2 - nu/2gamma) e^{-2 gamma t}.
 
-    Force-free this is the closed form nu/2gamma + (n0 - nu/2gamma) e^{-2 gamma t};
-    with a drive the scalar ODE is stepped by RK4 with <a>_t supplied in
-    closed form at the stage times.
+    The drive enters n' = nu - 2 gamma n + 2 Im(f(t) <a>_t) and
+    |<a>|^2' = -2 gamma |<a>|^2 + 2 Im(f(t) <a>_t) through the same term, so
+    m = <n> - |<a>|^2 obeys the force-free law m' = nu - 2 gamma m for any f.
+    Array t must be nondecreasing when the drive is active.
     """
     drive = drive if drive is not None else DriveFn.none()
-    t_arr = np.atleast_1d(np.asarray(t, dtype=float))
-    if np.any(t_arr < 0):
+    t = np.asarray(t, dtype=float)
+    if np.any(t < 0):
         raise ValueError("t must be >= 0")
-    g = params.gamma
-    if not drive.is_active(params):
-        ninf = params.nu / (2.0 * g)
-        out = ninf + (float(n0) - ninf) * np.exp(-2.0 * g * t_arr)
-        return float(out[0]) if np.ndim(t) == 0 else out
-
-    if np.any(np.diff(t_arr) < 0):
+    if drive.is_active(params) and np.any(np.diff(np.atleast_1d(t)) < 0):
         raise ValueError("array t must be nondecreasing")
-
-    def source(tau):
-        f = drive.value(tau, params)
-        a = mean_a(tau, a0, params, drive)
-        return params.nu + 2.0 * (f * a).imag
-
-    # products f*<a> oscillate at omega + k*Omega; resolve the fastest one
-    h0 = 2.0 * math.pi / (500.0 * max(params.omega,
-                                      drive.max_frequency(params)))
-    out = np.empty_like(t_arr)
-    n = float(n0)
-    tcur = 0.0
-    for i, target in enumerate(t_arr):
-        span = target - tcur
-        if span > 0:
-            n_sub = max(1, math.ceil(span / h0 - 1e-9))
-            h = span / n_sub
-            for j in range(n_sub):
-                tj = tcur + j * h
-                k1 = source(tj) - 2.0 * g * n
-                k2 = source(tj + 0.5 * h) - 2.0 * g * (n + 0.5 * h * k1)
-                k3 = source(tj + 0.5 * h) - 2.0 * g * (n + 0.5 * h * k2)
-                k4 = source(tj + h) - 2.0 * g * (n + h * k3)
-                n += (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
-            tcur = target
-        out[i] = n
-    return float(out[0]) if np.ndim(t) == 0 else out
+    g = params.gamma
+    ninf = params.nu / (2.0 * g)
+    m0 = float(n0) - abs(complex(a0)) ** 2 - ninf
+    out = np.abs(mean_a(t, a0, params, drive)) ** 2 + ninf \
+        + m0 * np.exp(-2.0 * g * t)
+    return float(out) if t.ndim == 0 else out
 
 
 # ---------------------------------------------------------------------------

@@ -98,6 +98,9 @@ def test_dim_override(tmp_path):
     ("[initial]\nkind = thermal\n", "nbar0"),
     ("[initial]\nkind = gaussian\nu0 = 1.5\nalpha0 = 0\n", "u0"),
     ("[bogus]\nx = 1\n", "unknown section"),
+    ("[params]\nOmega = 0\n[drive]\nkind = fourier\nharmonics = 1\n"
+     "coefficients = 0.3\n", "Omega must be > 0"),
+    ("[params]\nf0 = 0.3\n", "Omega must be > 0"),
 ])
 def test_config_errors_exit_2(tmp_path, capsys, body, needle):
     cfg = write_ini(tmp_path, body)

@@ -61,6 +61,10 @@ def test_drive_values():
                          - DriveFn.cosine().value(t, p))) < 1e-15
     assert DriveFn.cosine().max_frequency(p) == 1.3
     assert DriveFn.fourier((2, -3), (1j, 1.0)).max_frequency(p) == 3 * 1.3
+    assert DriveFn.none().terms(p) == ()
+    assert DriveFn.cosine().terms(p) == ((1, 0.35), (-1, 0.35))
+    assert DriveFn.fourier((2, -3), (1j, 1.0)).terms(p) == ((2, 1j),
+                                                            (-3, 1.0))
 
 
 def test_drive_fourier_validation():

@@ -210,14 +210,16 @@ def test_mean_n_driven_ode_residual():
     p = LindbladParams(omega=1.1, mu=0.6, nu=0.4, f0=0.8, Omega=1.3)
     a0 = 0.5 - 0.3j
     h = 1e-4
-    for t in (0.5, 2.5):
-        nm = mean_n(t - h, 0.2, a0, p, COS)
-        npl = mean_n(t + h, 0.2, a0, p, COS)
-        n = mean_n(t, 0.2, a0, p, COS)
-        f = complex(COS.value(t, p))
-        a = mean_a(t, a0, p, COS)
-        rhs = p.nu - 2 * p.gamma * n + 2 * (f * a).imag
-        assert abs((npl - nm) / (2 * h) - rhs) < 1e-6
+    fourier = DriveFn.fourier((1, -2), (0.45 + 0.2j, 0.3 - 0.1j))
+    for drive in (COS, fourier):
+        for t in (0.5, 2.5):
+            nm = mean_n(t - h, 0.2, a0, p, drive)
+            npl = mean_n(t + h, 0.2, a0, p, drive)
+            n = mean_n(t, 0.2, a0, p, drive)
+            f = complex(drive.value(t, p))
+            a = mean_a(t, a0, p, drive)
+            rhs = p.nu - 2 * p.gamma * n + 2 * (f * a).imag
+            assert abs((npl - nm) / (2 * h) - rhs) < 1e-6
 
 
 def test_mean_n_driven_matches_integrator():
