@@ -38,7 +38,6 @@ from .gaussian_class import (
     husimi_value,
     limit_cycle_state,
     materialize,
-    solve_alpha,
     solve_u,
 )
 from .lindblad_engine import (
@@ -125,7 +124,6 @@ __all__ = [
     "resonance_frequency",
     "resonance_scan",
     "run_all",
-    "solve_alpha",
     "solve_u",
     "steady_state",
     "thermal_from_ground",

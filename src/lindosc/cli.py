@@ -9,7 +9,7 @@ library version, numbers carry 17 significant digits, and identical
 configs produce byte-identical files.
 
 Exit codes: 0 success, 1 validation failures, 2 bad configuration,
-3 numerical divergence.  LINDOSC_THREADS caps worker threads.
+3 numerical divergence.
 """
 
 from __future__ import annotations
@@ -20,14 +20,18 @@ import math
 import os
 import sys
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import __version__
 from . import observables as obs
-from .fock_core import DensityMatrix, TruncationError, required_dim
+from .fock_core import (
+    DensityMatrix,
+    TruncationError,
+    _phase_point,
+    required_dim,
+)
 from .gaussian_class import (
     GaussianState,
     entropy,
@@ -36,7 +40,6 @@ from .gaussian_class import (
     husimi_grid,
     limit_cycle_state,
     materialize,
-    solve_alpha,
     solve_u,
 )
 from .lindblad_engine import (
@@ -407,11 +410,10 @@ def cmd_evolve(cfg: RunConfig, out_dir: str, quiet: bool) -> int:
     footer: list[str] = []
     if g0 is not None:
         u_ref = np.asarray(solve_u(t, g0.u, cfg.params))
-        a_ref = np.asarray(solve_alpha(t, g0.alpha, cfg.params, cfg.drive))
+        a_ref = np.asarray(obs.mean_a(t, g0.alpha, cfg.params, cfg.drive))
         b_ref = 1.0 - u_ref
         n_ref = u_ref / b_ref + np.abs(a_ref) ** 2
-        x_ref = math.sqrt(2.0 / cfg.params.omega) * a_ref.real
-        p_ref = math.sqrt(2.0 * cfg.params.omega) * a_ref.imag
+        x_ref, p_ref = _phase_point(a_ref, cfg.params.omega)
         s_ref = np.array([entropy(v) for v in u_ref])
         cols += ["re_a_ref", "im_a_ref", "n_ref", "x_ref", "p_ref", "S_ref"]
         data += [a_ref.real, a_ref.imag, n_ref, x_ref, p_ref, s_ref]
@@ -443,29 +445,13 @@ def cmd_evolve(cfg: RunConfig, out_dir: str, quiet: bool) -> int:
 def _auto_window(states: list[GaussianState], omega: float) -> tuple:
     xs, ps, wx, wp = [], [], [], []
     for g in states:
-        al = complex(g.alpha)
-        xs.append(math.sqrt(2.0 / omega) * al.real)
-        ps.append(math.sqrt(2.0 * omega) * al.imag)
+        x, p = _phase_point(g.alpha, omega)
+        xs.append(x)
+        ps.append(p)
         wx.append(7.0 / math.sqrt(g.b * omega))
         wp.append(7.0 * math.sqrt(omega / g.b))
     return (min(xs) - max(wx), max(xs) + max(wx),
             min(ps) - max(wp), max(ps) + max(wp))
-
-
-def _worker_count(n_jobs: int) -> int:
-    cap = os.environ.get("LINDOSC_THREADS")
-    if cap is None:
-        limit = os.cpu_count() or 1
-    else:
-        try:
-            limit = int(cap)
-        except ValueError:
-            raise ConfigError(
-                f"LINDOSC_THREADS = {cap!r}: must be a positive integer")
-        if limit < 1:
-            raise ConfigError(
-                f"LINDOSC_THREADS = {limit}: must be a positive integer")
-    return max(1, min(n_jobs, limit))
 
 
 def cmd_husimi(cfg: RunConfig, out_dir: str, quiet: bool) -> int:
@@ -505,9 +491,7 @@ def cmd_husimi(cfg: RunConfig, out_dir: str, quiet: bool) -> int:
         window = _auto_window(states, p.omega)
     else:
         for ts, g in zip(times, states):
-            al = complex(g.alpha)
-            xc = math.sqrt(2.0 / p.omega) * al.real
-            pc = math.sqrt(2.0 * p.omega) * al.imag
+            xc, pc = _phase_point(g.alpha, p.omega)
             if not (window[0] <= xc <= window[1]
                     and window[2] <= pc <= window[3]):
                 warnings.warn(
@@ -515,11 +499,7 @@ def cmd_husimi(cfg: RunConfig, out_dir: str, quiet: bool) -> int:
                     "lies outside the requested window; the grid will "
                     "miss the peak")
 
-    def make(i: int):
-        return husimi_grid(states[i], window, cfg.resolution, p.omega)
-
-    with ThreadPoolExecutor(_worker_count(len(times))) as ex:
-        grids = list(ex.map(make, range(len(times))))
+    grids = [husimi_grid(g, window, cfg.resolution, p.omega) for g in states]
 
     extra = [("husimi.window", " ".join(_fmt(w) for w in window)
               + (" (auto)" if auto else "")),
@@ -684,10 +664,7 @@ def main(argv=None) -> int:
         if args.command == "validate":
             return cmd_validate(cfg, args.out, args.quiet)
         return cmd_steady_state(cfg, args.out, args.quiet)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    except TruncationError as exc:
+    except (ConfigError, TruncationError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except IntegrationDivergedError as exc:

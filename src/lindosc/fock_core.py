@@ -61,6 +61,20 @@ def _check_adequacy(alpha, dim: int) -> None:
         )
 
 
+def _require_dim(dim) -> int:
+    """``dim`` as an int, or ValueError unless it is an integer >= 2."""
+    if int(dim) != dim or dim < 2:
+        raise ValueError(f"dim must be an integer >= 2, got {dim!r}")
+    return int(dim)
+
+
+def _phase_point(alpha, omega: float):
+    """(<x>, <p>) = (sqrt(2/omega) Re alpha, sqrt(2 omega) Im alpha);
+    alpha may be a scalar or an array."""
+    return (math.sqrt(2.0 / omega) * alpha.real,
+            math.sqrt(2.0 * omega) * alpha.imag)
+
+
 def ladder_ops(dim: int):
     """Return (a, adag, n) as dense (dim, dim) complex matrices.
 
@@ -68,9 +82,7 @@ def ladder_ops(dim: int):
     The truncated pair satisfies [a, adag] = 1 everywhere except the last
     diagonal entry, which is -(dim-1).
     """
-    if int(dim) != dim or dim < 2:
-        raise ValueError(f"dim must be an integer >= 2, got {dim!r}")
-    dim = int(dim)
+    dim = _require_dim(dim)
     w = np.sqrt(np.arange(1.0, dim))
     a = np.zeros((dim, dim), dtype=np.complex128)
     a[np.arange(dim - 1), np.arange(1, dim)] = w
@@ -84,9 +96,7 @@ def coherent_state(alpha, dim: int) -> np.ndarray:
     Raises TruncationError when |alpha|^2 > dim/4 (the tail of the Poisson
     distribution would not fit; the error names the required dimension).
     """
-    if int(dim) != dim or dim < 2:
-        raise ValueError(f"dim must be an integer >= 2, got {dim!r}")
-    dim = int(dim)
+    dim = _require_dim(dim)
     alpha = complex(alpha)
     if not (math.isfinite(alpha.real) and math.isfinite(alpha.imag)):
         raise ValueError("alpha must be finite")
@@ -160,6 +170,19 @@ class DensityMatrix:
         m /= float(np.vdot(psi, psi).real)
         m.setflags(write=False)
         return cls(matrix=m)
+
+
+def _geometric_state(ratio: float, dim) -> DensityMatrix:
+    """Diagonal state with populations proportional to ratio**n over the
+    truncated basis; ratio 0 is the ground state |0><0|."""
+    dim = _require_dim(dim)
+    if ratio == 0:
+        psi = np.zeros(dim, dtype=np.complex128)
+        psi[0] = 1.0
+        return DensityMatrix.pure(psi)
+    p = ratio ** np.arange(dim)
+    p /= p.sum()
+    return DensityMatrix.from_matrix(np.diag(p).astype(np.complex128))
 
 
 def expectation(obs, rho) -> complex:

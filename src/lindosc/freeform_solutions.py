@@ -25,7 +25,12 @@ import math
 
 import numpy as np
 
-from .fock_core import DensityMatrix, TruncationError, _as_matrix
+from .fock_core import (
+    DensityMatrix,
+    TruncationError,
+    _as_matrix,
+    _geometric_state,
+)
 from .gaussian_class import GaussianState
 from .lindblad_engine import LindbladParams
 
@@ -126,17 +131,7 @@ def thermal_from_ground(t: float, params: LindbladParams,
     """State grown from the ground state: geometric populations with ratio
     G(t), so <n> = (nu/2gamma)(1 - e^(-2 gamma t)). nu=0 stays the ground
     state forever."""
-    if int(dim) != dim or dim < 2:
-        raise ValueError(f"dim must be an integer >= 2, got {dim!r}")
-    dim = int(dim)
-    _, _, G = efg(float(t), params)
-    if G == 0.0:
-        psi = np.zeros(dim, dtype=np.complex128)
-        psi[0] = 1.0
-        return DensityMatrix.pure(psi)
-    p = G ** np.arange(dim)
-    p /= p.sum()
-    return DensityMatrix.from_matrix(np.diag(p).astype(np.complex128))
+    return _geometric_state(efg(float(t), params)[2], dim)
 
 
 def coherent_free_evolution(alpha0, t: float,

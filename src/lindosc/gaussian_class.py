@@ -26,11 +26,13 @@ from .fock_core import (
     DensityMatrix,
     TruncationWarning,
     _check_adequacy,
+    _phase_point,
+    _require_dim,
     coherent_state,
     log_factorial,
 )
 from .lindblad_engine import DriveFn, LindbladParams
-from .observables import limit_cycle_alpha, mean_a
+from .observables import _require_cosine, limit_cycle_alpha, mean_a
 
 __all__ = [
     "GaussianState",
@@ -44,7 +46,6 @@ __all__ = [
     "disentangle_coefficients",
     "entangle_coefficients",
     "solve_u",
-    "solve_alpha",
     "gaussian_flow",
     "materialize",
     "gaussian_expectations",
@@ -207,17 +208,11 @@ def solve_u(t, u0: float, params: LindbladParams):
     return float(out) if t.ndim == 0 else out
 
 
-def solve_alpha(t, alpha0: complex, params: LindbladParams,
-                drive: DriveFn | None = None):
-    """Coherent amplitude alpha(t); identical dynamics to the first moment."""
-    return mean_a(t, alpha0, params, drive)
-
-
 def gaussian_flow(g0: GaussianState, t: float, params: LindbladParams,
                   drive: DriveFn | None = None) -> GaussianState:
     """Propagate a Gaussian state: two scalar closed forms, no matrices."""
     u = solve_u(float(t), g0.u, params)
-    alpha = solve_alpha(float(t), g0.alpha, params, drive)
+    alpha = mean_a(float(t), g0.alpha, params, drive)
     return GaussianState.from_alpha(u, alpha)
 
 
@@ -233,9 +228,7 @@ def materialize(g: GaussianState, dim: int) -> DensityMatrix:
     assembled in log space. e^(beta a+) is nilpotent-triangular at
     truncation, so the series is exact; positivity holds by construction.
     """
-    if int(dim) != dim or dim < 2:
-        raise ValueError(f"dim must be an integer >= 2, got {dim!r}")
-    dim = int(dim)
+    dim = _require_dim(dim)
     _check_adequacy(g.alpha, dim)
     if g.is_pure:
         return DensityMatrix.pure(coherent_state(g.alpha, dim))
@@ -277,12 +270,13 @@ class GaussianExpectations:
 def gaussian_expectations(g: GaussianState, omega: float) -> GaussianExpectations:
     """First moments and occupation by parameter differentiation of Z."""
     a = g.alpha
+    x, p = _phase_point(a, omega)
     return GaussianExpectations(
         a=a,
         adag=a.conjugate(),
         n=g.u / g.b + abs(a) ** 2,
-        x=math.sqrt(2.0 / omega) * a.real,
-        p=math.sqrt(2.0 * omega) * a.imag,
+        x=x,
+        p=p,
     )
 
 
@@ -339,8 +333,7 @@ def limit_cycle_state(t, params: LindbladParams, drive: DriveFn) -> GaussianStat
     """Asymptotic cyclic state under the cosine drive: u = nu/mu rigidly
     transported along alpha_lc(t). f0 = 0 gives the thermal steady state;
     nu = 0 gives a pure coherent limit cycle."""
-    if drive.kind != "cosine":
-        raise ValueError(f"cosine drive required, got kind={drive.kind!r}")
+    _require_cosine(drive)
     u = params.nu / params.mu
     return GaussianState.from_alpha(u, limit_cycle_alpha(t, params))
 

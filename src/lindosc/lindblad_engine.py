@@ -33,6 +33,8 @@ from .fock_core import (
     DensityMatrix,
     TruncationWarning,
     _as_matrix,
+    _geometric_state,
+    _phase_point,
 )
 
 __all__ = [
@@ -305,10 +307,8 @@ def evolve(rho0, t_grid, params: LindbladParams,
 
     rho = rho0.matrix.copy()
     n_diag = np.arange(dim, dtype=float)
-    sx = math.sqrt(2.0 / params.omega)
-    sp = math.sqrt(2.0 * params.omega)
 
-    rec = {k: [] for k in ("a", "n", "x", "p", "pur", "ent", "terr", "meig", "top")}
+    rec = {k: [] for k in ("a", "n", "pur", "ent", "terr", "meig", "top")}
     snapshots: dict = {}
     warned = False
 
@@ -322,8 +322,6 @@ def evolve(rho0, t_grid, params: LindbladParams,
         diag = np.diagonal(rho).real
         rec["a"].append(a)
         rec["n"].append(float(np.dot(n_diag, diag)))
-        rec["x"].append(sx * a.real)
-        rec["p"].append(sp * a.imag)
         rec["pur"].append(float(np.sum(np.abs(rho) ** 2)))
         rec["terr"].append(abs(complex(rho.trace()) - 1.0))
         eigs = np.linalg.eigvalsh((rho + rho.conj().T) / 2.0)
@@ -357,8 +355,9 @@ def evolve(rho0, t_grid, params: LindbladParams,
         for j in range(n_sub):
             t = t0 + j * h
             k1 = ws.apply(rho, fval(t))
-            k2 = ws.apply(rho + (0.5 * h) * k1, fval(t + 0.5 * h))
-            k3 = ws.apply(rho + (0.5 * h) * k2, fval(t + 0.5 * h))
+            f_mid = fval(t + 0.5 * h)
+            k2 = ws.apply(rho + (0.5 * h) * k1, f_mid)
+            k3 = ws.apply(rho + (0.5 * h) * k2, f_mid)
             k4 = ws.apply(rho + h * k3, fval(t + h))
             rho += (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
             steps += 1
@@ -367,12 +366,14 @@ def evolve(rho0, t_grid, params: LindbladParams,
                 rho /= rho.trace().real
         record(t1, rho)
 
+    mean_a = np.array(rec["a"], dtype=np.complex128)
+    mean_x, mean_p = _phase_point(mean_a, params.omega)
     return Trajectory(
         times=t_grid.copy(),
-        mean_a=np.array(rec["a"], dtype=np.complex128),
+        mean_a=mean_a,
         mean_n=np.array(rec["n"]),
-        mean_x=np.array(rec["x"]),
-        mean_p=np.array(rec["p"]),
+        mean_x=mean_x,
+        mean_p=mean_p,
         purity=np.array(rec["pur"]),
         entropy=np.array(rec["ent"]),
         trace_err=np.array(rec["terr"]),
@@ -389,14 +390,4 @@ def steady_state(params: LindbladParams, dim: int) -> DensityMatrix:
     The truncated generator annihilates this state exactly: detailed balance
     mu*p_{n+1} = nu*p_n holds level by level, including the top level.
     """
-    if int(dim) != dim or dim < 2:
-        raise ValueError(f"dim must be an integer >= 2, got {dim!r}")
-    dim = int(dim)
-    if params.nu == 0:
-        psi = np.zeros(dim, dtype=np.complex128)
-        psi[0] = 1.0
-        return DensityMatrix.pure(psi)
-    r = params.nu / params.mu
-    p = r ** np.arange(dim)
-    p /= p.sum()
-    return DensityMatrix.from_matrix(np.diag(p).astype(np.complex128))
+    return _geometric_state(params.nu / params.mu, dim)

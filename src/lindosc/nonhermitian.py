@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fock_core import _check_adequacy, log_factorial
+from .fock_core import _check_adequacy, _require_dim, log_factorial
 from .lindblad_engine import LindbladParams
 
 __all__ = [
@@ -145,9 +145,7 @@ def nh_norm(t, alpha0: complex, p: NHParams, dim: int,
         sum_n |<n|alpha0>|^2 e^(-2 gamma (n + 1/2) t)
     over the truncated basis, which must be adequate for alpha0.
     """
-    if int(dim) != dim or dim < 2:
-        raise ValueError(f"dim must be an integer >= 2, got {dim!r}")
-    dim = int(dim)
+    dim = _require_dim(dim)
     alpha0 = complex(alpha0)
     _check_adequacy(alpha0, dim)
     t = float(t)

@@ -352,18 +352,6 @@ def test_steady_state_table(tmp_path):
     assert pops[1] / pops[0] == pytest.approx(2.0 / 3.0, abs=1e-12)
 
 
-def test_thread_cap_env(tmp_path, capsys, monkeypatch):
-    cfg = write_ini(tmp_path, HUSIMI)
-    monkeypatch.setenv("LINDOSC_THREADS", "abc")
-    rc = main(["husimi", "--config", cfg, "--out",
-               str(tmp_path / "o1"), "--quiet"])
-    assert rc == 2
-    assert "LINDOSC_THREADS" in capsys.readouterr().err
-    monkeypatch.setenv("LINDOSC_THREADS", "1")
-    assert main(["husimi", "--config", cfg, "--out",
-                 str(tmp_path / "o2"), "--quiet"]) == 0
-
-
 def test_version_flag(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--version"])

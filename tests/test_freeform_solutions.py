@@ -15,7 +15,12 @@ from lindosc.freeform_solutions import (
     thermal_from_ground,
 )
 from lindosc.gaussian_class import materialize
-from lindosc.lindblad_engine import IntegratorOptions, LindbladParams, evolve
+from lindosc.lindblad_engine import (
+    IntegratorOptions,
+    LindbladParams,
+    evolve,
+    steady_state,
+)
 
 from conftest import enveloped_density
 
@@ -94,6 +99,9 @@ def test_thermal_from_ground():
     still = thermal_from_ground(
         3.0, LindbladParams(omega=1.0, mu=0.5, nu=0.0), 8)
     assert still.matrix[0, 0] == 1.0
+    # long after the start it is the steady state (e^(-2 gamma t) = 4e-18)
+    late = thermal_from_ground(200.0, P, dim).matrix
+    assert np.max(np.abs(late - steady_state(P, dim).matrix)) < 1e-12
 
 
 def test_coherent_free_evolution_track():

@@ -142,6 +142,16 @@ def test_coherent_state_stays_pure_without_gain():
     assert np.max(traj.entropy) < 1e-6
 
 
+def test_phase_space_columns_follow_mean_a():
+    p = LindbladParams(omega=1.1, mu=0.6, nu=0.4, f0=0.3, Omega=1.0)
+    rho0 = DensityMatrix.pure(coherent_state(0.5 + 0.2j, 32))
+    traj = evolve(rho0, np.linspace(0.0, 2.0, 5), p, DriveFn.cosine())
+    assert np.array_equal(traj.mean_x,
+                          math.sqrt(2.0 / 1.1) * traj.mean_a.real)
+    assert np.array_equal(traj.mean_p,
+                          math.sqrt(2.0 * 1.1) * traj.mean_a.imag)
+
+
 def test_entropy_column_of_thermal_state():
     dim = 64
     rho0 = steady_state(P_FREE, dim)

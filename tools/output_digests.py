@@ -1,0 +1,97 @@
+"""Print the sha256 of every file the lindosc CLI writes for fixed configs.
+
+Runs evolve (cosine, Fourier and undriven drives), husimi (a driven limit
+cycle and a thermal state), scan, steady-state and validate on configs
+defined below, each into its own directory under a temporary root, and
+prints one ``sha256  relpath`` line per output file, sorted by path.
+Running it against two source trees and diffing the two listings checks
+that a change keeps every CLI output byte-identical:
+
+    python tools/output_digests.py --src base/src > base.txt
+    python tools/output_digests.py --src src > head.txt
+    diff base.txt head.txt
+
+Needs only the standard library and numpy (which lindosc itself needs).
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import hashlib
+import io
+import os
+import sys
+import tempfile
+
+_PARAMS = "[params]\nomega = 1.1\nmu = 0.6\nnu = 0.4\n"
+_GRID = "[grid]\nt_max = 4\nn_times = 41\n[integrator]\ndim = 40\n"
+_RESONANT = "f0 = 0.3\nOmega = 1.0954451150103321\n"
+
+# (name, subcommand, config text)
+RUNS = (
+    ("evolve-cosine", "evolve",
+     _PARAMS + _RESONANT + _GRID
+     + "[initial]\nkind = coherent\nalpha0 = 0.5+0.2j\n"),
+    ("evolve-fourier", "evolve",
+     _PARAMS + "Omega = 1.3\n" + _GRID
+     + "[drive]\nkind = fourier\nharmonics = 1 -2\n"
+       "coefficients = 0.2+0.1j 0.15-0.05j\n"
+     + "[initial]\nkind = gaussian\nalpha0 = 0.5+0.2j\nu0 = 0.3\n"),
+    ("evolve-undriven", "evolve",
+     _PARAMS + _GRID
+     + "[initial]\nkind = gaussian\nalpha0 = 0.5+0.2j\nu0 = 0.2\n"),
+    ("husimi-driven", "husimi",
+     _PARAMS + _RESONANT + _GRID + "[husimi]\nresolution = 41\n"),
+    ("husimi-thermal", "husimi",
+     _PARAMS + _GRID + "[initial]\nkind = thermal\nnbar0 = 0.8\n"
+     + "[husimi]\ntimes = 0 1 2.5\nresolution = 41 33\n"),
+    ("scan", "scan", _PARAMS + "[scan]\nsamples = 120\n"),
+    ("steady-state", "steady-state", _PARAMS + _GRID),
+    ("validate", "validate", _PARAMS + _GRID),
+)
+
+
+def _import_cli(src: str):
+    src = os.path.abspath(src)
+    sys.path.insert(0, src)
+    import lindosc.cli as cli
+    if not os.path.abspath(cli.__file__).startswith(src + os.sep):
+        raise SystemExit(f"lindosc imported from {cli.__file__}, not {src}")
+    return cli
+
+
+def digests(src: str) -> list[tuple[str, str]]:
+    """(sha256, relpath) of every output file, sorted by relpath."""
+    cli = _import_cli(src)
+    out = []
+    with tempfile.TemporaryDirectory() as root:
+        for name, command, text in RUNS:
+            cfg = os.path.join(root, f"{name}.ini")
+            with open(cfg, "w", encoding="utf-8") as fh:
+                fh.write(text)
+            run_dir = os.path.join(root, name)
+            with contextlib.redirect_stdout(io.StringIO()):
+                rc = cli.main([command, "--config", cfg, "--out", run_dir,
+                               "--quiet"])
+            if rc != 0:
+                raise SystemExit(f"{name}: lindosc {command} exited {rc}")
+            for fname in sorted(os.listdir(run_dir)):
+                with open(os.path.join(run_dir, fname), "rb") as fh:
+                    digest = hashlib.sha256(fh.read()).hexdigest()
+                out.append((digest, f"{name}/{fname}"))
+    return out
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--src", required=True,
+                    help="source directory that contains the lindosc package")
+    args = ap.parse_args(argv)
+    for digest, rel in digests(args.src):
+        print(f"{digest}  {rel}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
