@@ -34,6 +34,7 @@ from .fock_core import (
 )
 from .gaussian_class import (
     GaussianState,
+    _occupation,
     entropy,
     entropy_infinity,
     gaussian_flow,
@@ -328,22 +329,21 @@ def _gaussian_initial(cfg: RunConfig) -> GaussianState | None:
     return None
 
 
-def _alpha_reach(cfg: RunConfig, horizon: float) -> float:
-    """Largest |<a>| the run will visit, from the closed-form mean."""
-    g0 = _gaussian_initial(cfg)
-    a0 = 0j if g0 is None else complex(g0.alpha)
-    if not cfg.drive.is_active(cfg.params):
-        return abs(a0)
-    f_max = max(cfg.params.omega, cfg.drive.max_frequency(cfg.params))
-    n = min(65536, max(512, int(32 * horizon * f_max / (2.0 * math.pi)) + 1))
-    t = np.linspace(0.0, horizon, n)
-    return float(np.max(np.abs(obs.mean_a(t, a0, cfg.params, cfg.drive))))
-
-
-def _ensure_adequate(cfg: RunConfig, horizon: float) -> None:
-    if cfg.initial_kind == "file":
-        return  # no declared amplitude; runtime tail diagnostics apply
-    reach = 1.02 * _alpha_reach(cfg, horizon)
+def _ensure_adequate(cfg: RunConfig, g0: GaussianState | None) -> None:
+    """Reject a basis that cannot hold the largest |<a>| the run visits
+    over [0, t_max], taken from the closed-form mean."""
+    if g0 is None:
+        return  # matrix from file: runtime tail diagnostics apply
+    a0 = g0.alpha
+    reach = abs(a0)
+    if cfg.drive.is_active(cfg.params):
+        f_max = max(cfg.params.omega, cfg.drive.max_frequency(cfg.params))
+        n = min(65536,
+                max(512, int(32 * cfg.t_max * f_max / (2.0 * math.pi)) + 1))
+        t = np.linspace(0.0, cfg.t_max, n)
+        reach = float(np.max(np.abs(obs.mean_a(t, a0, cfg.params,
+                                               cfg.drive))))
+    reach = 1.02 * reach
     need = required_dim(reach)
     if cfg.dim < need:
         raise ConfigError(
@@ -351,57 +351,72 @@ def _ensure_adequate(cfg: RunConfig, horizon: float) -> None:
             f"reaches {reach:.4g}; increase dim to >= {need}")
 
 
-def _initial_density(cfg: RunConfig) -> DensityMatrix:
-    if cfg.initial_kind == "file":
-        try:
-            m = np.load(cfg.initial_path, allow_pickle=False)
-        except (OSError, ValueError) as exc:
-            raise ConfigError(
-                f"[initial] path = {cfg.initial_path!r}: {exc}") from exc
-        try:
-            rho0 = DensityMatrix.from_matrix(m)
-        except ValueError as exc:
-            raise ConfigError(
-                f"[initial] {cfg.initial_path!r}: {exc}") from exc
-        if rho0.dim != cfg.dim:
-            raise ConfigError(
-                f"[initial] matrix is {rho0.dim}x{rho0.dim} but "
-                f"[integrator] dim = {cfg.dim}")
-        return rho0
-    g0 = _gaussian_initial(cfg)
-    return materialize(g0, cfg.dim)
+def _initial_density(cfg: RunConfig,
+                     g0: GaussianState | None) -> DensityMatrix:
+    if g0 is not None:
+        return materialize(g0, cfg.dim)
+    try:
+        m = np.load(cfg.initial_path, allow_pickle=False)
+    except (OSError, ValueError) as exc:
+        raise ConfigError(
+            f"[initial] path = {cfg.initial_path!r}: {exc}") from exc
+    try:
+        rho0 = DensityMatrix.from_matrix(m)
+    except ValueError as exc:
+        raise ConfigError(f"[initial] {cfg.initial_path!r}: {exc}") from exc
+    if rho0.dim != cfg.dim:
+        raise ConfigError(
+            f"[initial] matrix is {rho0.dim}x{rho0.dim} but "
+            f"[integrator] dim = {cfg.dim}")
+    return rho0
 
 
-def _open_out(out_dir: str, name: str):
+def _write_table(out_dir: str, name: str, command: str, cfg: RunConfig,
+                 rows, extra=(), meta=(), columns=None, footer=(),
+                 sep: str = "\t") -> str:
+    """Write out_dir/name in the one layout every output file shares.
+
+    Header: version, command, one ``# key = value`` line per resolved
+    setting and ``extra`` pair, one ``# `` line per ``meta`` entry, then
+    ``# columns:`` when given.  Body: one line per row, cells through
+    _fmt joined by ``sep``.  Footer: one ``# `` line per entry.
+    Returns the path written.
+    """
     os.makedirs(out_dir, exist_ok=True)
-    return open(os.path.join(out_dir, name), "w", encoding="utf-8",
-                newline="\n")
+    path = os.path.join(out_dir, name)
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(f"# lindosc {__version__}\n")
+        fh.write(f"# command: {command}\n")
+        for key, val in list(cfg.echo()) + list(extra):
+            fh.write(f"# {key} = {val}\n")
+        for line in meta:
+            fh.write(f"# {line}\n")
+        if columns is not None:
+            fh.write("# columns: " + " ".join(columns) + "\n")
+        for row in rows:
+            fh.write(sep.join(map(_fmt, row)) + "\n")
+        for line in footer:
+            fh.write(f"# {line}\n")
+    return path
 
 
-def _write_header(fh, command: str, cfg: RunConfig,
-                  extra: list[tuple[str, str]] = ()) -> None:
-    fh.write(f"# lindosc {__version__}\n")
-    fh.write(f"# command: {command}\n")
-    for key, val in list(cfg.echo()) + list(extra):
-        fh.write(f"# {key} = {val}\n")
-
-
-def _say(quiet: bool, msg: str) -> None:
+def _say(quiet: bool, *lines: str) -> None:
     if not quiet:
-        print(msg)
+        for line in lines:
+            print(line)
 
 
 # ---------------------------------------------------------------------------
 # subcommands
 
 def cmd_evolve(cfg: RunConfig, out_dir: str, quiet: bool) -> int:
-    _ensure_adequate(cfg, cfg.t_max)
-    rho0 = _initial_density(cfg)
+    g0 = _gaussian_initial(cfg)
+    _ensure_adequate(cfg, g0)
+    rho0 = _initial_density(cfg, g0)
     t = np.linspace(0.0, cfg.t_max, cfg.n_times)
     opts = IntegratorOptions(dt=cfg.dt, renorm_every=cfg.renorm_every)
     traj = evolve(rho0, t, cfg.params, cfg.drive, opts)
 
-    g0 = _gaussian_initial(cfg)
     cols = ["t", "re_a", "im_a", "n", "x", "p", "S", "purity",
             "trace_err", "min_eig"]
     data = [t, traj.mean_a.real, traj.mean_a.imag, traj.mean_n,
@@ -411,8 +426,7 @@ def cmd_evolve(cfg: RunConfig, out_dir: str, quiet: bool) -> int:
     if g0 is not None:
         u_ref = np.asarray(solve_u(t, g0.u, cfg.params))
         a_ref = np.asarray(obs.mean_a(t, g0.alpha, cfg.params, cfg.drive))
-        b_ref = 1.0 - u_ref
-        n_ref = u_ref / b_ref + np.abs(a_ref) ** 2
+        n_ref = _occupation(u_ref, a_ref)
         x_ref, p_ref = _phase_point(a_ref, cfg.params.omega)
         s_ref = np.array([entropy(v) for v in u_ref])
         cols += ["re_a_ref", "im_a_ref", "n_ref", "x_ref", "p_ref", "S_ref"]
@@ -425,20 +439,13 @@ def cmd_evolve(cfg: RunConfig, out_dir: str, quiet: bool) -> int:
             ("|S - S_ref|", float(np.max(np.abs(traj.entropy - s_ref)))),
         ):
             verdict = "OK" if err <= 1e-6 else "MISMATCH"
-            footer.append(f"# check: max {label} = {err:.3e} "
+            footer.append(f"check: max {label} = {err:.3e} "
                           f"(tol 1e-06) -> {verdict}")
 
-    path = os.path.join(out_dir, "trajectory.tsv")
-    with _open_out(out_dir, "trajectory.tsv") as fh:
-        _write_header(fh, "evolve", cfg)
-        fh.write("# columns: " + " ".join(cols) + "\n")
-        for i in range(t.size):
-            fh.write("\t".join(_fmt(float(col[i])) for col in data) + "\n")
-        for line in footer:
-            fh.write(line + "\n")
-    _say(quiet, f"wrote {path} ({t.size} rows)")
-    for line in footer:
-        _say(quiet, line[2:])
+    path = _write_table(out_dir, "trajectory.tsv", "evolve", cfg,
+                        np.column_stack(data).tolist(), columns=cols,
+                        footer=footer)
+    _say(quiet, f"wrote {path} ({t.size} rows)", *footer)
     return 0
 
 
@@ -507,31 +514,25 @@ def cmd_husimi(cfg: RunConfig, out_dir: str, quiet: bool) -> int:
               f"{cfg.resolution[0]} {cfg.resolution[1]}"),
              ("husimi.subject", kind)]
     for i, (ts, grid) in enumerate(zip(times, grids)):
-        name = f"husimi_{i:02d}.txt"
-        with _open_out(out_dir, name) as fh:
-            _write_header(fh, "husimi", cfg, extra)
-            fh.write(f"# x-range: {_fmt(window[0])} {_fmt(window[1])}\n")
-            fh.write(f"# p-range: {_fmt(window[2])} {_fmt(window[3])}\n")
-            fh.write(f"# nx: {grid.x_axis.size}\n")
-            fh.write(f"# np: {grid.p_axis.size}\n")
-            fh.write(f"# time: {_fmt(float(ts))}\n")
-            for row in grid.values:
-                fh.write(" ".join(_fmt(float(v)) for v in row) + "\n")
-        _say(quiet, f"wrote {os.path.join(out_dir, name)} "
+        meta = (f"x-range: {_fmt(window[0])} {_fmt(window[1])}",
+                f"p-range: {_fmt(window[2])} {_fmt(window[3])}",
+                f"nx: {grid.x_axis.size}", f"np: {grid.p_axis.size}",
+                f"time: {_fmt(float(ts))}")
+        path = _write_table(out_dir, f"husimi_{i:02d}.txt", "husimi", cfg,
+                            (row.tolist() for row in grid.values), extra,
+                            meta, sep=" ")
+        _say(quiet, f"wrote {path} "
                     f"(t = {ts:g}, peak {float(grid.values.max()):.6g})")
 
     if periodic:
         lc = obs.quantum_lc(p, drive)
         period = 2.0 * math.pi / p.Omega
-        ts = np.linspace(0.0, period, 257)
-        with _open_out(out_dir, "cycle_path.tsv") as fh:
-            _write_header(fh, "husimi", cfg, extra)
-            fh.write("# columns: t x p\n")
-            for tv in ts:
-                fh.write(f"{_fmt(float(tv))}\t{_fmt(lc.mean_x(float(tv)))}"
-                         f"\t{_fmt(lc.mean_p(float(tv)))}\n")
-        _say(quiet, f"wrote {os.path.join(out_dir, 'cycle_path.tsv')} "
-                    f"(ellipse, {ts.size} samples)")
+        ts = np.linspace(0.0, period, 257).tolist()
+        # scalar calls per time: a vectorized cos/sin may round differently
+        rows = [(tv, lc.mean_x(tv), lc.mean_p(tv)) for tv in ts]
+        path = _write_table(out_dir, "cycle_path.tsv", "husimi", cfg, rows,
+                            extra, columns=("t", "x", "p"))
+        _say(quiet, f"wrote {path} (ellipse, {len(ts)} samples)")
     return 0
 
 
@@ -540,33 +541,27 @@ def cmd_scan(cfg: RunConfig, out_dir: str, quiet: bool) -> int:
     lo, hi = cfg.scan_range
     step = (hi - lo) / (cfg.scan_samples - 1)
     k = int(np.argmax(table[:, 1]))
-    footer = [f"# peak: Omega = {_fmt(float(table[k, 0]))} (sample {k})"]
+    footer = [f"peak: Omega = {_fmt(float(table[k, 0]))} (sample {k})"]
     try:
         w_res = obs.resonance_frequency(cfg.params)
         off = abs(float(table[k, 0]) - w_res)
         inside = lo <= w_res <= hi
         verdict = "OK" if off <= step else (
             "OFF-GRID" if not inside else "MISMATCH")
-        footer.append(f"# reference: sqrt(omega^2 - gamma^2) = {_fmt(w_res)}")
-        footer.append(f"# |peak - reference| = {off:.6g} vs grid step "
+        footer.append(f"reference: sqrt(omega^2 - gamma^2) = {_fmt(w_res)}")
+        footer.append(f"|peak - reference| = {off:.6g} vs grid step "
                       f"{step:.6g} -> {verdict}")
     except ValueError:
-        footer.append("# reference: overdamped (gamma >= omega), "
+        footer.append("reference: overdamped (gamma >= omega), "
                       "no resonance frequency")
 
-    path = os.path.join(out_dir, "resonance_scan.tsv")
-    with _open_out(out_dir, "resonance_scan.tsv") as fh:
-        _write_header(fh, "scan", cfg, [
-            ("scan.Omega_min", _fmt(lo)), ("scan.Omega_max", _fmt(hi)),
-            ("scan.samples", str(cfg.scan_samples))])
-        fh.write("# columns: Omega A_q phi_q nbar\n")
-        for row in table:
-            fh.write("\t".join(_fmt(float(v)) for v in row) + "\n")
-        for line in footer:
-            fh.write(line + "\n")
-    _say(quiet, f"wrote {path} ({cfg.scan_samples} rows)")
-    for line in footer:
-        _say(quiet, line[2:])
+    extra = [("scan.Omega_min", _fmt(lo)), ("scan.Omega_max", _fmt(hi)),
+             ("scan.samples", str(cfg.scan_samples))]
+    path = _write_table(out_dir, "resonance_scan.tsv", "scan", cfg,
+                        (row.tolist() for row in table), extra,
+                        columns=("Omega", "A_q", "phi_q", "nbar"),
+                        footer=footer)
+    _say(quiet, f"wrote {path} ({cfg.scan_samples} rows)", *footer)
     return 0
 
 
@@ -575,17 +570,13 @@ def cmd_steady_state(cfg: RunConfig, out_dir: str, quiet: bool) -> int:
     ss = steady_state(p, cfg.dim)
     pops = np.diagonal(ss.matrix).real
     mean_n = float(np.dot(np.arange(cfg.dim), pops))
-    path = os.path.join(out_dir, "steady_state.tsv")
-    with _open_out(out_dir, "steady_state.tsv") as fh:
-        _write_header(fh, "steady-state", cfg)
-        fh.write(f"# u = {_fmt(p.nu / p.mu)}\n")
-        fh.write(f"# nbar = {_fmt(p.nbar)}\n")
-        fh.write(f"# entropy = {_fmt(entropy_infinity(p))}\n")
-        fh.write(f"# truncated_mean_n = {_fmt(mean_n)}\n")
-        fh.write(f"# top_level_population = {_fmt(float(pops[-1]))}\n")
-        fh.write("# columns: n p_n\n")
-        for n, v in enumerate(pops):
-            fh.write(f"{n}\t{_fmt(float(v))}\n")
+    meta = (f"u = {_fmt(p.nu / p.mu)}", f"nbar = {_fmt(p.nbar)}",
+            f"entropy = {_fmt(entropy_infinity(p))}",
+            f"truncated_mean_n = {_fmt(mean_n)}",
+            f"top_level_population = {_fmt(float(pops[-1]))}")
+    path = _write_table(out_dir, "steady_state.tsv", "steady-state", cfg,
+                        enumerate(pops.tolist()), meta=meta,
+                        columns=("n", "p_n"))
     _say(quiet, f"wrote {path} (dim {cfg.dim}, <n> = {mean_n:.6g})")
     return 0
 
@@ -593,21 +584,18 @@ def cmd_steady_state(cfg: RunConfig, out_dir: str, quiet: bool) -> int:
 def cmd_validate(cfg: RunConfig, out_dir: str | None, quiet: bool) -> int:
     # The suite runs canonical parameters, but a supplied config must
     # still be coherent (catches dim/amplitude mistakes early).
-    _ensure_adequate(cfg, cfg.t_max)
+    _ensure_adequate(cfg, _gaussian_initial(cfg))
     results = run_all(seed=cfg.seed)
     fails = [r for r in results if not r.passed]
     for r in results:
         if not quiet or not r.passed:
             print(r.line())
     if out_dir is not None:
-        path = os.path.join(out_dir, "validate_report.tsv")
-        with _open_out(out_dir, "validate_report.tsv") as fh:
-            _write_header(fh, "validate", cfg)
-            fh.write("# columns: status key expected actual tolerance\n")
-            for r in results:
-                status = "PASS" if r.passed else "FAIL"
-                fh.write(f"{status}\t{r.key}\t{r.expected}\t{r.actual}"
-                         f"\t{r.tolerance}\n")
+        rows = [("PASS" if r.passed else "FAIL", r.key, r.expected,
+                 r.actual, r.tolerance) for r in results]
+        path = _write_table(out_dir, "validate_report.tsv", "validate", cfg,
+                            rows, columns=("status", "key", "expected",
+                                           "actual", "tolerance"))
         _say(quiet, f"wrote {path}")
     print(f"{len(results) - len(fails)}/{len(results)} checks passed")
     if fails:

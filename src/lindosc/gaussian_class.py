@@ -267,6 +267,12 @@ class GaussianExpectations:
     p: float
 
 
+def _occupation(u, alpha):
+    """<n> = u/(1-u) + |alpha|^2 of the Gaussian state (u, alpha);
+    broadcasts over arrays."""
+    return u / (1.0 - u) + abs(alpha) ** 2
+
+
 def gaussian_expectations(g: GaussianState, omega: float) -> GaussianExpectations:
     """First moments and occupation by parameter differentiation of Z."""
     a = g.alpha
@@ -274,7 +280,7 @@ def gaussian_expectations(g: GaussianState, omega: float) -> GaussianExpectation
     return GaussianExpectations(
         a=a,
         adag=a.conjugate(),
-        n=g.u / g.b + abs(a) ** 2,
+        n=_occupation(g.u, a),
         x=x,
         p=p,
     )

@@ -341,7 +341,5 @@ def resonance_scan(params: LindbladParams, Omega_range, samples: int):
     for i, W in enumerate(np.linspace(lo, hi, int(samples))):
         pk = replace(params, Omega=float(W))
         lc = quantum_lc(pk, drive)
-        nbar = mean_n_limit_cycle(pk, drive).nbar if pk.f0 != 0.0 \
-            else pk.nu / (2.0 * pk.gamma)
-        rows[i] = (W, lc.A_q, lc.phi_q, nbar)
+        rows[i] = (W, lc.A_q, lc.phi_q, mean_n_limit_cycle(pk, drive).nbar)
     return rows

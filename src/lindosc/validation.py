@@ -71,11 +71,11 @@ def _vacuum(dim: int) -> DensityMatrix:
     return DensityMatrix.pure(coherent_state(0.0, dim))
 
 
-def check_thermal_relaxation(dim: int = 64) -> list[CheckResult]:
+def check_thermal_relaxation() -> list[CheckResult]:
     """Vacuum relaxation: integrator occupation against the closed curve
     n(t) = (nu/2 gamma)(1 - exp(-2 gamma t)), plus the truncated steady
     state against the exact asymptote nu/(2 gamma)."""
-    p = BENCH_FREE
+    p, dim = BENCH_FREE, 64
     t = np.linspace(0.0, 30.0, 61)
     traj = evolve(_vacuum(dim), t, p)
     n_inf = p.nu / (2.0 * p.gamma)
@@ -91,12 +91,11 @@ def check_thermal_relaxation(dim: int = 64) -> list[CheckResult]:
     ]
 
 
-def check_series_vs_integrator(dim: int = 32, n_states: int = 20,
-                               seed: int = 20260816) -> list[CheckResult]:
+def check_series_vs_integrator(seed: int = 20260816) -> list[CheckResult]:
     """Full-rank random mixed states propagated by the operator series and
     by RK4; trace distance compared at several times.  The random states
     carry a thermal-like envelope so their support fits the truncation."""
-    p = BENCH_FREE
+    p, dim, n_states = BENCH_FREE, 32, 20
     times = (0.5, 1.0, 2.0, 5.0)
     t_grid = np.array((0.0,) + times)
     rng = np.random.default_rng(seed)
@@ -115,10 +114,10 @@ def check_series_vs_integrator(dim: int = 32, n_states: int = 20,
     return [_bound("series-vs-integrator/trace-distance", worst, 1e-6)]
 
 
-def check_riccati(n_points: int = 1000) -> list[CheckResult]:
+def check_riccati() -> list[CheckResult]:
     """Width parameter u(t) from the vacuum: logistic closed form against
     the series coefficient G(t), and both against a scalar RK4 oracle."""
-    p = BENCH_FREE
+    p, n_points = BENCH_FREE, 1000
     t = np.linspace(0.0, 50.0, n_points)
     u = solve_u(t, 0.0, p)
     _, _, g = efg(t, p)
@@ -148,12 +147,11 @@ def check_riccati(n_points: int = 1000) -> list[CheckResult]:
     ]
 
 
-def check_form_invariance(dim: int = 48, n_states: int = 10,
-                          seed: int = 8016) -> list[CheckResult]:
+def check_form_invariance(seed: int = 8016) -> list[CheckResult]:
     """The driven Gaussian flow, materialized over the Fock basis, must
     satisfy the master equation: central finite difference of rho(t)
     against the generator applied to rho(t), entrywise."""
-    p = BENCH
+    p, dim, n_states = BENCH, 48, 10
     drive = DriveFn.cosine()
     rng = np.random.default_rng(seed)
     t0, eps = 0.5, 1e-4
@@ -207,8 +205,7 @@ def check_limit_cycle_geometry() -> list[CheckResult]:
     ]
 
 
-def check_limit_cycle_occupation(n_draws: int = 50,
-                                 seed: int = 4127) -> list[CheckResult]:
+def check_limit_cycle_occupation(seed: int = 4127) -> list[CheckResult]:
     """Cycle-averaged occupation: the quadrature form against the period
     mean of |alpha|^2, at the benchmark point, at exact resonance (where
     the value is pinned), and over random admissible parameters."""
@@ -225,7 +222,7 @@ def check_limit_cycle_occupation(n_draws: int = 50,
 
     rng = np.random.default_rng(seed)
     worst = 0.0
-    for _ in range(n_draws):
+    for _ in range(50):
         mu = rng.uniform(0.3, 1.0)
         nu = rng.uniform(0.0, 0.8 * mu)
         q = LindbladParams(omega=rng.uniform(0.6, 2.0), mu=mu, nu=nu,
@@ -297,10 +294,11 @@ def check_resonance() -> list[CheckResult]:
     return [r_loc, r_amp]
 
 
-def check_nonhermitian(dim: int = 64) -> list[CheckResult]:
+def check_nonhermitian() -> list[CheckResult]:
     """Pure-damping equivalence: conditional-evolution closed forms
     against the Lindblad closed forms, against the integrator, and the
     (A, B, C) coefficients against their defining ODEs."""
+    dim = 64
     al0 = 0.9 + 0.4j
     cases = (
         (NHParams(omega=1.1, gamma=0.1, f0=0.4, Omega=1.0954451150103324),
@@ -344,11 +342,11 @@ def check_nonhermitian(dim: int = 64) -> list[CheckResult]:
     ]
 
 
-def check_integrator_order(dim: int = 64) -> list[CheckResult]:
+def check_integrator_order() -> list[CheckResult]:
     """Global convergence order of the stepper, estimated from vacuum
     relaxation against the exact thermalization matrix at two step sizes
     (4x refinement, no periodic renormalization)."""
-    p = BENCH_FREE
+    p, dim = BENCH_FREE, 64
     times = (0.5, 1.0, 2.0, 4.0)
     t_grid = np.array((0.0,) + times)
 

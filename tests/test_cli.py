@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from lindosc import __version__
 from lindosc.cli import main
 from lindosc.gaussian_class import (
     GaussianState,
@@ -350,6 +351,48 @@ def test_steady_state_table(tmp_path):
     assert pops.size == 64
     assert pops.sum() == pytest.approx(1.0, abs=1e-12)
     assert pops[1] / pops[0] == pytest.approx(2.0 / 3.0, abs=1e-12)
+
+
+def test_output_files_share_one_layout(tmp_path, monkeypatch):
+    # the suite itself is covered by the acceptance tests; here only the
+    # report file's layout matters
+    monkeypatch.setattr("lindosc.cli.run_all",
+                        lambda seed=None: _fake_results()[:1])
+    cfg = write_ini(tmp_path, BASIC + """
+[husimi]
+resolution = 11 9
+
+[scan]
+samples = 11
+""")
+    out = tmp_path / "out"
+    for command in ("evolve", "husimi", "scan", "steady-state", "validate"):
+        assert main([command, "--config", cfg, "--out", str(out),
+                     "--quiet"]) == 0
+    names = sorted(f.name for f in out.iterdir())
+    assert names == sorted(
+        ["trajectory.tsv", "cycle_path.tsv", "resonance_scan.tsv",
+         "steady_state.tsv", "validate_report.tsv"]
+        + [f"husimi_{i:02d}.txt" for i in range(6)])
+    commands = {"trajectory.tsv": "evolve", "cycle_path.tsv": "husimi",
+                "resonance_scan.tsv": "scan",
+                "steady_state.tsv": "steady-state",
+                "validate_report.tsv": "validate"}
+    for name in names:
+        lines = (out / name).read_text().splitlines()
+        header, rows = read_rows(out / name)
+        assert lines[0] == f"# lindosc {__version__}"
+        assert lines[1] == f"# command: {commands.get(name, 'husimi')}"
+        assert "# integrator.dim = 48" in header
+        cols = [h for h in header if h.startswith("# columns: ")]
+        if name.startswith("husimi_"):
+            assert cols == []
+            assert len(rows) == 11
+            assert all(len(r.split(" ")) == 9 for r in rows)
+        else:
+            assert len(cols) == 1 and rows
+            n_cols = len(cols[0].split()) - 2
+            assert all(len(r.split("\t")) == n_cols for r in rows)
 
 
 def test_version_flag(capsys):

@@ -254,10 +254,12 @@ def test_resonance_scan():
         lc = quantum_lc(replace(P_DRIVEN, Omega=float(W)), COS)
         assert abs(A - lc.A_q) < 1e-12
         assert abs(phi - lc.phi_q) < 1e-12
-    quiet = resonance_scan(LindbladParams(omega=1.1, mu=0.6, nu=0.4),
-                           (0.5, 1.7), 5)
+    p_quiet = LindbladParams(omega=1.1, mu=0.6, nu=0.4)
+    quiet = resonance_scan(p_quiet, (0.5, 1.7), 5)
     assert np.all(quiet[:, 1] == 0.0)
     assert np.max(np.abs(quiet[:, 3] - 2.0)) < 1e-12
+    # undriven, the limit-cycle occupation is exactly the thermal floor
+    assert np.all(quiet[:, 3] == p_quiet.nu / (2.0 * p_quiet.gamma))
     with pytest.raises(ValueError):
         resonance_scan(P_DRIVEN, (0.5, 1.7), 2)
     with pytest.raises(ValueError):

@@ -1,9 +1,12 @@
 """Print the sha256 of every file the lindosc CLI writes for fixed configs.
 
-Runs evolve (cosine, Fourier and undriven drives), husimi (a driven limit
-cycle and a thermal state), scan, steady-state and validate on configs
+Runs evolve (cosine, Fourier and undriven drives, a limit-cycle start and
+a density matrix from a file), husimi (a driven limit cycle and a thermal
+state), scan (undriven and driven), steady-state and validate on configs
 defined below, each into its own directory under a temporary root, and
-prints one ``sha256  relpath`` line per output file, sorted by path.
+prints one ``sha256  relpath`` line per output file, sorted by path within
+each run, plus one ``sha256  run/(stdout)`` line per run for what the
+command printed, with the temporary root replaced by a fixed placeholder.
 Running it against two source trees and diffing the two listings checks
 that a change keeps every CLI output byte-identical:
 
@@ -23,6 +26,8 @@ import io
 import os
 import sys
 import tempfile
+
+import numpy as np
 
 _PARAMS = "[params]\nomega = 1.1\nmu = 0.6\nnu = 0.4\n"
 _GRID = "[grid]\nt_max = 4\nn_times = 41\n[integrator]\ndim = 40\n"
@@ -46,7 +51,17 @@ RUNS = (
     ("husimi-thermal", "husimi",
      _PARAMS + _GRID + "[initial]\nkind = thermal\nnbar0 = 0.8\n"
      + "[husimi]\ntimes = 0 1 2.5\nresolution = 41 33\n"),
+    ("evolve-limit-cycle", "evolve",
+     _PARAMS + _RESONANT
+     + "[grid]\nt_max = 2\nn_times = 11\n[integrator]\ndim = 80\n"
+     + "[initial]\nkind = limit-cycle\n"),
+    # relative path, resolved against the temporary root (the working
+    # directory during the runs), so the header echo is root-independent
+    ("evolve-file", "evolve",
+     _PARAMS + _GRID + "[initial]\nkind = file\npath = state.npy\n"),
     ("scan", "scan", _PARAMS + "[scan]\nsamples = 120\n"),
+    ("scan-driven", "scan",
+     _PARAMS + "f0 = 1.4\nOmega = 1.2\n[scan]\nsamples = 150\n"),
     ("steady-state", "steady-state", _PARAMS + _GRID),
     ("validate", "validate", _PARAMS + _GRID),
 )
@@ -65,21 +80,33 @@ def digests(src: str) -> list[tuple[str, str]]:
     """(sha256, relpath) of every output file, sorted by relpath."""
     cli = _import_cli(src)
     out = []
+    cwd = os.getcwd()
     with tempfile.TemporaryDirectory() as root:
-        for name, command, text in RUNS:
-            cfg = os.path.join(root, f"{name}.ini")
-            with open(cfg, "w", encoding="utf-8") as fh:
-                fh.write(text)
-            run_dir = os.path.join(root, name)
-            with contextlib.redirect_stdout(io.StringIO()):
-                rc = cli.main([command, "--config", cfg, "--out", run_dir,
-                               "--quiet"])
-            if rc != 0:
-                raise SystemExit(f"{name}: lindosc {command} exited {rc}")
-            for fname in sorted(os.listdir(run_dir)):
-                with open(os.path.join(run_dir, fname), "rb") as fh:
-                    digest = hashlib.sha256(fh.read()).hexdigest()
-                out.append((digest, f"{name}/{fname}"))
+        # the evolve-file start: a fixed diagonal (geometric) state, dim 40
+        pops = 0.5 ** np.arange(40)
+        np.save(os.path.join(root, "state.npy"), np.diag(pops / pops.sum()))
+        os.chdir(root)
+        try:
+            for name, command, text in RUNS:
+                cfg = os.path.join(root, f"{name}.ini")
+                with open(cfg, "w", encoding="utf-8") as fh:
+                    fh.write(text)
+                run_dir = os.path.join(root, name)
+                buf = io.StringIO()
+                with contextlib.redirect_stdout(buf):
+                    rc = cli.main([command, "--config", cfg, "--out",
+                                   run_dir])
+                if rc != 0:
+                    raise SystemExit(f"{name}: lindosc {command} exited {rc}")
+                for fname in sorted(os.listdir(run_dir)):
+                    with open(os.path.join(run_dir, fname), "rb") as fh:
+                        digest = hashlib.sha256(fh.read()).hexdigest()
+                    out.append((digest, f"{name}/{fname}"))
+                printed = buf.getvalue().replace(root, "<root>")
+                out.append((hashlib.sha256(printed.encode()).hexdigest(),
+                            f"{name}/(stdout)"))
+        finally:
+            os.chdir(cwd)
     return out
 
 
