@@ -35,6 +35,7 @@ from .fock_core import (
 from .gaussian_class import (
     GaussianState,
     _occupation,
+    _population_tail,
     entropy,
     entropy_infinity,
     gaussian_flow,
@@ -331,7 +332,9 @@ def _gaussian_initial(cfg: RunConfig) -> GaussianState | None:
 
 def _ensure_adequate(cfg: RunConfig, g0: GaussianState | None) -> None:
     """Reject a basis that cannot hold the largest |<a>| the run visits
-    over [0, t_max], taken from the closed-form mean."""
+    over [0, t_max], taken from the closed-form mean, or that leaves more
+    of the start state's population outside than the 1e-8 required_dim
+    allows a coherent state."""
     if g0 is None:
         return  # matrix from file: runtime tail diagnostics apply
     a0 = g0.alpha
@@ -349,6 +352,13 @@ def _ensure_adequate(cfg: RunConfig, g0: GaussianState | None) -> None:
         raise ConfigError(
             f"[integrator] dim = {cfg.dim} cannot hold the run: |<a>| "
             f"reaches {reach:.4g}; increase dim to >= {need}")
+    # checked second: its cost grows with the state's mean occupation
+    need, above = _population_tail(g0, cfg.dim, 1e-8)
+    if above is not None:
+        raise ConfigError(
+            f"[integrator] dim = {cfg.dim} cannot hold the run: the initial "
+            f"state puts {above:.2e} of its population above level "
+            f"{cfg.dim - 1}; increase dim to >= {need}")
 
 
 def _initial_density(cfg: RunConfig,
@@ -463,7 +473,7 @@ def _auto_window(states: list[GaussianState], omega: float) -> tuple:
 
 def cmd_husimi(cfg: RunConfig, out_dir: str, quiet: bool) -> int:
     p, drive = cfg.params, cfg.drive
-    periodic = drive.kind == "cosine" and drive.is_active(p) and p.Omega > 0
+    periodic = drive.kind == "cosine" and drive.is_active(p)
 
     times = cfg.husimi_times
     if times is None:

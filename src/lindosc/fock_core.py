@@ -115,8 +115,6 @@ def coherent_state(alpha, dim: int) -> np.ndarray:
 
 def log_factorial(dim: int) -> np.ndarray:
     """log(n!) for n = 0 .. dim-1."""
-    if dim == 1:
-        return np.zeros(1)
     return np.concatenate(([0.0], np.cumsum(np.log(np.arange(1.0, dim)))))
 
 
@@ -176,10 +174,6 @@ def _geometric_state(ratio: float, dim) -> DensityMatrix:
     """Diagonal state with populations proportional to ratio**n over the
     truncated basis; ratio 0 is the ground state |0><0|."""
     dim = _require_dim(dim)
-    if ratio == 0:
-        psi = np.zeros(dim, dtype=np.complex128)
-        psi[0] = 1.0
-        return DensityMatrix.pure(psi)
     p = ratio ** np.arange(dim)
     p /= p.sum()
     return DensityMatrix.from_matrix(np.diag(p).astype(np.complex128))

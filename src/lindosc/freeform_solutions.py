@@ -54,7 +54,9 @@ def _log_F(t, params: LindbladParams):
 
 
 def efg(t, params: LindbladParams):
-    """(E, F, G) at time t >= 0; scalars in, scalars out (arrays broadcast).
+    """(E, F, G) at time t >= 0, one code path for every shape of t: a
+    scalar t gives numpy scalars (np.float64, a subclass of float), an
+    array t arrays of its shape.
 
     E and G are evaluated through tanh so they stay finite for any t;
     F grows like e^(gamma t) and is returned as computed.
@@ -68,8 +70,6 @@ def efg(t, params: LindbladParams):
     E = params.mu * th / den
     G = params.nu * th / den
     F = np.exp(_log_F(t, params))
-    if t.ndim == 0:
-        return float(E), float(F), float(G)
     return E, F, G
 
 
@@ -116,10 +116,10 @@ def fujii_density(rho0: DensityMatrix, t: float, params: LindbladParams,
             acc += term
         return acc
 
-    inner = _series(m0, _shrink, E) if E > 0.0 else m0.copy()
+    inner = _series(m0, _shrink, E)
     phase = np.exp(-np.arange(dim) * (1j * params.omega * t + logF))
     mid = (phase[:, None] * inner) * phase.conj()[None, :]
-    outer = _series(mid, _grow, G) if G > 0.0 else mid
+    outer = _series(mid, _grow, G)
     raw = (1.0 - G) * outer
     if not renormalize:
         return raw

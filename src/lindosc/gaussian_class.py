@@ -204,8 +204,7 @@ def solve_u(t, u0: float, params: LindbladParams):
         raise ValueError("t must be >= 0")
     mu, nu = params.mu, params.nu
     D = (mu * u0 - nu) * np.exp(-2.0 * params.gamma * t)
-    out = (D + nu * (1.0 - u0)) / (D + mu * (1.0 - u0))
-    return float(out) if t.ndim == 0 else out
+    return (D + nu * (1.0 - u0)) / (D + mu * (1.0 - u0))
 
 
 def gaussian_flow(g0: GaussianState, t: float, params: LindbladParams,
@@ -271,6 +270,35 @@ def _occupation(u, alpha):
     """<n> = u/(1-u) + |alpha|^2 of the Gaussian state (u, alpha);
     broadcasts over arrays."""
     return u / (1.0 - u) + abs(alpha) ** 2
+
+
+def _population_tail(g: GaussianState, dim: int,
+                     tol: float) -> tuple[int, float | None]:
+    """(n, above): n is the smallest basis that leaves at most tol of the
+    Fock population of g outside; above is the population on the levels
+    >= dim when dim < n, else None.
+
+    The exact populations p_m = Z u^m L_m(-|beta|^2/u) follow from the
+    Laguerre recurrence, written for the ratios p_m / p_(m-1) = u + s_m as
+        s_1 = |beta|^2,  m s_m = |beta|^2 + (m-1) u s_(m-1) / (u + s_(m-1)),
+    which has no cancelling terms (the plain three-term form drifted by
+    6e-4 in log p over 1e7 levels at u = 1 - 1e-6). Working with log p, no
+    term over- or underflows, and u = 0 (Poisson) needs no special case.
+    The cost is one pass over the levels below n.
+    """
+    b2 = abs(g.beta) ** 2
+    log_p, s = math.log(g.b) - b2 / g.b, b2
+    tail, above, m = 1.0, None, 0     # tail: population on the levels >= m
+    while tail > tol:
+        if m == dim:
+            above = tail
+        if m > 1:
+            s = (b2 + (m - 1) * g.u * s / (g.u + s)) / m
+        if m:
+            log_p += math.log(g.u + s)
+        tail -= math.exp(log_p)
+        m += 1
+    return m, above
 
 
 def gaussian_expectations(g: GaussianState, omega: float) -> GaussianExpectations:

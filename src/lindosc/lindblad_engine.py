@@ -57,6 +57,18 @@ class IntegrationDivergedError(RuntimeError):
     pass
 
 
+def _store_real(obj, names) -> None:
+    """Store each named field of the frozen dataclass obj as a float,
+    or raise ValueError unless it is real and finite."""
+    for name in names:
+        v = getattr(obj, name)
+        if isinstance(v, complex):
+            raise ValueError(f"{name} must be real, got {v!r}")
+        if not math.isfinite(float(v)):
+            raise ValueError(f"{name} must be finite, got {v!r}")
+        object.__setattr__(obj, name, float(v))
+
+
 @dataclass(frozen=True)
 class LindbladParams:
     """Physical parameters: frequency omega, loss mu, gain nu, drive (f0, Omega).
@@ -73,13 +85,7 @@ class LindbladParams:
     Omega: float = 0.0
 
     def __post_init__(self):
-        for name in ("omega", "mu", "nu", "f0", "Omega"):
-            v = getattr(self, name)
-            if isinstance(v, complex):
-                raise ValueError(f"{name} must be real, got {v!r}")
-            if not math.isfinite(float(v)):
-                raise ValueError(f"{name} must be finite, got {v!r}")
-            object.__setattr__(self, name, float(v))
+        _store_real(self, ("omega", "mu", "nu", "f0", "Omega"))
         if not self.omega > 0:
             raise ValueError(f"omega must be > 0, got {self.omega}")
         if not (self.mu > self.nu >= 0):
@@ -264,10 +270,6 @@ def lindblad_rhs(rho, t: float, params: LindbladParams,
     return ws.apply(m, f)
 
 
-def _mean_a(rho: np.ndarray, w: np.ndarray) -> complex:
-    return complex(np.sum(w * np.diagonal(rho, -1)))
-
-
 def evolve(rho0, t_grid, params: LindbladParams,
            drive: DriveFn | None = None,
            opts: IntegratorOptions | None = None) -> Trajectory:
@@ -288,7 +290,7 @@ def evolve(rho0, t_grid, params: LindbladParams,
         raise ValueError("t_grid must be a nonempty 1-d sequence")
     if t_grid[0] != 0.0:
         raise ValueError(f"t_grid must start at 0, got {t_grid[0]}")
-    if t_grid.size > 1 and not np.all(np.diff(t_grid) > 0):
+    if not np.all(np.diff(t_grid) > 0):
         raise ValueError("t_grid must be strictly increasing")
     snap_times = np.asarray(opts.snapshot_times, dtype=float)
     for ts in snap_times:
@@ -318,7 +320,7 @@ def evolve(rho0, t_grid, params: LindbladParams,
             raise IntegrationDivergedError(
                 f"state became non-finite by t={t:g}; "
                 "reduce dt or increase dim")
-        a = _mean_a(rho, ws.w)
+        a = complex(np.sum(ws.w * np.diagonal(rho, -1)))
         diag = np.diagonal(rho).real
         rec["a"].append(a)
         rec["n"].append(float(np.dot(n_diag, diag)))

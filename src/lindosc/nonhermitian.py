@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fock_core import _check_adequacy, _require_dim, log_factorial
-from .lindblad_engine import LindbladParams
+from .lindblad_engine import LindbladParams, _store_real
 
 __all__ = [
     "NHParams",
@@ -55,13 +55,7 @@ class NHParams:
     Omega: float = 0.0
 
     def __post_init__(self):
-        for name in ("omega", "gamma", "f0", "Omega"):
-            v = getattr(self, name)
-            if isinstance(v, complex):
-                raise ValueError(f"{name} must be real, got {v!r}")
-            if not math.isfinite(float(v)):
-                raise ValueError(f"{name} must be finite, got {v!r}")
-            object.__setattr__(self, name, float(v))
+        _store_real(self, ("omega", "gamma", "f0", "Omega"))
         if not self.omega > 0:
             raise ValueError(f"omega must be > 0, got {self.omega}")
         if not self.gamma > 0:
@@ -87,11 +81,8 @@ def abc(t, p: NHParams):
     conditions, so the form is pinned against an RK4 oracle in the tests.
     """
     t = np.asarray(t, dtype=float)
-    zero = np.zeros(t.shape, dtype=np.complex128)
     if p.f0 == 0.0:
-        if t.ndim == 0:
-            return 0j, 0j, 0j
-        return zero, zero.copy(), zero.copy()
+        return tuple(np.zeros((3,) + t.shape, dtype=np.complex128))
 
     wt, W, f0 = p.omega_tilde, p.Omega, p.f0
     d = wt * wt - W * W          # nonzero: gamma > 0 keeps wt off the real axis
@@ -108,8 +99,6 @@ def abc(t, p: NHParams):
         - ((wt + W) / (2.0 * W)) * np.exp(-2j * W * t)
         + (2.0 * wt / d) * ((wt + W) * em + (wt - W) * ep - 2.0 * wt)
     )
-    if t.ndim == 0:
-        return complex(A), complex(B), complex(C)
     return A, B, C
 
 
@@ -117,8 +106,7 @@ def nh_alpha(t, alpha0: complex, p: NHParams):
     """Coherent amplitude alpha(t) = C(t) + alpha0 e^(-i omega_tilde t)."""
     t = np.asarray(t, dtype=float)
     _, _, C = abc(t, p)
-    out = C + complex(alpha0) * np.exp(-1j * p.omega_tilde * t)
-    return complex(out) if t.ndim == 0 else out
+    return C + complex(alpha0) * np.exp(-1j * p.omega_tilde * t)
 
 
 @dataclass(frozen=True)
@@ -130,8 +118,6 @@ class NHExpectations:
 def nh_expectations(t, alpha0: complex, p: NHParams):
     """Renormalized <a> and <n>; the state is coherent, so <n> = |<a>|^2."""
     a = nh_alpha(t, alpha0, p)
-    if np.ndim(a) == 0:
-        return NHExpectations(a=a, n=abs(a) ** 2)
     return NHExpectations(a=a, n=np.abs(a) ** 2)
 
 

@@ -12,7 +12,9 @@ x'' + 2*gamma*x' + omega0**2 * x = ftilde(t) is included as the reference the
 quantum means are compared against (with omega0**2 <-> omega**2 + gamma**2
 as the explicit conversion between the two frequency conventions).
 
-All time arguments accept scalars or 1-d arrays.
+All time arguments accept scalars or 1-d arrays, through one code path: a
+scalar time gives a numpy scalar (np.float64 or np.complex128, subclasses of
+float and complex), an array time an array of its shape.
 """
 
 from __future__ import annotations
@@ -128,8 +130,6 @@ def classical_solution(x0: float, v0: float, t, omega0: float, gamma: float,
     cb = v0 - vp0 + gamma * ca
     x = xp + ca * h1 + cb * h2
     v = vp + ca * (-gamma * h1 - s * h2) + cb * (h1 - gamma * h2)
-    if t.ndim == 0:
-        return float(x), float(v)
     return x, v
 
 
@@ -148,7 +148,7 @@ def drive_response(t, params: LindbladParams, drive: DriveFn):
         for k, c in drive.terms(params):
             out += np.conj(c) * (np.exp(-1j * k * W * t) - ep) \
                 / ((w - k * W) - 1j * g)
-    return complex(out) if t.ndim == 0 else out
+    return out[()]
 
 
 def mean_a(t, a0: complex, params: LindbladParams,
@@ -156,9 +156,8 @@ def mean_a(t, a0: complex, params: LindbladParams,
     """<a>_t = exp(-(i omega + gamma) t) * a0 + driven response."""
     drive = drive if drive is not None else DriveFn.none()
     t = np.asarray(t, dtype=float)
-    out = np.exp(-(1j * params.omega + params.gamma) * t) * complex(a0) \
+    return np.exp(-(1j * params.omega + params.gamma) * t) * complex(a0) \
         + drive_response(t, params, drive)
-    return complex(out) if t.ndim == 0 else out
 
 
 def limit_cycle_coefficients(params: LindbladParams) -> tuple[complex, complex]:
@@ -171,8 +170,7 @@ def limit_cycle_alpha(t, params: LindbladParams):
     """Asymptotic periodic <a> under the cosine drive."""
     cp, cm = limit_cycle_coefficients(params)
     t = np.asarray(t, dtype=float)
-    out = cp * np.exp(1j * params.Omega * t) + cm * np.exp(-1j * params.Omega * t)
-    return complex(out) if t.ndim == 0 else out
+    return cp * np.exp(1j * params.Omega * t) + cm * np.exp(-1j * params.Omega * t)
 
 
 def limit_cycle_alpha_max(params: LindbladParams) -> float:
@@ -204,24 +202,20 @@ class QuantumLC:
 
     def mean_x(self, t):
         t = np.asarray(t, dtype=float)
-        out = self.A_q * np.cos(self.Omega * t + self.phi_q)
-        return float(out) if t.ndim == 0 else out
+        return self.A_q * np.cos(self.Omega * t + self.phi_q)
 
     def mean_p(self, t):
         t = np.asarray(t, dtype=float)
         ph = self.Omega * t + self.phi_q
-        out = self.A_q * (self.gamma * np.cos(ph) - self.Omega * np.sin(ph))
-        return float(out) if t.ndim == 0 else out
+        return self.A_q * (self.gamma * np.cos(ph) - self.Omega * np.sin(ph))
 
     def ellipse_residual(self, t):
         x = self.mean_x(t)
         p = self.mean_p(t)
         if self.Omega == 0.0:
-            out = np.abs(x ** 2 - self.A_q ** 2)
-        else:
-            out = np.abs((p - self.gamma * x) ** 2 / self.Omega ** 2
-                         + x ** 2 - self.A_q ** 2)
-        return float(out) if np.ndim(t) == 0 else out
+            return np.abs(x ** 2 - self.A_q ** 2)
+        return np.abs((p - self.gamma * x) ** 2 / self.Omega ** 2
+                      + x ** 2 - self.A_q ** 2)
 
 
 def _require_cosine(drive: DriveFn):
@@ -276,9 +270,8 @@ class LimitCycleOccupation:
 
     def value(self, t):
         t = np.asarray(t, dtype=float)
-        out = self.nbar + self.amplitude * np.cos(2.0 * self.Omega * t
-                                                  + self.phi_q)
-        return float(out) if t.ndim == 0 else out
+        return self.nbar + self.amplitude * np.cos(2.0 * self.Omega * t
+                                                   + self.phi_q)
 
 
 def mean_n_limit_cycle(params: LindbladParams,
@@ -317,9 +310,8 @@ def mean_n(t, n0: float, a0: complex, params: LindbladParams,
     g = params.gamma
     ninf = params.nu / (2.0 * g)
     m0 = float(n0) - abs(complex(a0)) ** 2 - ninf
-    out = np.abs(mean_a(t, a0, params, drive)) ** 2 + ninf \
+    return np.abs(mean_a(t, a0, params, drive)) ** 2 + ninf \
         + m0 * np.exp(-2.0 * g * t)
-    return float(out) if t.ndim == 0 else out
 
 
 # ---------------------------------------------------------------------------

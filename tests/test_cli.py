@@ -102,6 +102,31 @@ def test_dim_override(tmp_path):
     ("[params]\nOmega = 0\n[drive]\nkind = fourier\nharmonics = 1\n"
      "coefficients = 0.3\n", "Omega must be > 0"),
     ("[params]\nf0 = 0.3\n", "Omega must be > 0"),
+    ("omega = 1.1\n", "malformed config"),
+    ("[drive]\nkind = fourier\n", "missing required key 'harmonics'"),
+    ("[params]\nOmega = 1\n[drive]\nkind = fourier\nharmonics = 1 2\n"
+     "coefficients = 0.3\n", "needs matching"),
+    ("[drive]\nkind = square\n", "expected none, cosine or fourier"),
+    ("[initial]\nkind = squeezed\n", "expected one of"),
+    ("[initial]\nkind = gaussian\n", "needs u0"),
+    ("[initial]\nkind = file\n", "needs path"),
+    ("[initial]\nkind = thermal\nnbar0 = -1\n", "nbar0 = -1.0: must be >= 0"),
+    ("[integrator]\ndim = 1\n", "dim = 1: must be >= 2"),
+    ("[integrator]\ndt = 0\n", "dt = 0.0: must be > 0"),
+    ("[integrator]\nrenorm_every = -1\n", "renorm_every must be >= 0"),
+    ("[grid]\nt_max = 0\n", "t_max = 0.0: must be > 0"),
+    ("[grid]\nn_times = 0\n", "empty time grid"),
+    ("[husimi]\ntimes =\n", "[husimi] times: empty list"),
+    ("[husimi]\nresolution = 11 11 11\n", "one or two integers"),
+    ("[husimi]\nresolution = 1\n", "each axis needs >= 2 points"),
+    ("[husimi]\nwindow = -1 1 -1\n", "need x_min x_max p_min p_max"),
+    ("[husimi]\nwindow = 1 -1 -1 1\n", "ranges must be increasing"),
+    ("[scan]\nOmega_min = 2\n", "need 0 <= min < max"),
+    ("[scan]\nsamples = 2\n", "need at least 3"),
+    ("[initial]\nkind = limit-cycle\n",
+     "kind = limit-cycle: cosine drive required"),
+    ("[initial]\nkind = file\npath = no-such-dir/state.npy\n",
+     "[initial] path = 'no-such-dir/state.npy'"),
 ])
 def test_config_errors_exit_2(tmp_path, capsys, body, needle):
     cfg = write_ini(tmp_path, body)
@@ -113,19 +138,79 @@ def test_config_errors_exit_2(tmp_path, capsys, body, needle):
     assert needle in err
 
 
-def test_small_basis_rejected_before_running(tmp_path, capsys):
-    cfg = write_ini(tmp_path, """
+def test_unreadable_inputs_exit_2(tmp_path, capsys):
+    rc = main(["evolve", "--config", str(tmp_path / "missing.ini"),
+               "--out", str(tmp_path / "out"), "--quiet"])
+    assert rc == 2
+    assert "cannot read config" in capsys.readouterr().err
+    npy = tmp_path / "skew.npy"
+    np.save(npy, np.array([[0.5, 0.4], [0.0, 0.5]]))  # not Hermitian
+    cfg = write_ini(tmp_path, f"""
 [initial]
-kind = coherent
-alpha0 = 3.0
+kind = file
+path = {npy}
 
 [integrator]
-dim = 8
+dim = 2
 """)
     rc = main(["evolve", "--config", cfg, "--out",
                str(tmp_path / "out"), "--quiet"])
     assert rc == 2
-    assert "increase dim to >=" in capsys.readouterr().err
+    assert "not Hermitian" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("body,needle", [
+    ("[husimi]\ntimes = 0 -1\n", "times must be >= 0"),
+    ("[initial]\nkind = file\npath = state.npy\n",
+     "phase-space grids need"),
+    ("[initial]\nkind = limit-cycle\n", "needs an active cosine drive"),
+])
+def test_husimi_config_errors_exit_2(tmp_path, capsys, body, needle):
+    cfg = write_ini(tmp_path, body)
+    rc = main(["husimi", "--config", cfg, "--out",
+               str(tmp_path / "out"), "--quiet"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:")
+    assert needle in err
+
+
+LIMIT_CYCLE_START = """
+[params]
+omega = 1.1
+mu = 0.6
+nu = 0.4
+f0 = 0.3
+Omega = 1.0954451150103321
+
+[grid]
+t_max = 2.0
+n_times = 11
+
+[initial]
+kind = limit-cycle
+"""
+
+
+@pytest.mark.parametrize("body,need", [
+    pytest.param("[initial]\nkind = coherent\nalpha0 = 3.0\n"
+                 "[integrator]\ndim = 8\n", 48, id="coherent-amplitude"),
+    # the width, not the amplitude, overflows these bases
+    pytest.param("[initial]\nkind = thermal\nnbar0 = 5\n"
+                 "[integrator]\ndim = 24\n", 102, id="thermal-width"),
+    pytest.param(LIMIT_CYCLE_START + "[integrator]\ndim = 40\n", 63,
+                 id="limit-cycle-dim40"),
+    pytest.param(LIMIT_CYCLE_START + "[integrator]\ndim = 60\n", 63,
+                 id="limit-cycle-dim60"),
+])
+def test_small_basis_rejected_before_running(tmp_path, capsys, body, need):
+    cfg = write_ini(tmp_path, body)
+    rc = main(["evolve", "--config", cfg, "--out",
+               str(tmp_path / "out"), "--quiet"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "increase dim to >=" in err
+    assert err.rstrip().endswith(f"increase dim to >= {need}")
 
 
 def test_divergent_step_exit_3(tmp_path, capsys):

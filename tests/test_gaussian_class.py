@@ -10,12 +10,14 @@ from lindosc.fock_core import (
     coherent_state,
     expectation,
     ladder_ops,
+    log_factorial,
     trace_distance,
 )
 from lindosc.gaussian_class import (
     GaussianState,
     PureExponentialForm,
     SingularTransformError,
+    _population_tail,
     disentangle,
     disentangle_coefficients,
     entangle,
@@ -180,6 +182,40 @@ def test_materialize_truncation_paths():
         materialize(GaussianState.from_alpha(0.2, 3.0), 8)
     with pytest.raises(ValueError):
         materialize(GaussianState.thermal(1.0), 1)
+
+
+def _populations_by_sum(g, n_levels):
+    # p_m = Z sum_n C(m, n) u^n |beta|^(2(m-n)) / (m-n)!: the diagonal of
+    # M M+ in materialize, summed term by term
+    lf = log_factorial(n_levels)
+    b2 = abs(g.beta) ** 2
+    return np.array([g.Z * sum(math.exp(lf[m] - lf[n] - 2.0 * lf[m - n])
+                               * g.u ** n * b2 ** (m - n)
+                               for n in range(m + 1))
+                     for m in range(n_levels)])
+
+
+@pytest.mark.parametrize("g", [
+    GaussianState.coherent(0.0), GaussianState.coherent(3.0),
+    GaussianState.thermal(5.0), GaussianState.from_alpha(0.3, 1.2 + 0.7j),
+    GaussianState.from_alpha(0.9, 3.0),
+], ids=["vacuum", "coherent", "thermal", "displaced", "wide-displaced"])
+def test_population_tail_matches_direct_sum(g):
+    n, above = _population_tail(g, 10 ** 6, 1e-8)
+    assert above is None
+    tails = 1.0 - np.concatenate(([0.0], np.cumsum(_populations_by_sum(g, n))))
+    assert tails[-1] <= 1e-8 and (n == 1 or tails[-2] > 1e-8)
+    for dim in range(2, n):
+        assert _population_tail(g, dim, 1e-8) == (n, pytest.approx(
+            tails[dim], abs=1e-14))
+
+
+def test_population_tail_wide_thermal():
+    # geometric populations: the mass on the levels >= d is exactly u^d
+    g = GaussianState.thermal(99.0)
+    n, above = _population_tail(g, 64, 1e-8)
+    assert above == pytest.approx(g.u ** 64, rel=1e-13)
+    assert n == math.ceil(math.log(1e-8) / math.log(g.u))
 
 
 def test_gaussian_expectations_formulas():

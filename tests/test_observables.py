@@ -52,6 +52,16 @@ def test_classical_solution_branches():
     assert _ode_residual_classical(1.0, -0.5, 1.1, 0.1, (0.7, 1.3)) < 1e-6
     assert _ode_residual_classical(1.0, -0.5, 0.5, 1.0, None) < 1e-6
     assert _ode_residual_classical(1.0, -0.5, 1.0, 1.0, None) < 1e-6
+    # an array of times gives the scalar results element by element (to
+    # rounding: a vectorized cos may round differently on some CPUs)
+    t = np.array([0.0, 0.2, 1.0, 4.0])
+    for omega0, gamma, drive in ((1.1, 0.1, (0.7, 1.3)), (0.5, 1.0, None),
+                                 (1.0, 1.0, None)):
+        x, v = classical_solution(1.0, -0.5, t, omega0, gamma, drive)
+        for k, tk in enumerate(t):
+            assert (x[k], v[k]) == pytest.approx(
+                classical_solution(1.0, -0.5, float(tk), omega0, gamma,
+                                   drive), rel=1e-15, abs=1e-15)
 
 
 def test_classical_initial_conditions():
@@ -244,6 +254,10 @@ def test_mean_n_limit_cycle_forms_agree():
     occ = mean_n_limit_cycle(P_DRIVEN, COS)
     assert occ.nbar == pytest.approx(occ.nbar_from_alpha, abs=1e-10)
     assert occ.nbar == pytest.approx(51.0, abs=1e-9)  # resonant drive
+    # the ripple nbar + A cos(2 Omega t + phi_q) is the long-time mean_n
+    t = 400.0 + np.linspace(0.0, 2.0 * math.pi / P_DRIVEN.Omega, 41)
+    assert np.max(np.abs(occ.value(t) - mean_n(t, 0.0, 0.0, P_DRIVEN, COS))) \
+        < 1e-9
 
 
 def test_resonance_scan():

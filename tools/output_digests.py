@@ -3,12 +3,16 @@
 Runs evolve (cosine, Fourier and undriven drives, a limit-cycle start and
 a density matrix from a file), husimi (a driven limit cycle and a thermal
 state), scan (undriven and driven), steady-state and validate on configs
-defined below, each into its own directory under a temporary root, and
-prints one ``sha256  relpath`` line per output file, sorted by path within
-each run, plus one ``sha256  run/(stdout)`` line per run for what the
-command printed, with the temporary root replaced by a fixed placeholder.
-Running it against two source trees and diffing the two listings checks
-that a change keeps every CLI output byte-identical:
+defined below, plus five configs that must fail (exit 2 or 3), each into
+its own directory under a temporary root. It prints one ``sha256  relpath``
+line per output file, sorted by path within each run, one
+``sha256  run/(stdout)`` line per run for what the command printed, and one
+``sha256  run/(exit)`` line per run for its exit code, what it printed to
+stderr and the categories of the warnings it raised (categories only, so
+that a warning's source line does not enter the digest). The temporary
+root is replaced by a fixed placeholder throughout. Running it against two
+source trees and diffing the two listings checks that a change keeps every
+CLI output, exit code and error message byte-identical:
 
     python tools/output_digests.py --src base/src > base.txt
     python tools/output_digests.py --src src > head.txt
@@ -26,6 +30,7 @@ import io
 import os
 import sys
 import tempfile
+import warnings
 
 import numpy as np
 
@@ -64,6 +69,16 @@ RUNS = (
      _PARAMS + "f0 = 1.4\nOmega = 1.2\n[scan]\nsamples = 150\n"),
     ("steady-state", "steady-state", _PARAMS + _GRID),
     ("validate", "validate", _PARAMS + _GRID),
+    # configuration errors (exit 2) and a divergent step (exit 3)
+    ("error-unknown-key", "evolve", _PARAMS + "foo = 1\n" + _GRID),
+    ("error-mu-le-nu", "evolve", "[params]\nmu = 0.4\nnu = 0.6\n" + _GRID),
+    ("error-file-dim", "evolve",
+     _PARAMS + "[grid]\nt_max = 4\nn_times = 41\n[integrator]\ndim = 32\n"
+     + "[initial]\nkind = file\npath = state.npy\n"),
+    ("error-small-basis", "evolve",
+     "[initial]\nkind = coherent\nalpha0 = 3.0\n[integrator]\ndim = 8\n"),
+    ("error-divergent-step", "evolve",
+     "[grid]\nt_max = 5.0\nn_times = 2\n[integrator]\ndim = 32\ndt = 1.0\n"),
 )
 
 
@@ -92,19 +107,26 @@ def digests(src: str) -> list[tuple[str, str]]:
                 with open(cfg, "w", encoding="utf-8") as fh:
                     fh.write(text)
                 run_dir = os.path.join(root, name)
-                buf = io.StringIO()
-                with contextlib.redirect_stdout(buf):
+                buf, err = io.StringIO(), io.StringIO()
+                with warnings.catch_warnings(record=True) as caught, \
+                        contextlib.redirect_stdout(buf), \
+                        contextlib.redirect_stderr(err):
+                    warnings.simplefilter("always")
                     rc = cli.main([command, "--config", cfg, "--out",
                                    run_dir])
-                if rc != 0:
-                    raise SystemExit(f"{name}: lindosc {command} exited {rc}")
-                for fname in sorted(os.listdir(run_dir)):
+                fnames = (sorted(os.listdir(run_dir))
+                          if os.path.isdir(run_dir) else [])
+                for fname in fnames:
                     with open(os.path.join(run_dir, fname), "rb") as fh:
                         digest = hashlib.sha256(fh.read()).hexdigest()
                     out.append((digest, f"{name}/{fname}"))
-                printed = buf.getvalue().replace(root, "<root>")
-                out.append((hashlib.sha256(printed.encode()).hexdigest(),
-                            f"{name}/(stdout)"))
+                exit_text = f"exit {rc}\n{err.getvalue()}" + "".join(
+                    f"warning: {w.category.__name__}\n" for w in caught)
+                for label, text in (("(stdout)", buf.getvalue()),
+                                    ("(exit)", exit_text)):
+                    text = text.replace(root, "<root>")
+                    out.append((hashlib.sha256(text.encode()).hexdigest(),
+                                f"{name}/{label}"))
         finally:
             os.chdir(cwd)
     return out
