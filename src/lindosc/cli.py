@@ -60,8 +60,6 @@ class ConfigError(Exception):
 
 
 def _fmt(x) -> str:
-    if isinstance(x, bool):
-        return str(x)
     if isinstance(x, float):
         return format(x, ".17g")
     if isinstance(x, complex):
@@ -194,7 +192,7 @@ def resolve_config(path: str | None, dim_override: int | None) -> RunConfig:
         try:
             with open(path, encoding="utf-8") as fh:
                 cp.read_file(fh)
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise ConfigError(f"cannot read config {path!r}: {exc}") from exc
         except configparser.Error as exc:
             raise ConfigError(f"malformed config {path!r}: {exc}") from exc
@@ -227,7 +225,7 @@ def resolve_config(path: str | None, dim_override: int | None) -> RunConfig:
     else:
         raise ConfigError(f"[drive] kind = {kind!r}: "
                           "expected none, cosine or fourier")
-    if drive.is_active(params) and drive.max_frequency(params) <= 0.0:
+    if drive.is_active(params) and not params.Omega > 0:
         raise ConfigError("[params] Omega must be > 0 for an active drive")
 
     initial_given = cp.has_section("initial")
@@ -625,23 +623,29 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--version", action="version",
                     version=f"lindosc {__version__}")
     sub = ap.add_subparsers(dest="command", required=True)
-    specs = (
-        ("evolve", "integrate a trajectory and export observables", True),
-        ("husimi", "export phase-space grids and the cycle path", True),
-        ("scan", "sweep the driving frequency", True),
-        ("validate", "run the cross-oracle check suite", False),
-        ("steady-state", "export the asymptotic populations", True),
-    )
-    for name, help_text, needs_out in specs:
+    # name -> (handler, help); read when the parser is built, so a handler
+    # replaced on the module after import is the one that runs
+    commands = {
+        "evolve": (cmd_evolve,
+                   "integrate a trajectory and export observables"),
+        "husimi": (cmd_husimi, "export phase-space grids and the cycle path"),
+        "scan": (cmd_scan, "sweep the driving frequency"),
+        "validate": (cmd_validate, "run the cross-oracle check suite"),
+        "steady-state": (cmd_steady_state,
+                         "export the asymptotic populations"),
+    }
+    for name, (handler, help_text) in commands.items():
+        optional = name == "validate"
         sp = sub.add_parser(name, help=help_text)
-        sp.add_argument("--config", required=(name != "validate"),
+        sp.set_defaults(handler=handler)
+        sp.add_argument("--config", required=not optional,
                         help="INI run configuration" +
-                             ("" if name != "validate"
-                              else " (optional; defaults used when absent)"))
-        sp.add_argument("--out", required=needs_out,
+                             (" (optional; defaults used when absent)"
+                              if optional else ""))
+        sp.add_argument("--out", required=not optional,
                         help="output directory" +
-                             ("" if needs_out
-                              else " (optional; report file when given)"))
+                             (" (optional; report file when given)"
+                              if optional else ""))
         sp.add_argument("--dim", type=int, default=None,
                         help="override [integrator] dim")
         sp.add_argument("--quiet", action="store_true",
@@ -653,15 +657,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = resolve_config(args.config, args.dim)
-        if args.command == "evolve":
-            return cmd_evolve(cfg, args.out, args.quiet)
-        if args.command == "husimi":
-            return cmd_husimi(cfg, args.out, args.quiet)
-        if args.command == "scan":
-            return cmd_scan(cfg, args.out, args.quiet)
-        if args.command == "validate":
-            return cmd_validate(cfg, args.out, args.quiet)
-        return cmd_steady_state(cfg, args.out, args.quiet)
+        return args.handler(cfg, args.out, args.quiet)
     except (ConfigError, TruncationError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -57,7 +57,7 @@ def _check_adequacy(alpha, dim: int) -> None:
     if abs(alpha) ** 2 > dim / 4.0:
         raise TruncationError(
             f"amplitude |alpha|={abs(alpha):.4g} needs dim >= "
-            f"{required_dim(alpha)}, got {dim}"
+            f"{math.ceil(4.0 * abs(alpha) ** 2)}, got {dim}"
         )
 
 

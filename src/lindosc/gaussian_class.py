@@ -57,7 +57,7 @@ __all__ = [
 ]
 
 PURE_U_THRESHOLD = 1e-300    # below this, u is treated as exactly 0
-_TAIL_WARN = 1e-7            # u**dim above this leaves visible truncation
+_TAIL_WARN = 1e-7            # population above the basis worth a warning
 
 
 class SingularTransformError(ValueError):
@@ -231,10 +231,11 @@ def materialize(g: GaussianState, dim: int) -> DensityMatrix:
     _check_adequacy(g.alpha, dim)
     if g.is_pure:
         return DensityMatrix.pure(coherent_state(g.alpha, dim))
-    if g.u ** dim > _TAIL_WARN:
+    above = _population_tail(g, dim, _TAIL_WARN)[1]
+    if above is not None:
         warnings.warn(
-            f"u**dim = {g.u ** dim:.3e}: thermal tail extends past the "
-            f"basis, expectation values will be biased",
+            f"population {above:.3e} lies above level {dim - 1}: the tail "
+            f"extends past the basis, expectation values will be biased",
             TruncationWarning, stacklevel=2)
 
     lf = log_factorial(dim)

@@ -278,7 +278,9 @@ def evolve(rho0, t_grid, params: LindbladParams,
     t_grid must start at 0 and increase strictly. Every opts.renorm_every
     steps the state is re-Hermitized and trace-renormalized. A minimum
     eigenvalue below -1e-6 at any recorded time aborts with
-    IntegrationDivergedError.
+    IntegrationDivergedError. Each opts.snapshot_times entry must lie
+    within 1e-12 of a grid time; its snapshot is keyed by the time asked
+    for, not by the grid time it matched.
     """
     drive = drive if drive is not None else DriveFn.none()
     opts = opts if opts is not None else IntegratorOptions()
@@ -292,10 +294,12 @@ def evolve(rho0, t_grid, params: LindbladParams,
         raise ValueError(f"t_grid must start at 0, got {t_grid[0]}")
     if not np.all(np.diff(t_grid) > 0):
         raise ValueError("t_grid must be strictly increasing")
-    snap_times = np.asarray(opts.snapshot_times, dtype=float)
-    for ts in snap_times:
-        if not np.any(np.isclose(t_grid, ts, rtol=0.0, atol=1e-12)):
-            raise ValueError(f"snapshot time {ts} is not on t_grid")
+    snap_index: dict = {}  # grid index -> requested snapshot time
+    for ts in opts.snapshot_times:
+        hits = np.flatnonzero(np.isclose(t_grid, ts, rtol=0.0, atol=1e-12))
+        if hits.size == 0:
+            raise ValueError(f"snapshot time {float(ts)} is not on t_grid")
+        snap_index[int(hits[0])] = float(ts)
     if opts.dt is not None and not opts.dt > 0:
         raise ValueError("dt must be positive")
 
@@ -309,80 +313,64 @@ def evolve(rho0, t_grid, params: LindbladParams,
 
     rho = rho0.matrix.copy()
     n_diag = np.arange(dim, dtype=float)
-
-    rec = {k: [] for k in ("a", "n", "pur", "ent", "terr", "meig", "top")}
+    mean_a = np.empty(t_grid.size, dtype=np.complex128)
+    mean_n, purity, entropy, trace_err, min_eig, top_pop = np.empty(
+        (6, t_grid.size))
     snapshots: dict = {}
     warned = False
+    steps = 0
+    for i, t1 in enumerate(t_grid.tolist()):
+        if i > 0:
+            t0 = t_grid[i - 1].item()
+            span = t1 - t0
+            n_sub = max(1, math.ceil(span / dt - 1e-9))
+            h = span / n_sub
+            for j in range(n_sub):
+                t = t0 + j * h
+                k1 = ws.apply(rho, fval(t))
+                f_mid = fval(t + 0.5 * h)
+                k2 = ws.apply(rho + (0.5 * h) * k1, f_mid)
+                k3 = ws.apply(rho + (0.5 * h) * k2, f_mid)
+                k4 = ws.apply(rho + h * k3, fval(t + h))
+                rho += (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
+                steps += 1
+                if opts.renorm_every and steps % opts.renorm_every == 0:
+                    rho = 0.5 * (rho + rho.conj().T)
+                    rho /= rho.trace().real
 
-    def record(t, rho):
-        nonlocal warned
         if not np.all(np.isfinite(rho)):
             raise IntegrationDivergedError(
-                f"state became non-finite by t={t:g}; "
+                f"state became non-finite by t={t1:g}; "
                 "reduce dt or increase dim")
-        a = complex(np.sum(ws.w * np.diagonal(rho, -1)))
         diag = np.diagonal(rho).real
-        rec["a"].append(a)
-        rec["n"].append(float(np.dot(n_diag, diag)))
-        rec["pur"].append(float(np.sum(np.abs(rho) ** 2)))
-        rec["terr"].append(abs(complex(rho.trace()) - 1.0))
+        mean_a[i] = np.sum(ws.w * np.diagonal(rho, -1))
+        mean_n[i] = np.dot(n_diag, diag)
+        purity[i] = np.sum(np.abs(rho) ** 2)
+        trace_err[i] = abs(complex(rho.trace()) - 1.0)
         eigs = np.linalg.eigvalsh((rho + rho.conj().T) / 2.0)
-        meig = float(eigs[0])
-        rec["meig"].append(meig)
+        min_eig[i] = eigs[0]
         pos = eigs[eigs > 1e-300]
-        rec["ent"].append(float(-np.dot(pos, np.log(pos))) + 0.0)
-        top = float(diag[-1] + diag[-2])
-        rec["top"].append(top)
-        if meig < DIVERGENCE_EIG:
+        entropy[i] = -np.dot(pos, np.log(pos)) + 0.0
+        top_pop[i] = diag[-1] + diag[-2]
+        if min_eig[i] < DIVERGENCE_EIG:
             raise IntegrationDivergedError(
-                f"positivity lost at t={t:g} (min eigenvalue {meig:.3e}); "
-                "reduce dt or increase dim")
-        if top > TOP_POP_WARN and not warned:
+                f"positivity lost at t={t1:g} (min eigenvalue "
+                f"{min_eig[i]:.3e}); reduce dt or increase dim")
+        if top_pop[i] > TOP_POP_WARN and not warned:
             warnings.warn(
-                f"population {top:.3e} in the top two Fock levels at t={t:g}; "
-                "results may be corrupted by truncation",
-                TruncationWarning, stacklevel=3)
+                f"population {top_pop[i]:.3e} in the top two Fock levels "
+                f"at t={t1:g}; results may be corrupted by truncation",
+                TruncationWarning, stacklevel=2)
             warned = True
-        if np.any(np.isclose(snap_times, t, rtol=0.0, atol=1e-12)):
-            snapshots[float(t)] = DensityMatrix.from_matrix(
+        if i in snap_index:
+            snapshots[snap_index[i]] = DensityMatrix.from_matrix(
                 rho, herm_tol=HERM_TOL_EVOLVED, positivity_tol=1e-6)
 
-    record(t_grid[0], rho)
-    steps = 0
-    for i in range(t_grid.size - 1):
-        t0, t1 = float(t_grid[i]), float(t_grid[i + 1])
-        span = t1 - t0
-        n_sub = max(1, math.ceil(span / dt - 1e-9))
-        h = span / n_sub
-        for j in range(n_sub):
-            t = t0 + j * h
-            k1 = ws.apply(rho, fval(t))
-            f_mid = fval(t + 0.5 * h)
-            k2 = ws.apply(rho + (0.5 * h) * k1, f_mid)
-            k3 = ws.apply(rho + (0.5 * h) * k2, f_mid)
-            k4 = ws.apply(rho + h * k3, fval(t + h))
-            rho += (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
-            steps += 1
-            if opts.renorm_every and steps % opts.renorm_every == 0:
-                rho = 0.5 * (rho + rho.conj().T)
-                rho /= rho.trace().real
-        record(t1, rho)
-
-    mean_a = np.array(rec["a"], dtype=np.complex128)
     mean_x, mean_p = _phase_point(mean_a, params.omega)
-    return Trajectory(
-        times=t_grid.copy(),
-        mean_a=mean_a,
-        mean_n=np.array(rec["n"]),
-        mean_x=mean_x,
-        mean_p=mean_p,
-        purity=np.array(rec["pur"]),
-        entropy=np.array(rec["ent"]),
-        trace_err=np.array(rec["terr"]),
-        min_eig=np.array(rec["meig"]),
-        top_pop=np.array(rec["top"]),
-        snapshots=snapshots,
-    )
+    return Trajectory(times=t_grid.copy(), mean_a=mean_a, mean_n=mean_n,
+                      mean_x=mean_x, mean_p=mean_p, purity=purity,
+                      entropy=entropy, trace_err=trace_err, min_eig=min_eig,
+                      top_pop=top_pop, snapshots=snapshots)
 
 
 def steady_state(params: LindbladParams, dim: int) -> DensityMatrix:

@@ -23,6 +23,26 @@ def _gate(check, budget_s, **kwargs):
         f"{check.__name__} took {elapsed:.1f}s, budget {budget_s:.0f}s")
 
 
+def test_run_all_offsets_the_seed_of_seeded_checks_only(monkeypatch):
+    calls = []
+
+    def seeded(seed=None):
+        calls.append(("seeded", seed))
+        return ["s"]
+
+    def fixed():
+        calls.append(("fixed", None))
+        return ["f"]
+
+    monkeypatch.setattr(validation, "ALL_CHECKS", (fixed, seeded))
+    monkeypatch.setattr(validation, "_SEED_OFFSET", {seeded: 5})
+    assert validation.run_all(seed=10) == ["f", "s"]
+    assert calls == [("fixed", None), ("seeded", 15)]
+    calls.clear()
+    assert validation.run_all() == ["f", "s"]
+    assert calls == [("fixed", None), ("seeded", None)]
+
+
 def test_thermal_relaxation_curve():
     _gate(validation.check_thermal_relaxation, 30.0)
 

@@ -157,6 +157,41 @@ dim = 2
                str(tmp_path / "out"), "--quiet"])
     assert rc == 2
     assert "not Hermitian" in capsys.readouterr().err
+    latin = tmp_path / "latin.ini"
+    latin.write_bytes(b"[params]\nomega = 1.1 # \xff\n")  # not UTF-8
+    rc = main(["evolve", "--config", str(latin), "--out",
+               str(tmp_path / "out"), "--quiet"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "latin.ini" in err
+
+
+def test_constant_fourier_drive_runs(tmp_path):
+    # k = 0 alone: f(t) = 0.3 at every t, with a valid base frequency
+    cfg = write_ini(tmp_path, """
+[params]
+Omega = 1.0
+
+[drive]
+kind = fourier
+harmonics = 0
+coefficients = 0.3
+
+[grid]
+t_max = 1.0
+n_times = 3
+
+[integrator]
+dim = 32
+""")
+    out = tmp_path / "out"
+    assert main(["evolve", "--config", cfg, "--out", str(out),
+                 "--quiet"]) == 0
+    header, rows = read_rows(out / "trajectory.tsv")
+    assert len(rows) == 3
+    checks = [h for h in header if h.startswith("# check:")]
+    assert len(checks) == 5
+    assert all(h.endswith("-> OK") for h in checks)
 
 
 @pytest.mark.parametrize("body,needle", [

@@ -77,6 +77,13 @@ def test_coherent_adequacy_guard():
         coherent_state(3.0, 8)
 
 
+def test_adequacy_message_names_the_enforced_dim():
+    # the guard accepts |alpha|^2 <= dim/4, so alpha = 3 needs dim 36
+    assert len(coherent_state(3.0, 36)) == 36
+    with pytest.raises(TruncationError, match=r"needs dim >= 36, got 35"):
+        coherent_state(3.0, 35)
+
+
 def test_log_factorial_against_lgamma():
     lf = log_factorial(50)
     ref = np.array([math.lgamma(k + 1) for k in range(50)])

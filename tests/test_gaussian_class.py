@@ -184,6 +184,17 @@ def test_materialize_truncation_paths():
         materialize(GaussianState.thermal(1.0), 1)
 
 
+def test_materialize_warns_on_displaced_tail():
+    # resonant limit-cycle start: u^40 = 9.0e-8 but 1.6e-5 of the
+    # population lies above level 39
+    p = LindbladParams(omega=1.1, mu=0.6, nu=0.4, f0=0.3,
+                       Omega=math.sqrt(1.2))
+    g = limit_cycle_state(0.0, p, DriveFn.cosine())
+    assert g.u ** 40 < 1e-7
+    with pytest.warns(TruncationWarning, match="1.566e-05"):
+        materialize(g, 40)
+
+
 def _populations_by_sum(g, n_levels):
     # p_m = Z sum_n C(m, n) u^n |beta|^(2(m-n)) / (m-n)!: the diagonal of
     # M M+ in materialize, summed term by term

@@ -174,6 +174,19 @@ def test_snapshots_returned_on_grid():
                opts=IntegratorOptions(snapshot_times=(0.7,)))
 
 
+def test_snapshots_keyed_by_requested_time():
+    # linspace puts 0.09999999999999999 on the grid where 0.1 is asked for
+    t = np.linspace(0.0, 0.3, 4)
+    assert t[1] != 0.1
+    rho0 = DensityMatrix.pure(coherent_state(0.3, 16))
+    traj = evolve(rho0, t, P_FREE,
+                  opts=IntegratorOptions(snapshot_times=(0.1,)))
+    rho = traj.snapshots[0.1].matrix
+    assert list(traj.snapshots) == [0.1]
+    assert abs(np.dot(np.arange(16), rho.diagonal().real)
+               - traj.mean_n[1]) < 1e-10
+
+
 def test_time_grid_validation():
     rho0 = DensityMatrix.pure(coherent_state(0.0, 8))
     with pytest.raises(ValueError):
@@ -190,6 +203,15 @@ def test_unstable_step_raises():
     with pytest.raises(IntegrationDivergedError):
         evolve(rho0, np.array([0.0, 5.0]), P_FREE,
                opts=IntegratorOptions(dt=1.0))
+
+
+def test_non_finite_state_raises():
+    rho0 = DensityMatrix.pure(coherent_state(0.0, 16))
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(IntegrationDivergedError,
+                           match="state became non-finite by t=300"):
+            evolve(rho0, np.array([0.0, 300.0]), P_FREE,
+                   opts=IntegratorOptions(dt=3.0, renorm_every=0))
 
 
 def test_top_level_population_warns():
