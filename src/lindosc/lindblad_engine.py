@@ -11,6 +11,12 @@ costs O(dim^2). Time stepping is classic fixed-step 4th-order Runge-Kutta:
 the generator is linear and non-stiff at desk scale, and a fixed step keeps
 convergence-order measurements clean.
 
+One stepper, ``_Workspace``, serves both ``evolve`` and ``lindblad_rhs``.
+It allocates its bands and seven dim x dim buffers once and then steps
+without allocating, through ufuncs with ``out=`` whose operands and order
+are those of the plain RK4 expressions, so its states are bitwise the ones
+those expressions give (the tests keep the allocating form as reference).
+
 This module is the numerical oracle for every closed-form solver in the
 package; conversely those solvers pin down this integrator in the tests.
 
@@ -25,6 +31,7 @@ import cmath
 import math
 import warnings
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -224,8 +231,35 @@ def default_dt(params: LindbladParams, drive: DriveFn | None = None) -> float:
                2.0 * math.pi / (200.0 * f_max))
 
 
+class _Cuts(NamedTuple):
+    """A dim x dim buffer and the shifted views the band products use."""
+
+    m: np.ndarray      # the whole buffer
+    m11: np.ndarray    # m[1:, 1:]
+    m00: np.ndarray    # m[:-1, :-1]
+    rows1: np.ndarray  # m[1:, :]
+    rows0: np.ndarray  # m[:-1, :]
+    cols1: np.ndarray  # m[:, 1:]
+    cols0: np.ndarray  # m[:, :-1]
+
+
+def _cuts(m: np.ndarray) -> _Cuts:
+    return _Cuts(m, m[1:, 1:], m[:-1, :-1], m[1:, :], m[:-1, :],
+                 m[:, 1:], m[:, :-1])
+
+
 class _Workspace:
-    """Precomputed band data for one (dim, params) pair."""
+    """The RK4 stepper for one (dim, params) pair: the generator's bands
+    and seven complex dim x dim buffers, all allocated once.
+
+    ``rho`` holds the state that ``step`` advances in place; ``_y`` is the
+    stage input, ``_k1``..``_k3`` the stage slopes (k4 reuses k3's buffer),
+    ``_g`` the drive term, and one scratch buffer takes the band products
+    through its contiguous reshapes ``_s_band`` and ``_s_drive``. Every
+    operation is a ufunc with ``out`` whose operands come in the order of
+    the plain expression quoted beside it, so the results are bitwise
+    those of that expression.
+    """
 
     def __init__(self, dim: int, params: LindbladParams):
         m = np.arange(dim, dtype=np.float64)
@@ -242,20 +276,63 @@ class _Workspace:
         self.muW2 = params.mu * np.outer(w, w)
         self.nuW2 = params.nu * np.outer(w, w)
 
-    def apply(self, rho: np.ndarray, f) -> np.ndarray:
-        out = self.K * rho
-        out[:-1, :-1] += self.muW2 * rho[1:, 1:]   # mu * a rho a+
-        out[1:, 1:] += self.nuW2 * rho[:-1, :-1]   # nu * a+ rho a
-        if f is not None:
-            g = np.zeros_like(rho)
-            g[1:, :] = self.wcol * rho[:-1, :]     # a+ rho
-            g[:, :-1] -= rho[:, 1:] * self.w       # - rho a+
-            out += (1j * np.conj(f)) * g
-            g2 = np.zeros_like(rho)
-            g2[:-1, :] = self.wcol * rho[1:, :]    # a rho
-            g2[:, 1:] -= rho[:, :-1] * self.w      # - rho a
-            out += (1j * f) * g2
-        return out
+        self._rho, self._y, self._k1, self._k2, self._k3, self._g = (
+            _cuts(np.empty((dim, dim), dtype=np.complex128))
+            for _ in range(6))
+        self.rho = self._rho.m
+        s = np.empty(dim * dim, dtype=np.complex128)
+        self._s_band = s[:(dim - 1) ** 2].reshape(dim - 1, dim - 1)
+        self._s_drive = s[:dim * (dim - 1)].reshape(dim, dim - 1)
+
+    def _apply(self, x: _Cuts, out: _Cuts, f) -> None:
+        """out = L[x], the generator applied to x at drive value f
+        (None: no drive term)."""
+        sb, sd, g = self._s_band, self._s_drive, self._g
+        np.multiply(self.K, x.m, out.m)        # out = K * rho
+        np.multiply(self.muW2, x.m11, sb)      # mu * a rho a+
+        np.add(out.m00, sb, out.m00)
+        np.multiply(self.nuW2, x.m00, sb)      # nu * a+ rho a
+        np.add(out.m11, sb, out.m11)
+        if f is None:
+            return
+        # Complex scalars go first, as in c * g: the in-place g *= c runs
+        # the operands the other way round and differs in the last bit.
+        g.m[0] = 0
+        np.multiply(self.wcol, x.rows0, g.rows1)   # a+ rho
+        np.multiply(x.cols1, self.w, sd)           # - rho a+
+        np.subtract(g.cols0, sd, g.cols0)
+        np.multiply(1j * np.conj(f), g.m, g.m)
+        np.add(out.m, g.m, out.m)
+        g.m[-1] = 0
+        np.multiply(self.wcol, x.rows1, g.rows0)   # a rho
+        np.multiply(x.cols0, self.w, sd)           # - rho a
+        np.subtract(g.cols1, sd, g.cols1)
+        np.multiply(1j * f, g.m, g.m)
+        np.add(out.m, g.m, out.m)
+
+    def step(self, h: float, f0, f_mid, f1) -> None:
+        """One RK4 step of length h on rho, drive values at its start,
+        midpoint and end; bitwise
+        rho += (h/6) * (k1 + 2*(k2 + k3) + k4) with k2 = L[rho + (h/2) k1]
+        and so on."""
+        rho, y, k1, k2, k3 = (self.rho, self._y.m, self._k1.m, self._k2.m,
+                              self._k3.m)
+        self._apply(self._rho, self._k1, f0)
+        np.multiply(0.5 * h, k1, y)            # y = rho + (0.5*h) * k1
+        np.add(rho, y, y)
+        self._apply(self._y, self._k2, f_mid)
+        np.multiply(0.5 * h, k2, y)            # y = rho + (0.5*h) * k2
+        np.add(rho, y, y)
+        self._apply(self._y, self._k3, f_mid)
+        np.multiply(h, k3, y)                  # y = rho + h * k3
+        np.add(rho, y, y)
+        np.add(k2, k3, k2)                     # k1 = k1 + 2.0 * (k2 + k3)
+        np.multiply(2.0, k2, k2)
+        np.add(k1, k2, k1)
+        self._apply(self._y, self._k3, f1)     # k4, into k3's buffer
+        np.add(k1, k3, k1)                     # rho += (h/6.0) * (k1 + k4)
+        np.multiply(h / 6.0, k1, k1)
+        np.add(rho, k1, rho)
 
 
 def lindblad_rhs(rho, t: float, params: LindbladParams,
@@ -265,9 +342,10 @@ def lindblad_rhs(rho, t: float, params: LindbladParams,
     if m.shape[0] < 2:
         raise ValueError("need dim >= 2")
     drive = drive if drive is not None else DriveFn.none()
-    ws = _Workspace(m.shape[0], params)
     f = drive.value(t, params) if drive.is_active(params) else None
-    return ws.apply(m, f)
+    st = _Workspace(m.shape[0], params)
+    st._apply(_cuts(m), st._k1, f)
+    return st._k1.m
 
 
 def evolve(rho0, t_grid, params: LindbladParams,
@@ -304,14 +382,15 @@ def evolve(rho0, t_grid, params: LindbladParams,
         raise ValueError("dt must be positive")
 
     dim = rho0.dim
-    ws = _Workspace(dim, params)
+    st = _Workspace(dim, params)
     dt = opts.dt if opts.dt is not None else default_dt(params, drive)
     active = drive.is_active(params)
 
     def fval(t):
         return drive.value(t, params) if active else None
 
-    rho = rho0.matrix.copy()
+    rho = st.rho
+    rho[...] = rho0.matrix
     n_diag = np.arange(dim, dtype=float)
     mean_a = np.empty(t_grid.size, dtype=np.complex128)
     mean_n, purity, entropy, trace_err, min_eig, top_pop = np.empty(
@@ -327,15 +406,12 @@ def evolve(rho0, t_grid, params: LindbladParams,
             h = span / n_sub
             for j in range(n_sub):
                 t = t0 + j * h
-                k1 = ws.apply(rho, fval(t))
-                f_mid = fval(t + 0.5 * h)
-                k2 = ws.apply(rho + (0.5 * h) * k1, f_mid)
-                k3 = ws.apply(rho + (0.5 * h) * k2, f_mid)
-                k4 = ws.apply(rho + h * k3, fval(t + h))
-                rho += (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
+                st.step(h, fval(t), fval(t + 0.5 * h), fval(t + h))
                 steps += 1
                 if opts.renorm_every and steps % opts.renorm_every == 0:
-                    rho = 0.5 * (rho + rho.conj().T)
+                    # rho = 0.5 * (rho + rho^+), then rho /= tr rho
+                    np.add(rho, rho.conj().T, rho)
+                    np.multiply(0.5, rho, rho)
                     rho /= rho.trace().real
 
         if not np.all(np.isfinite(rho)):
@@ -343,7 +419,7 @@ def evolve(rho0, t_grid, params: LindbladParams,
                 f"state became non-finite by t={t1:g}; "
                 "reduce dt or increase dim")
         diag = np.diagonal(rho).real
-        mean_a[i] = np.sum(ws.w * np.diagonal(rho, -1))
+        mean_a[i] = np.sum(st.w * np.diagonal(rho, -1))
         mean_n[i] = np.dot(n_diag, diag)
         purity[i] = np.sum(np.abs(rho) ** 2)
         trace_err[i] = abs(complex(rho.trace()) - 1.0)

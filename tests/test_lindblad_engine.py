@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from lindosc.fock_core import (
+    HERM_TOL_EVOLVED,
     DensityMatrix,
     TruncationWarning,
     coherent_state,
@@ -247,3 +248,129 @@ def test_steady_state_without_gain_is_vacuum():
     ss = steady_state(LindbladParams(omega=1.0, mu=0.5, nu=0.0), 8)
     assert ss.matrix[0, 0] == 1.0
     assert np.count_nonzero(ss.matrix) == 1
+
+
+class _AllocatingWorkspace:
+    """The stepper's reference: the generator applied through plain
+    allocating expressions, one fresh array per term."""
+
+    def __init__(self, dim, params):
+        m = np.arange(dim, dtype=np.float64)
+        aad = np.concatenate((np.arange(1.0, dim), [0.0]))
+        self.K = (
+            -1j * params.omega * (m[:, None] - m[None, :])
+            - 0.5 * params.mu * (m[:, None] + m[None, :])
+            - 0.5 * params.nu * (aad[:, None] + aad[None, :])
+        ).astype(np.complex128)
+        w = np.sqrt(np.arange(1.0, dim))
+        self.w = w
+        self.wcol = w[:, None]
+        self.muW2 = params.mu * np.outer(w, w)
+        self.nuW2 = params.nu * np.outer(w, w)
+
+    def apply(self, rho, f):
+        out = self.K * rho
+        out[:-1, :-1] += self.muW2 * rho[1:, 1:]
+        out[1:, 1:] += self.nuW2 * rho[:-1, :-1]
+        if f is not None:
+            g = np.zeros_like(rho)
+            g[1:, :] = self.wcol * rho[:-1, :]
+            g[:, :-1] -= rho[:, 1:] * self.w
+            out += (1j * np.conj(f)) * g
+            g2 = np.zeros_like(rho)
+            g2[:-1, :] = self.wcol * rho[1:, :]
+            g2[:, 1:] -= rho[:, :-1] * self.w
+            out += (1j * f) * g2
+        return out
+
+
+def _reference_states(rho0, t_grid, params, drive, renorm_every):
+    """The state at every grid time from the allocating RK4 loop."""
+    ws = _AllocatingWorkspace(rho0.shape[0], params)
+    active = drive.is_active(params)
+
+    def fval(t):
+        return drive.value(t, params) if active else None
+
+    dt = default_dt(params, drive)
+    rho = rho0.copy()
+    states = [rho.copy()]
+    steps = 0
+    for t0, t1 in zip(t_grid.tolist(), t_grid[1:].tolist()):
+        n_sub = max(1, math.ceil((t1 - t0) / dt - 1e-9))
+        h = (t1 - t0) / n_sub
+        for j in range(n_sub):
+            t = t0 + j * h
+            k1 = ws.apply(rho, fval(t))
+            f_mid = fval(t + 0.5 * h)
+            k2 = ws.apply(rho + (0.5 * h) * k1, f_mid)
+            k3 = ws.apply(rho + (0.5 * h) * k2, f_mid)
+            k4 = ws.apply(rho + h * k3, fval(t + h))
+            rho += (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
+            steps += 1
+            if steps % renorm_every == 0:
+                rho = 0.5 * (rho + rho.conj().T)
+                rho /= rho.trace().real
+        states.append(rho.copy())
+    return states
+
+
+P_BITWISE = LindbladParams(omega=1.1, mu=0.6, nu=0.4, f0=0.3, Omega=1.3)
+BITWISE_DRIVES = {
+    "none": DriveFn.none(),
+    "cosine": DriveFn.cosine(),
+    "fourier": DriveFn.fourier((1, -2, 3), (0.2 + 0.1j, 0.15 - 0.05j, -0.1j)),
+}
+
+
+def _bitwise_start(dim, rng):
+    if dim == 256:  # a Fock tail that goes subnormal
+        return DensityMatrix.pure(coherent_state(1.25, dim))
+    return enveloped_density(dim, rng)
+
+
+# at dim 2 the top two Fock levels are the whole basis
+@pytest.mark.filterwarnings("ignore::lindosc.fock_core.TruncationWarning")
+@pytest.mark.parametrize("drive", sorted(BITWISE_DRIVES))
+@pytest.mark.parametrize("dim", [2, 33, 256])
+def test_evolve_bitwise_equals_allocating_rk4(dim, drive, rng):
+    drive = BITWISE_DRIVES[drive]
+    rho0 = _bitwise_start(dim, rng)
+    # 4 + 5 substeps at the default step: renormalized after steps 3, 6, 9
+    t = np.array([0.0, 0.02, 0.045])
+    traj = evolve(rho0, t, P_BITWISE, drive,
+                  IntegratorOptions(renorm_every=3, snapshot_times=tuple(t)))
+    ref = _reference_states(rho0.matrix, t, P_BITWISE, drive, 3)
+    w = np.sqrt(np.arange(1.0, dim))
+    for i, rho in enumerate(ref):
+        snap = DensityMatrix.from_matrix(
+            rho, herm_tol=HERM_TOL_EVOLVED, positivity_tol=1e-6)
+        assert traj.snapshots[t[i]].matrix.tobytes() == snap.matrix.tobytes()
+        assert traj.mean_a[i].tobytes() == np.sum(
+            w * np.diagonal(rho, -1)).tobytes()
+        assert traj.purity[i].tobytes() == np.sum(np.abs(rho) ** 2).tobytes()
+
+
+@pytest.mark.parametrize("drive", sorted(BITWISE_DRIVES))
+@pytest.mark.parametrize("dim", [2, 33, 256])
+def test_rhs_bitwise_equals_allocating_apply(dim, drive, rng):
+    drive = BITWISE_DRIVES[drive]
+    m = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    f = (drive.value(0.37, P_BITWISE) if drive.is_active(P_BITWISE)
+         else None)
+    ref = _AllocatingWorkspace(dim, P_BITWISE).apply(m, f)
+    assert lindblad_rhs(m, 0.37, P_BITWISE, drive).tobytes() == ref.tobytes()
+
+
+def test_evolve_state_buffer_does_not_alias(rng):
+    # a snapshot must not follow the run on, and rho0 must not be stepped
+    m0 = enveloped_density(24, rng).matrix.copy()
+    before = m0.tobytes()
+    rho0 = DensityMatrix(matrix=m0)  # writable on purpose
+    t = np.linspace(0.0, 0.6, 4)
+    opts = IntegratorOptions(renorm_every=7, snapshot_times=(t[2],))
+    full = evolve(rho0, t, P_BITWISE, DriveFn.cosine(), opts)
+    short = evolve(rho0, t[:3], P_BITWISE, DriveFn.cosine(), opts)
+    assert (full.snapshots[t[2]].matrix.tobytes()
+            == short.snapshots[t[2]].matrix.tobytes())
+    assert m0.tobytes() == before

@@ -1,11 +1,12 @@
 """Print the sha256 of every file the lindosc CLI writes for fixed configs.
 
-Runs evolve (cosine, Fourier and undriven drives, a limit-cycle start and
-a density matrix from a file), husimi (a driven limit cycle and a thermal
-state), scan (undriven and driven), steady-state and validate on configs
-defined below, plus five configs that must fail (exit 2 or 3), each into
-its own directory under a temporary root. It prints one ``sha256  relpath``
-line per output file, sorted by path within each run, one
+Runs evolve (cosine, Fourier and undriven drives, a limit-cycle start, a
+density matrix from a file and a cosine drive at dim 256), husimi (a
+driven limit cycle and a thermal state), scan (undriven and driven),
+steady-state and validate on configs defined below, plus five configs
+that must fail (exit 2 or 3), each into its own directory under a
+temporary root. It prints one ``sha256  relpath`` line per output file,
+sorted by path within each run, one
 ``sha256  run/(stdout)`` line per run for what the command printed, and one
 ``sha256  run/(exit)`` line per run for its exit code, what it printed to
 stderr and the categories of the warnings it raised (categories only, so
@@ -64,6 +65,12 @@ RUNS = (
     # directory during the runs), so the header echo is root-independent
     ("evolve-file", "evolve",
      _PARAMS + _GRID + "[initial]\nkind = file\npath = state.npy\n"),
+    # the largest basis: where the stepper does most work and the Fock
+    # tail of the coherent start is subnormal
+    ("evolve-dim256", "evolve",
+     _PARAMS + _RESONANT
+     + "[grid]\nt_max = 0.5\nn_times = 5\n[integrator]\ndim = 256\n"
+     + "[initial]\nkind = coherent\nalpha0 = 1.25\n"),
     ("scan", "scan", _PARAMS + "[scan]\nsamples = 120\n"),
     ("scan-driven", "scan",
      _PARAMS + "f0 = 1.4\nOmega = 1.2\n[scan]\nsamples = 150\n"),
