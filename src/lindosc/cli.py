@@ -34,6 +34,7 @@ from .fock_core import (
 )
 from .gaussian_class import (
     GaussianState,
+    _TAIL_CAP,
     _occupation,
     _population_tail,
     entropy,
@@ -350,13 +351,15 @@ def _ensure_adequate(cfg: RunConfig, g0: GaussianState | None) -> None:
         raise ConfigError(
             f"[integrator] dim = {cfg.dim} cannot hold the run: |<a>| "
             f"reaches {reach:.4g}; increase dim to >= {need}")
-    # checked second: its cost grows with the state's mean occupation
+    # checked second: its cost grows with the state's width, up to a cap
     need, above = _population_tail(g0, cfg.dim, 1e-8)
     if above is not None:
+        bound = (f" (a lower bound: levels >= {need - 1} were not summed)"
+                 if need > max(cfg.dim, _TAIL_CAP) else "")
         raise ConfigError(
             f"[integrator] dim = {cfg.dim} cannot hold the run: the initial "
             f"state puts {above:.2e} of its population above level "
-            f"{cfg.dim - 1}; increase dim to >= {need}")
+            f"{cfg.dim - 1}; increase dim to >= {need}{bound}")
 
 
 def _initial_density(cfg: RunConfig,

@@ -25,12 +25,7 @@ import math
 
 import numpy as np
 
-from .fock_core import (
-    DensityMatrix,
-    TruncationError,
-    _as_matrix,
-    _geometric_state,
-)
+from .fock_core import DensityMatrix, _as_matrix, _geometric_state
 from .gaussian_class import GaussianState
 from .lindblad_engine import LindbladParams
 
@@ -77,11 +72,12 @@ def fujii_density(rho0: DensityMatrix, t: float, params: LindbladParams,
                   renormalize: bool = True):
     """Propagate rho0 by the exact force-free double operator sum.
 
-    Sums terminate when a term's trace falls below 1e-14 or the power
-    reaches dim (where the shifted band leaves the basis and the terms are
-    exactly zero). With renormalize=True (default) the result is validated
-    and returned as a DensityMatrix; renormalize=False returns the raw
-    matrix, whose trace deficit measures the truncation loss.
+    Each sum runs over the powers k = 1 .. dim-1, the only ones with a
+    nonzero term (from k = dim on the shifted band has left the basis),
+    and stops early once a term's trace falls below 1e-14. With
+    renormalize=True (default) the result is validated and returned as a
+    DensityMatrix; renormalize=False returns the raw matrix, whose trace
+    deficit measures the truncation loss.
     """
     m0 = _as_matrix(rho0)
     dim = m0.shape[0]
@@ -103,12 +99,7 @@ def fujii_density(rho0: DensityMatrix, t: float, params: LindbladParams,
     def _series(x0, step, weight):
         acc = x0.copy()
         term = x0
-        k = 0
-        while True:
-            k += 1
-            if k > dim:
-                raise TruncationError(
-                    f"operator sum did not converge within dim={dim} terms")
+        for k in range(1, dim):
             term = (weight / k) * step(term)
             tr = float(term.trace().real)
             if tr <= _TERM_TOL:

@@ -58,6 +58,7 @@ __all__ = [
 
 PURE_U_THRESHOLD = 1e-300    # below this, u is treated as exactly 0
 _TAIL_WARN = 1e-7            # population above the basis worth a warning
+_TAIL_CAP = 100_000          # levels _population_tail walks past a smaller dim
 
 
 class SingularTransformError(ValueError):
@@ -277,7 +278,9 @@ def _population_tail(g: GaussianState, dim: int,
                      tol: float) -> tuple[int, float | None]:
     """(n, above): n is the smallest basis that leaves at most tol of the
     Fock population of g outside; above is the population on the levels
-    >= dim when dim < n, else None.
+    >= dim when dim < n, else None. The walk stops at level
+    L = max(dim, _TAIL_CAP): an n <= L is exact, and n = L + 1 is a lower
+    bound, returned when the levels >= L still hold more than tol.
 
     The exact populations p_m = Z u^m L_m(-|beta|^2/u) follow from the
     Laguerre recurrence, written for the ratios p_m / p_(m-1) = u + s_m as
@@ -285,14 +288,17 @@ def _population_tail(g: GaussianState, dim: int,
     which has no cancelling terms (the plain three-term form drifted by
     6e-4 in log p over 1e7 levels at u = 1 - 1e-6). Working with log p, no
     term over- or underflows, and u = 0 (Poisson) needs no special case.
-    The cost is one pass over the levels below n.
+    The cost is one pass over the levels below min(n, L).
     """
+    limit = max(dim, _TAIL_CAP)
     b2 = abs(g.beta) ** 2
     log_p, s = math.log(g.b) - b2 / g.b, b2
     tail, above, m = 1.0, None, 0     # tail: population on the levels >= m
     while tail > tol:
         if m == dim:
             above = tail
+        if m == limit:
+            return limit + 1, above
         if m > 1:
             s = (b2 + (m - 1) * g.u * s / (g.u + s)) / m
         if m:

@@ -26,7 +26,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fock_core import _check_adequacy, _require_dim, log_factorial
 from .lindblad_engine import LindbladParams, _store_real
 
 __all__ = [
@@ -121,37 +120,18 @@ def nh_expectations(t, alpha0: complex, p: NHParams):
     return NHExpectations(a=a, n=np.abs(a) ** 2)
 
 
-def nh_norm(t, alpha0: complex, p: NHParams, dim: int,
-            method: str = "prefactor") -> float:
-    """Squared norm <psi(t)|psi(t)> of the decaying state.
+def nh_norm(t, alpha0: complex, p: NHParams) -> float:
+    """Squared norm <psi(t)|psi(t)> of the decaying state, from the scalar
+    coefficients alone (no basis):
 
-    method "prefactor" uses the scalar coefficients:
-        exp(-gamma t + 2 Re(A + B alpha0) - |alpha0|^2 + |alpha(t)|^2);
-    method "series" (f0 = 0 only) sums the Poisson-weighted decay
-        sum_n |<n|alpha0>|^2 e^(-2 gamma (n + 1/2) t)
-    over the truncated basis, which must be adequate for alpha0.
+        exp(-gamma t + 2 Re(A + B alpha0) - |alpha0|^2 + |alpha(t)|^2).
     """
-    dim = _require_dim(dim)
     alpha0 = complex(alpha0)
-    _check_adequacy(alpha0, dim)
     t = float(t)
-    if method == "prefactor":
-        A, B, _ = abc(t, p)
-        a_t = nh_alpha(t, alpha0, p)
-        return math.exp(-p.gamma * t + 2.0 * (A + B * alpha0).real
-                        - abs(alpha0) ** 2 + abs(a_t) ** 2)
-    if method == "series":
-        if p.f0 != 0.0:
-            raise ValueError("series method is defined for f0 = 0 only")
-        n = np.arange(dim)
-        decay = np.exp(-2.0 * p.gamma * (n + 0.5) * t)
-        if alpha0 == 0:
-            return float(decay[0])
-        # Poisson weights in log space
-        logw = (n * math.log(abs(alpha0) ** 2) - log_factorial(dim)
-                - abs(alpha0) ** 2)
-        return float(np.sum(np.exp(logw) * decay))
-    raise ValueError(f"unknown method {method!r}")
+    A, B, _ = abc(t, p)
+    a_t = nh_alpha(t, alpha0, p)
+    return math.exp(-p.gamma * t + 2.0 * (A + B * alpha0).real
+                    - abs(alpha0) ** 2 + abs(a_t) ** 2)
 
 
 def nh_husimi(alpha_pt: complex, t: float, alpha0: complex,

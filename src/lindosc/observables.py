@@ -280,7 +280,7 @@ def mean_n_limit_cycle(params: LindbladParams,
     lc = quantum_lc(params, drive)
     w, g, W = params.omega, params.gamma, params.Omega
     ft, A, phi = params.ftilde0, lc.A_q, lc.phi_q
-    base = params.nu / (2.0 * g)
+    base = params.nbar
     nbar = base + (ft * A / (4.0 * g * w)) * (g * math.cos(phi)
                                               - W * math.sin(phi))
     return LimitCycleOccupation(
@@ -299,19 +299,15 @@ def mean_n(t, n0: float, a0: complex, params: LindbladParams,
     The drive enters n' = nu - 2 gamma n + 2 Im(f(t) <a>_t) and
     |<a>|^2' = -2 gamma |<a>|^2 + 2 Im(f(t) <a>_t) through the same term, so
     m = <n> - |<a>|^2 obeys the force-free law m' = nu - 2 gamma m for any f.
-    Array t must be nondecreasing when the drive is active.
     """
     drive = drive if drive is not None else DriveFn.none()
     t = np.asarray(t, dtype=float)
     if np.any(t < 0):
         raise ValueError("t must be >= 0")
-    if drive.is_active(params) and np.any(np.diff(np.atleast_1d(t)) < 0):
-        raise ValueError("array t must be nondecreasing")
-    g = params.gamma
-    ninf = params.nu / (2.0 * g)
+    ninf = params.nbar
     m0 = float(n0) - abs(complex(a0)) ** 2 - ninf
     return np.abs(mean_a(t, a0, params, drive)) ** 2 + ninf \
-        + m0 * np.exp(-2.0 * g * t)
+        + m0 * np.exp(-2.0 * params.gamma * t)
 
 
 # ---------------------------------------------------------------------------

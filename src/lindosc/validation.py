@@ -78,7 +78,7 @@ def check_thermal_relaxation() -> list[CheckResult]:
     p, dim = BENCH_FREE, 64
     t = np.linspace(0.0, 30.0, 61)
     traj = evolve(_vacuum(dim), t, p)
-    n_inf = p.nu / (2.0 * p.gamma)
+    n_inf = p.nbar
     closed = n_inf * -np.expm1(-2.0 * p.gamma * t)
     err = float(np.max(np.abs(traj.mean_n - closed)))
     ss = steady_state(p, dim)
@@ -287,7 +287,7 @@ def check_resonance() -> list[CheckResult]:
                         passed=bool(abs(table[k, 0] - w_res) <= step))
 
     a_peak = obs.quantum_lc(replace(p, Omega=w_res), DriveFn.cosine()).A_q
-    a_ident = p.ftilde0 / (2.0 * p.gamma * p.omega)
+    a_ident = obs.resonance_amplitude(p)
     r_amp = CheckResult("resonance/peak-amplitude", expected=f"{a_ident:.12f}",
                         actual=f"{a_peak:.12f}", tolerance="1e-10",
                         passed=bool(abs(a_peak - a_ident) <= 1e-10))

@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -90,6 +91,22 @@ def test_dim_override(tmp_path):
                  "--dim", "56"]) == 0
     header, _ = read_rows(out / "trajectory.tsv")
     assert "# integrator.dim = 56" in header
+
+
+def test_gaussian_start_echoes_u0_and_seed(tmp_path):
+    body = BASIC.replace("kind = coherent", "kind = gaussian\nu0 = 0.25")
+    cfg = write_ini(tmp_path, body + "\n[run]\nseed = 17\n")
+    out = tmp_path / "out"
+    assert main(["evolve", "--config", cfg, "--out", str(out),
+                 "--quiet"]) == 0
+    header, rows = read_rows(out / "trajectory.tsv")
+    assert "# initial.kind = gaussian" in header
+    assert "# initial.u0 = 0.25" in header
+    assert "# run.seed = 17" in header
+    cols = next(h for h in header if h.startswith("# columns:")).split()[2:]
+    first = dict(zip(cols, (float(v) for v in rows[0].split("\t"))))
+    # <n> = u/(1-u) + |alpha|^2 of the start state
+    assert first["n"] == pytest.approx(0.25 / 0.75 + 0.29, abs=1e-10)
 
 
 @pytest.mark.parametrize("body,needle", [
@@ -246,6 +263,20 @@ def test_small_basis_rejected_before_running(tmp_path, capsys, body, need):
     err = capsys.readouterr().err
     assert "increase dim to >=" in err
     assert err.rstrip().endswith(f"increase dim to >= {need}")
+
+
+def test_wide_start_rejected_within_a_second(tmp_path, capsys):
+    # the tail walk stops at a fixed level, so a start wider than any
+    # basis is rejected as fast as a narrow one, with a lower bound for dim
+    cfg = write_ini(tmp_path, "[initial]\nkind = thermal\nnbar0 = 1e9\n"
+                    "[integrator]\ndim = 64\n")
+    t0 = time.perf_counter()
+    rc = main(["evolve", "--config", cfg, "--out",
+               str(tmp_path / "out"), "--quiet"])
+    assert time.perf_counter() - t0 < 1.0
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "increase dim to >= 100001 (a lower bound" in err
 
 
 def test_divergent_step_exit_3(tmp_path, capsys):

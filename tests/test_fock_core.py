@@ -106,6 +106,21 @@ def test_from_matrix_normalizes_and_validates():
         DensityMatrix.from_matrix(np.ones((1, 1), dtype=complex))
 
 
+@pytest.mark.parametrize("call,needle", [
+    (lambda: coherent_state(complex("nan"), 8), "alpha must be finite"),
+    (lambda: coherent_state(float("inf"), 8), "alpha must be finite"),
+    (lambda: DensityMatrix.from_matrix(np.ones((2, 3))), "square matrix"),
+    (lambda: DensityMatrix.from_matrix(np.ones(4)), "square matrix"),
+    (lambda: DensityMatrix.from_matrix(np.zeros((3, 3))),
+     "trace must be positive"),
+    (lambda: DensityMatrix.from_matrix(-np.eye(3)), "trace must be positive"),
+], ids=["nan-alpha", "inf-alpha", "non-square", "vector", "zero-trace",
+        "negative-trace"])
+def test_invalid_inputs_raise(call, needle):
+    with pytest.raises(ValueError, match=needle):
+        call()
+
+
 def test_density_matrix_is_read_only():
     rho = DensityMatrix.pure(coherent_state(0.5, 16))
     with pytest.raises(ValueError):

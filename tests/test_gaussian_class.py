@@ -17,6 +17,7 @@ from lindosc.gaussian_class import (
     GaussianState,
     PureExponentialForm,
     SingularTransformError,
+    _TAIL_CAP,
     _population_tail,
     disentangle,
     disentangle_coefficients,
@@ -227,6 +228,15 @@ def test_population_tail_wide_thermal():
     n, above = _population_tail(g, 64, 1e-8)
     assert above == pytest.approx(g.u ** 64, rel=1e-13)
     assert n == math.ceil(math.log(1e-8) / math.log(g.u))
+
+
+def test_population_tail_walk_is_capped():
+    # need ~ 1.8e10 levels: the walk stops at the cap and says so by
+    # returning cap + 1, a lower bound
+    g = GaussianState.thermal(1e9)
+    n, above = _population_tail(g, 64, 1e-8)
+    assert n == _TAIL_CAP + 1
+    assert above == pytest.approx(g.u ** 64, rel=1e-9)
 
 
 def test_gaussian_expectations_formulas():

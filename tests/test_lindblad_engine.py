@@ -80,6 +80,11 @@ def test_drive_fourier_validation():
         DriveFn.fourier((1,), (1.0,)).value(0.5, p0)  # needs Omega > 0
 
 
+def test_drive_kind_validation():
+    with pytest.raises(ValueError, match="unknown drive kind 'square'"):
+        DriveFn(kind="square")
+
+
 def test_default_dt_formula():
     p = LindbladParams(omega=1.1, mu=0.6, nu=0.4, f0=1.4, Omega=8.0)
     assert default_dt(p, DriveFn.none()) == pytest.approx(
@@ -197,6 +202,23 @@ def test_time_grid_validation():
     with pytest.raises(ValueError):
         evolve(rho0, np.array([0.0, 1.0]), P_FREE,
                opts=IntegratorOptions(dt=0.0))
+
+
+def test_input_shapes():
+    rho0 = DensityMatrix.pure(coherent_state(0.3, 16))
+    t = np.array([0.0, 0.5])
+    with pytest.raises(ValueError, match="nonempty 1-d"):
+        evolve(rho0, t[None, :], P_FREE)
+    with pytest.raises(ValueError, match="need dim >= 2"):
+        lindblad_rhs(np.ones((1, 1)), 0.0, P_FREE)
+    # a plain array runs as the DensityMatrix from_matrix makes of it
+    m = 2.0 * rho0.matrix
+    plain = evolve(m, t, P_FREE,
+                   opts=IntegratorOptions(snapshot_times=(0.5,)))
+    typed = evolve(DensityMatrix.from_matrix(m), t, P_FREE,
+                   opts=IntegratorOptions(snapshot_times=(0.5,)))
+    assert plain.snapshots[0.5].matrix.tobytes() \
+        == typed.snapshots[0.5].matrix.tobytes()
 
 
 def test_unstable_step_raises():

@@ -184,6 +184,14 @@ def test_quantum_lc_ellipse():
     assert np.max(lc.ellipse_residual(t)) < 1e-9
 
 
+def test_quantum_lc_static_ellipse():
+    # Omega = 0: <x> rests at A_q and the "ellipse" degenerates to x^2 = A_q^2
+    static = quantum_lc(
+        LindbladParams(omega=1.1, mu=0.6, nu=0.4, f0=1.4, Omega=0.0), COS)
+    t = np.linspace(0.0, 12.0, 40)
+    assert np.max(static.ellipse_residual(t)) < 1e-14
+
+
 def test_mean_x_second_order_ode():
     # <x> obeys x'' + 2 gamma x' + (omega^2 + gamma^2) x = ftilde(t)
     p = P_DRIVEN
@@ -246,8 +254,11 @@ def test_mean_n_driven_matches_integrator():
 def test_mean_n_time_validation():
     with pytest.raises(ValueError):
         mean_n(-1.0, 0.0, 0.0, P)
-    with pytest.raises(ValueError):
-        mean_n(np.array([0.0, 2.0, 1.0]), 0.0, 0.0, P_DRIVEN, COS)
+    # the identity is pointwise: any order of t, reversed t reversed bits
+    t = np.array([0.0, 2.0, 1.0, 3.5])
+    fwd = mean_n(t, 0.3, 0.2 - 0.1j, P_DRIVEN, COS)
+    rev = mean_n(t[::-1], 0.3, 0.2 - 0.1j, P_DRIVEN, COS)
+    assert rev.tobytes() == fwd[::-1].tobytes()
 
 
 def test_mean_n_limit_cycle_forms_agree():
