@@ -232,7 +232,7 @@ def materialize(g: GaussianState, dim: int) -> DensityMatrix:
     _check_adequacy(g.alpha, dim)
     if g.is_pure:
         return DensityMatrix.pure(coherent_state(g.alpha, dim))
-    above = _population_tail(g, dim, _TAIL_WARN)[1]
+    above = _population_tail(g, dim, _TAIL_WARN, cap=0)[1]  # only above dim
     if above is not None:
         warnings.warn(
             f"population {above:.3e} lies above level {dim - 1}: the tail "
@@ -274,13 +274,14 @@ def _occupation(u, alpha):
     return u / (1.0 - u) + abs(alpha) ** 2
 
 
-def _population_tail(g: GaussianState, dim: int,
-                     tol: float) -> tuple[int, float | None]:
+def _population_tail(g: GaussianState, dim: int, tol: float,
+                     cap: int = _TAIL_CAP) -> tuple[int, float | None]:
     """(n, above): n is the smallest basis that leaves at most tol of the
     Fock population of g outside; above is the population on the levels
     >= dim when dim < n, else None. The walk stops at level
-    L = max(dim, _TAIL_CAP): an n <= L is exact, and n = L + 1 is a lower
-    bound, returned when the levels >= L still hold more than tol.
+    L = max(dim, cap): an n <= L is exact, and n = L + 1 is a lower
+    bound, returned when the levels >= L still hold more than tol. A
+    caller that needs only above passes cap=0 and walks dim levels.
 
     The exact populations p_m = Z u^m L_m(-|beta|^2/u) follow from the
     Laguerre recurrence, written for the ratios p_m / p_(m-1) = u + s_m as
@@ -290,7 +291,7 @@ def _population_tail(g: GaussianState, dim: int,
     term over- or underflows, and u = 0 (Poisson) needs no special case.
     The cost is one pass over the levels below min(n, L).
     """
-    limit = max(dim, _TAIL_CAP)
+    limit = max(dim, cap)
     b2 = abs(g.beta) ** 2
     log_p, s = math.log(g.b) - b2 / g.b, b2
     tail, above, m = 1.0, None, 0     # tail: population on the levels >= m

@@ -12,10 +12,15 @@ the generator is linear and non-stiff at desk scale, and a fixed step keeps
 convergence-order measurements clean.
 
 One stepper, ``_Workspace``, serves both ``evolve`` and ``lindblad_rhs``.
-It allocates its bands and seven dim x dim buffers once and then steps
-without allocating, through ufuncs with ``out=`` whose operands and order
-are those of the plain RK4 expressions, so its states are bitwise the ones
-those expressions give (the tests keep the allocating form as reference).
+It allocates its bands and seven flat buffers of dim*dim entries once and
+then steps without allocating, through ufuncs with ``out=`` whose operands
+and order are those of the plain RK4 expressions, so its states are
+bitwise the ones those expressions give (the tests keep the allocating
+form as reference). On the flat layout each shifted band product is one
+contiguous run at a fixed offset (dim+1 or 1); the row ends such a run
+crosses are set to the exact identity of the add or subtract that
+follows (-0-0j or +0+0j), so they leave every entry, signed zeros
+included, as the 2-d slices of the plain expression would.
 
 This module is the numerical oracle for every closed-form solver in the
 package; conversely those solvers pin down this integrator in the tests.
@@ -31,7 +36,6 @@ import cmath
 import math
 import warnings
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -231,34 +235,32 @@ def default_dt(params: LindbladParams, drive: DriveFn | None = None) -> float:
                2.0 * math.pi / (200.0 * f_max))
 
 
-class _Cuts(NamedTuple):
-    """A dim x dim buffer and the shifted views the band products use."""
-
-    m: np.ndarray      # the whole buffer
-    m11: np.ndarray    # m[1:, 1:]
-    m00: np.ndarray    # m[:-1, :-1]
-    rows1: np.ndarray  # m[1:, :]
-    rows0: np.ndarray  # m[:-1, :]
-    cols1: np.ndarray  # m[:, 1:]
-    cols0: np.ndarray  # m[:, :-1]
-
-
-def _cuts(m: np.ndarray) -> _Cuts:
-    return _Cuts(m, m[1:, 1:], m[:-1, :-1], m[1:, :], m[:-1, :],
-                 m[:, 1:], m[:, :-1])
+_NEG_ZERO = complex(-0.0, -0.0)  # x + (-0-0j) is x bitwise, signed zeros too
 
 
 class _Workspace:
     """The RK4 stepper for one (dim, params) pair: the generator's bands
-    and seven complex dim x dim buffers, all allocated once.
+    and seven complex buffers of dim*dim entries, all allocated once.
 
-    ``rho`` holds the state that ``step`` advances in place; ``_y`` is the
-    stage input, ``_k1``..``_k3`` the stage slopes (k4 reuses k3's buffer),
-    ``_g`` the drive term, and one scratch buffer takes the band products
-    through its contiguous reshapes ``_s_band`` and ``_s_drive``. Every
-    operation is a ufunc with ``out`` whose operands come in the order of
-    the plain expression quoted beside it, so the results are bitwise
-    those of that expression.
+    Every buffer is flat: entry (i, j) sits at i*dim + j, and ``rho`` is
+    the (dim, dim) view of the state that ``step`` advances in place.
+    ``_y`` is the stage input, ``_k1``..``_k3`` the stage slopes (k4
+    reuses k3's buffer), ``_g`` the drive term, and one scratch buffer
+    takes the band products through its views ``_s_band`` and
+    ``_s_drive``.
+
+    A shifted band is one contiguous run at a fixed flat offset:
+    mu a rho a+ reads rho at offset dim+1, nu a+ rho a writes at offset
+    dim+1, and rho a+ and rho a use offset 1 (a+ rho and a rho shift
+    whole rows and stay 2-d views). ``muW2``, ``nuW2`` and the tiled
+    ``wt`` sit on the same grid with a pad column j = dim-1. A run also
+    crosses the row ends that the 2-d slice skipped; after each product
+    those wrap slots (``_wrap``, column dim-1 of the scratch) are set to the
+    exact identity of the ufunc that follows, -0-0j before an add and
+    +0+0j before a subtract, so that the entry they meet keeps its bits.
+    Every operation is a ufunc with ``out`` whose operands come in the
+    order of the plain expression quoted beside it, so the results are
+    bitwise those of that expression, signed zeros included.
     """
 
     def __init__(self, dim: int, params: LindbladParams):
@@ -269,67 +271,80 @@ class _Workspace:
             -1j * params.omega * (m[:, None] - m[None, :])
             - 0.5 * params.mu * (m[:, None] + m[None, :])
             - 0.5 * params.nu * (aad[:, None] + aad[None, :])
-        ).astype(np.complex128)
+        ).astype(np.complex128).ravel()
         w = np.sqrt(np.arange(1.0, dim))
         self.w = w
         self.wcol = w[:, None]
-        self.muW2 = params.mu * np.outer(w, w)
-        self.nuW2 = params.nu * np.outer(w, w)
+        n = dim * dim
+        band = n - dim - 1                   # length of an offset dim+1 run
+        wpad = np.append(w, 0.0)             # w_j with the pad column
+        W2 = np.outer(w, wpad).ravel()[:band]
+        self.muW2 = params.mu * W2
+        self.nuW2 = params.nu * W2
+        self.wt = np.tile(wpad, dim)[:n - 1]  # w_j at every i*dim + j
 
-        self._rho, self._y, self._k1, self._k2, self._k3, self._g = (
-            _cuts(np.empty((dim, dim), dtype=np.complex128))
-            for _ in range(6))
-        self.rho = self._rho.m
-        s = np.empty(dim * dim, dtype=np.complex128)
-        self._s_band = s[:(dim - 1) ** 2].reshape(dim - 1, dim - 1)
-        self._s_drive = s[:dim * (dim - 1)].reshape(dim, dim - 1)
+        self._rho, self._y, self._k1, self._k2, self._k3, self._g, s = (
+            np.empty(n, dtype=np.complex128) for _ in range(7))
+        self.rho = self._rho.reshape(dim, dim)
+        self._s_band = s[:band]
+        self._s_drive = s[:n - 1]
+        self._wrap = s[dim - 1::dim]
 
-    def _apply(self, x: _Cuts, out: _Cuts, f) -> None:
-        """out = L[x], the generator applied to x at drive value f
-        (None: no drive term)."""
-        sb, sd, g = self._s_band, self._s_drive, self._g
-        np.multiply(self.K, x.m, out.m)        # out = K * rho
-        np.multiply(self.muW2, x.m11, sb)      # mu * a rho a+
-        np.add(out.m00, sb, out.m00)
-        np.multiply(self.nuW2, x.m00, sb)      # nu * a+ rho a
-        np.add(out.m11, sb, out.m11)
+    def _apply(self, x: np.ndarray, out: np.ndarray, f) -> None:
+        """out = L[x] on flat buffers, the generator applied to x at drive
+        value f (None: no drive term)."""
+        dim = self.rho.shape[0]
+        sb, sd, g, wrap = self._s_band, self._s_drive, self._g, self._wrap
+        np.multiply(self.K, x, out)            # out = K * rho
+        np.multiply(self.muW2, x[dim + 1:], sb)  # mu * a rho a+
+        wrap.fill(_NEG_ZERO)
+        o = out[:sb.size]
+        np.add(o, sb, o)
+        np.multiply(self.nuW2, x[:sb.size], sb)  # nu * a+ rho a
+        wrap.fill(_NEG_ZERO)
+        o = out[dim + 1:]
+        np.add(o, sb, o)
         if f is None:
             return
         # Complex scalars go first, as in c * g: the in-place g *= c runs
         # the operands the other way round and differs in the last bit.
-        g.m[0] = 0
-        np.multiply(self.wcol, x.rows0, g.rows1)   # a+ rho
-        np.multiply(x.cols1, self.w, sd)           # - rho a+
-        np.subtract(g.cols0, sd, g.cols0)
-        np.multiply(1j * np.conj(f), g.m, g.m)
-        np.add(out.m, g.m, out.m)
-        g.m[-1] = 0
-        np.multiply(self.wcol, x.rows1, g.rows0)   # a rho
-        np.multiply(x.cols0, self.w, sd)           # - rho a
-        np.subtract(g.cols1, sd, g.cols1)
-        np.multiply(1j * f, g.m, g.m)
-        np.add(out.m, g.m, out.m)
+        x2, g2 = x.reshape(dim, dim), g.reshape(dim, dim)
+        g2[0] = 0
+        np.multiply(self.wcol, x2[:-1], g2[1:])  # a+ rho
+        np.multiply(x[1:], self.wt, sd)          # - rho a+
+        wrap.fill(0)
+        o = g[:sd.size]
+        np.subtract(o, sd, o)
+        np.multiply(1j * np.conj(f), g, g)
+        np.add(out, g, out)
+        g2[-1] = 0
+        np.multiply(self.wcol, x2[1:], g2[:-1])  # a rho
+        np.multiply(x[:sd.size], self.wt, sd)    # - rho a
+        wrap.fill(0)
+        o = g[1:]
+        np.subtract(o, sd, o)
+        np.multiply(1j * f, g, g)
+        np.add(out, g, out)
 
     def step(self, h: float, f0, f_mid, f1) -> None:
         """One RK4 step of length h on rho, drive values at its start,
         midpoint and end; bitwise
         rho += (h/6) * (k1 + 2*(k2 + k3) + k4) with k2 = L[rho + (h/2) k1]
         and so on."""
-        rho, y, k1, k2, k3 = (self.rho, self._y.m, self._k1.m, self._k2.m,
-                              self._k3.m)
-        self._apply(self._rho, self._k1, f0)
+        rho, y, k1, k2, k3 = self._rho, self._y, self._k1, self._k2, self._k3
+        self._apply(rho, k1, f0)
         np.multiply(0.5 * h, k1, y)            # y = rho + (0.5*h) * k1
         np.add(rho, y, y)
-        self._apply(self._y, self._k2, f_mid)
+        self._apply(y, k2, f_mid)
         np.multiply(0.5 * h, k2, y)            # y = rho + (0.5*h) * k2
         np.add(rho, y, y)
-        self._apply(self._y, self._k3, f_mid)
+        self._apply(y, k3, f_mid)
         np.multiply(h, k3, y)                  # y = rho + h * k3
         np.add(rho, y, y)
         np.add(k2, k3, k2)                     # k1 = k1 + 2.0 * (k2 + k3)
         np.multiply(2.0, k2, k2)
         np.add(k1, k2, k1)
-        self._apply(self._y, self._k3, f1)     # k4, into k3's buffer
+        self._apply(y, k3, f1)                 # k4, into k3's buffer
         np.add(k1, k3, k1)                     # rho += (h/6.0) * (k1 + k4)
         np.multiply(h / 6.0, k1, k1)
         np.add(rho, k1, rho)
@@ -344,8 +359,9 @@ def lindblad_rhs(rho, t: float, params: LindbladParams,
     drive = drive if drive is not None else DriveFn.none()
     f = drive.value(t, params) if drive.is_active(params) else None
     st = _Workspace(m.shape[0], params)
-    st._apply(_cuts(m), st._k1, f)
-    return st._k1.m
+    st.rho[...] = m
+    st._apply(st._rho, st._k1, f)
+    return st._k1.reshape(m.shape)
 
 
 def evolve(rho0, t_grid, params: LindbladParams,

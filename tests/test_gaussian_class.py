@@ -239,6 +239,21 @@ def test_population_tail_walk_is_capped():
     assert above == pytest.approx(g.u ** 64, rel=1e-9)
 
 
+@pytest.mark.parametrize("g, dim", [
+    (GaussianState.thermal(1e5), 64), (GaussianState.thermal(4.0), 32),
+    (GaussianState.from_alpha(0.9, 3.0), 40),
+    (GaussianState.from_alpha(0.3, 1.2 + 0.7j), 8),
+])
+def test_materialize_warning_needs_no_walk_past_dim(g, dim):
+    # materialize reads only the tail above its basis: a walk capped at dim
+    # ends there (n = dim + 1) and gives the full walk's number
+    capped = _population_tail(g, dim, 1e-7, cap=0)
+    full = _population_tail(g, dim, 1e-7)
+    assert capped == (dim + 1, full[1]) and full[0] > dim + 1
+    with pytest.warns(TruncationWarning, match=f"population {full[1]:.3e} "):
+        materialize(g, dim)
+
+
 def test_gaussian_expectations_formulas():
     g = GaussianState.from_alpha(0.25, 1.2 - 0.7j)
     ex = gaussian_expectations(g, omega=1.1)

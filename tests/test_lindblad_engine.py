@@ -384,6 +384,48 @@ def test_rhs_bitwise_equals_allocating_apply(dim, drive, rng):
     assert lindblad_rhs(m, 0.37, P_BITWISE, drive).tobytes() == ref.tobytes()
 
 
+def _signed_zeros(shape, rng):
+    z = np.empty(shape, dtype=np.complex128)
+    z.real = np.copysign(0.0, rng.normal(size=shape))
+    z.imag = np.copysign(0.0, rng.normal(size=shape))
+    return z
+
+
+@pytest.mark.parametrize("drive", sorted(BITWISE_DRIVES))
+@pytest.mark.parametrize("dim", [2, 3, 5, 33])
+def test_rhs_wrap_slots_keep_signed_zeros(dim, drive, rng):
+    # The flat band products also hit the row ends, which hold the add or
+    # subtract identity; only a zero entry shows whether its sign is right.
+    drive = BITWISE_DRIVES[drive]
+    ref = _AllocatingWorkspace(dim, P_BITWISE)
+    for draw in range(200):
+        if draw % 2:
+            m = _signed_zeros((dim, dim), rng)
+        else:  # zeros where the first and last columns meet the row ends
+            m = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+            m[:, [0, -1]] = _signed_zeros((dim, 2), rng)
+        t = rng.uniform(0.0, 10.0)
+        f = (drive.value(t, P_BITWISE) if drive.is_active(P_BITWISE)
+             else None)
+        assert (lindblad_rhs(m, t, P_BITWISE, drive).tobytes()
+                == ref.apply(m, f).tobytes())
+
+
+@pytest.mark.parametrize("drive", sorted(BITWISE_DRIVES))
+def test_rhs_copies_any_input_layout(drive, rng):
+    # the stepper copies its input into a flat buffer, whatever its layout
+    drive = BITWISE_DRIVES[drive]
+    base = rng.normal(size=(9, 9)) + 1j * rng.normal(size=(9, 9))
+    frozen = base.copy()
+    frozen.flags.writeable = False
+    assert not base.T.flags.c_contiguous
+    for m in (base.T, frozen, base.real):
+        want = lindblad_rhs(np.array(m, dtype=np.complex128, order="C"),
+                            0.37, P_BITWISE, drive)
+        assert lindblad_rhs(m, 0.37, P_BITWISE, drive).tobytes() \
+            == want.tobytes()
+
+
 def test_evolve_state_buffer_does_not_alias(rng):
     # a snapshot must not follow the run on, and rho0 must not be stepped
     m0 = enveloped_density(24, rng).matrix.copy()
