@@ -15,6 +15,7 @@ Exit codes: 0 success, 1 validation failures, 2 bad configuration,
 from __future__ import annotations
 
 import argparse
+import cmath
 import configparser
 import math
 import os
@@ -110,9 +111,15 @@ class _Cfg:
             return default
         raw = self.cp.get(sec, key).strip()
         try:
-            return conv(raw)
+            val = conv(raw)
         except (ValueError, TypeError) as exc:
             raise ConfigError(f"[{sec}] {key} = {raw!r}: {exc}") from exc
+        # one rule for every float or complex value and each token of a list
+        vals = val if isinstance(val, tuple) else (val,)
+        if any(isinstance(v, (float, complex)) and not cmath.isfinite(v)
+               for v in vals):
+            raise ConfigError(f"[{sec}] {key} = {raw!r}: must be finite")
+        return val
 
 
 def _floats(raw: str) -> tuple[float, ...]:
@@ -331,21 +338,16 @@ def _gaussian_initial(cfg: RunConfig) -> GaussianState | None:
 
 def _ensure_adequate(cfg: RunConfig, g0: GaussianState | None) -> None:
     """Reject a basis that cannot hold the largest |<a>| the run visits
-    over [0, t_max], taken from the closed-form mean, or that leaves more
-    of the start state's population outside than the 1e-8 required_dim
-    allows a coherent state."""
+    over [0, t_max], sampled from the closed-form mean (undriven, that is
+    |a0| at t = 0), or that leaves more of the start state's population
+    outside than the 1e-8 required_dim allows a coherent state."""
     if g0 is None:
         return  # matrix from file: runtime tail diagnostics apply
-    a0 = g0.alpha
-    reach = abs(a0)
-    if cfg.drive.is_active(cfg.params):
-        f_max = max(cfg.params.omega, cfg.drive.max_frequency(cfg.params))
-        n = min(65536,
-                max(512, int(32 * cfg.t_max * f_max / (2.0 * math.pi)) + 1))
-        t = np.linspace(0.0, cfg.t_max, n)
-        reach = float(np.max(np.abs(obs.mean_a(t, a0, cfg.params,
-                                               cfg.drive))))
-    reach = 1.02 * reach
+    f_max = max(cfg.params.omega, cfg.drive.max_frequency(cfg.params))
+    n = min(65536, max(512, int(32 * cfg.t_max * f_max / (2.0 * math.pi)) + 1))
+    t = np.linspace(0.0, cfg.t_max, n)
+    reach = 1.02 * float(np.max(np.abs(obs.mean_a(t, g0.alpha, cfg.params,
+                                                  cfg.drive))))
     need = required_dim(reach)
     if cfg.dim < need:
         raise ConfigError(
@@ -476,10 +478,10 @@ def cmd_husimi(cfg: RunConfig, out_dir: str, quiet: bool) -> int:
     p, drive = cfg.params, cfg.drive
     periodic = drive.kind == "cosine" and drive.is_active(p)
 
+    period = 2.0 * math.pi / p.Omega if periodic else None
     times = cfg.husimi_times
     if times is None:
         if periodic:
-            period = 2.0 * math.pi / p.Omega
             times = tuple(k * period / 6.0 for k in range(6))
         else:
             times = (0.0,)
@@ -537,10 +539,8 @@ def cmd_husimi(cfg: RunConfig, out_dir: str, quiet: bool) -> int:
 
     if periodic:
         lc = obs.quantum_lc(p, drive)
-        period = 2.0 * math.pi / p.Omega
-        ts = np.linspace(0.0, period, 257).tolist()
-        # scalar calls per time: a vectorized cos/sin may round differently
-        rows = [(tv, lc.mean_x(tv), lc.mean_p(tv)) for tv in ts]
+        ts = np.linspace(0.0, period, 257)
+        rows = np.column_stack((ts, lc.mean_x(ts), lc.mean_p(ts))).tolist()
         path = _write_table(out_dir, "cycle_path.tsv", "husimi", cfg, rows,
                             extra, columns=("t", "x", "p"))
         _say(quiet, f"wrote {path} (ellipse, {len(ts)} samples)")

@@ -339,9 +339,12 @@ class HusimiGrid:
     values: np.ndarray
 
 
-def husimi_value(alpha_pt: complex, g: GaussianState) -> float:
-    """<alpha_pt|rho|alpha_pt> = b exp(-b |alpha_pt - alpha|^2); peak is b."""
-    return g.b * math.exp(-g.b * abs(complex(alpha_pt) - g.alpha) ** 2)
+def husimi_value(alpha_pt, g: GaussianState):
+    """<alpha_pt|rho|alpha_pt> = b exp(-b |alpha_pt - alpha|^2); peak is b.
+    alpha_pt is a point or an array of points (as husimi_grid passes)."""
+    # np.square: a point's ** 2 would call pow, which can round off from x*x
+    d2 = np.square(np.abs(np.asarray(alpha_pt, dtype=complex) - g.alpha))
+    return g.b * np.exp(-g.b * d2)
 
 
 def husimi_grid(g: GaussianState, window, resolution, omega: float) -> HusimiGrid:
@@ -349,7 +352,9 @@ def husimi_grid(g: GaussianState, window, resolution, omega: float) -> HusimiGri
 
     resolution is the number of samples per axis (int, or a pair (nx, np)).
     """
-    x_min, x_max, p_min, p_max = (float(v) for v in window)
+    x_min, x_max, p_min, p_max = lims = tuple(float(v) for v in window)
+    if not all(map(math.isfinite, lims)):
+        raise ValueError(f"window must be finite, got {window!r}")
     if not (x_min < x_max and p_min < p_max):
         raise ValueError(f"window must satisfy x_min < x_max and "
                          f"p_min < p_max, got {window!r}")
@@ -363,8 +368,7 @@ def husimi_grid(g: GaussianState, window, resolution, omega: float) -> HusimiGri
     p = np.linspace(p_min, p_max, npts)
     s = math.sqrt(2.0 * omega)
     apts = (omega * x[:, None] + 1j * p[None, :]) / s
-    values = g.b * np.exp(-g.b * np.abs(apts - g.alpha) ** 2)
-    return HusimiGrid(x_axis=x, p_axis=p, values=values)
+    return HusimiGrid(x_axis=x, p_axis=p, values=husimi_value(apts, g))
 
 
 # ---------------------------------------------------------------------------

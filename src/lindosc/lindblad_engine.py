@@ -179,16 +179,16 @@ class DriveFn:
             raise ValueError("fourier drive requires Omega > 0")
 
     def value(self, t, params: LindbladParams):
-        """f(t) as a complex number; broadcasts over array t."""
+        """f(t) from one cmath sum over the terms, the sum evolve integrates
+        per RK4 stage; an array t is summed entry by entry."""
         self.require_Omega(params)
         W = params.Omega
-        if isinstance(t, (int, float)):  # evolve calls this per RK4 stage
+        if isinstance(t, (int, float)):
             return sum([c * cmath.exp(1j * k * W * t)
                         for k, c in self.terms(params)], 0j)
         t = np.asarray(t, dtype=float)
-        out = sum([c * np.exp(1j * k * W * t)
-                   for k, c in self.terms(params)],
-                  np.zeros(t.shape, dtype=np.complex128))
+        out = np.array([self.value(s, params) for s in t.ravel().tolist()],
+                       dtype=np.complex128).reshape(t.shape)
         return out if t.ndim else complex(out)
 
     def max_frequency(self, params: LindbladParams) -> float:
@@ -396,6 +396,9 @@ def evolve(rho0, t_grid, params: LindbladParams,
         snap_index[int(hits[0])] = float(ts)
     if opts.dt is not None and not opts.dt > 0:
         raise ValueError("dt must be positive")
+    if not (float(opts.renorm_every).is_integer() and opts.renorm_every >= 0):
+        raise ValueError(f"renorm_every must be an integer >= 0, "
+                         f"got {opts.renorm_every!r}")
 
     dim = rho0.dim
     st = _Workspace(dim, params)

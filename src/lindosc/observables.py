@@ -258,20 +258,21 @@ def resonance_amplitude(params: LindbladParams) -> float:
 class LimitCycleOccupation:
     """<n> on the limit cycle: nbar plus a cos(2 Omega t + phi_q) ripple.
 
-    nbar_from_alpha is the same average computed from the period mean of
-    |alpha_lc|^2 instead of the quadrature form; the two must agree.
+    cycle is the QuantumLC it was built from (A_q, phi_q, Omega), so one
+    mean_n_limit_cycle call gives the whole scan row. nbar_from_alpha is
+    the same average computed from the period mean of |alpha_lc|^2 instead
+    of the quadrature form; the two must agree.
     """
 
     nbar: float
     amplitude: float
-    phi_q: float
-    Omega: float
+    cycle: QuantumLC
     nbar_from_alpha: float
 
     def value(self, t):
         t = np.asarray(t, dtype=float)
-        return self.nbar + self.amplitude * np.cos(2.0 * self.Omega * t
-                                                   + self.phi_q)
+        return self.nbar + self.amplitude * np.cos(
+            2.0 * self.cycle.Omega * t + self.cycle.phi_q)
 
 
 def mean_n_limit_cycle(params: LindbladParams,
@@ -286,8 +287,7 @@ def mean_n_limit_cycle(params: LindbladParams,
     return LimitCycleOccupation(
         nbar=nbar,
         amplitude=ft * A / (4.0 * w),
-        phi_q=phi,
-        Omega=W,
+        cycle=lc,
         nbar_from_alpha=base + _limit_cycle_alpha_meansq(params),
     )
 
@@ -327,7 +327,6 @@ def resonance_scan(params: LindbladParams, Omega_range, samples: int):
     drive = DriveFn.cosine()
     rows = np.empty((int(samples), 4))
     for i, W in enumerate(np.linspace(lo, hi, int(samples))):
-        pk = replace(params, Omega=float(W))
-        lc = quantum_lc(pk, drive)
-        rows[i] = (W, lc.A_q, lc.phi_q, mean_n_limit_cycle(pk, drive).nbar)
+        occ = mean_n_limit_cycle(replace(params, Omega=float(W)), drive)
+        rows[i] = (W, occ.cycle.A_q, occ.cycle.phi_q, occ.nbar)
     return rows

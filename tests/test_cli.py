@@ -144,6 +144,20 @@ def test_gaussian_start_echoes_u0_and_seed(tmp_path):
      "kind = limit-cycle: cosine drive required"),
     ("[initial]\nkind = file\npath = no-such-dir/state.npy\n",
      "[initial] path = 'no-such-dir/state.npy'"),
+    ("[params]\nf0 = 0.3\nOmega = 1.0\n[grid]\nt_max = inf\n",
+     "[grid] t_max = 'inf': must be finite"),
+    ("[grid]\nt_max = inf\n", "[grid] t_max = 'inf': must be finite"),
+    ("[grid]\nt_max = nan\n", "[grid] t_max = 'nan': must be finite"),
+    ("[initial]\nkind = coherent\nalpha0 = inf\n",
+     "[initial] alpha0 = 'inf': must be finite"),
+    ("[initial]\nkind = gaussian\nu0 = 0.2\nalpha0 = 1+nanj\n",
+     "[initial] alpha0 = '1+nanj': must be finite"),
+    ("[initial]\nkind = thermal\nnbar0 = inf\n",
+     "[initial] nbar0 = 'inf': must be finite"),
+    ("[integrator]\ndt = inf\n", "[integrator] dt = 'inf': must be finite"),
+    ("[params]\nOmega = 1\n[drive]\nkind = fourier\nharmonics = 1 2\n"
+     "coefficients = 0.3 -infj\n",
+     "[drive] coefficients = '0.3 -infj': must be finite"),
 ])
 def test_config_errors_exit_2(tmp_path, capsys, body, needle):
     cfg = write_ini(tmp_path, body)
@@ -216,6 +230,9 @@ dim = 32
     ("[initial]\nkind = file\npath = state.npy\n",
      "phase-space grids need"),
     ("[initial]\nkind = limit-cycle\n", "needs an active cosine drive"),
+    ("[husimi]\nwindow = 0 inf -1 1\n",
+     "[husimi] window = '0 inf -1 1': must be finite"),
+    ("[husimi]\ntimes = 0 inf\n", "[husimi] times = '0 inf': must be finite"),
 ])
 def test_husimi_config_errors_exit_2(tmp_path, capsys, body, needle):
     cfg = write_ini(tmp_path, body)
@@ -469,6 +486,16 @@ samples = 201
     tail = "\n".join(header)
     assert "-> OK" in tail
     assert "sqrt(omega^2 - gamma^2)" in tail
+
+
+def test_scan_non_finite_range_exit_2(tmp_path, capsys):
+    cfg = write_ini(tmp_path, "[scan]\nOmega_max = inf\n")
+    rc = main(["scan", "--config", cfg, "--out", str(tmp_path / "out"),
+               "--quiet"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "[scan] Omega_max = 'inf': must be finite" in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_scan_overdamped_has_no_reference(tmp_path):

@@ -285,6 +285,28 @@ def test_husimi_grid_orientation():
     assert square.values.shape == (4, 4)
 
 
+@pytest.mark.parametrize("u,alpha", [(0.0, 0.0), (0.4, 0.3 + 0.2j),
+                                     (2.0 / 3.0, -1.7 + 2.4j)])
+def test_husimi_grid_bitwise_equals_husimi_value(u, alpha):
+    g = GaussianState.from_alpha(u, alpha)
+    omega = 1.1
+    grid = husimi_grid(g, (-4.0, 3.0, -2.5, 4.5), (41, 33), omega)
+    # the points husimi_grid builds, each passed alone
+    pts = (omega * grid.x_axis[:, None] + 1j * grid.p_axis[None, :]) \
+        / math.sqrt(2.0 * omega)
+    scalar = np.array([husimi_value(pt, g) for pt in pts.ravel()])
+    assert grid.values.tobytes() == scalar.tobytes()
+
+
+@pytest.mark.parametrize("window", [(0.0, math.inf, -1.0, 1.0),
+                                    (-1.0, 1.0, -math.inf, 1.0),
+                                    (-1.0, 1.0, -1.0, math.nan)])
+def test_husimi_grid_rejects_non_finite_window(window):
+    g = GaussianState.thermal(1.0)
+    with pytest.raises(ValueError, match="window must be finite"):
+        husimi_grid(g, window, 5, 1.1)
+
+
 def test_husimi_grid_validation():
     g = GaussianState.thermal(1.0)
     with pytest.raises(ValueError):

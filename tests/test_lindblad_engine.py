@@ -204,6 +204,14 @@ def test_time_grid_validation():
                opts=IntegratorOptions(dt=0.0))
 
 
+@pytest.mark.parametrize("renorm_every", [-1, 2.5])
+def test_renorm_every_validation(renorm_every):
+    rho0 = DensityMatrix.pure(coherent_state(0.0, 8))
+    with pytest.raises(ValueError, match="renorm_every must be an integer"):
+        evolve(rho0, np.array([0.0, 1.0]), P_FREE,
+               opts=IntegratorOptions(renorm_every=renorm_every))
+
+
 def test_input_shapes():
     rho0 = DensityMatrix.pure(coherent_state(0.3, 16))
     t = np.array([0.0, 0.5])
@@ -382,6 +390,19 @@ def test_rhs_bitwise_equals_allocating_apply(dim, drive, rng):
          else None)
     ref = _AllocatingWorkspace(dim, P_BITWISE).apply(m, f)
     assert lindblad_rhs(m, 0.37, P_BITWISE, drive).tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("drive", sorted(BITWISE_DRIVES))
+def test_drive_value_array_bitwise_equals_scalar(drive):
+    # the array form must give the bits evolve integrates, call by call
+    drive = BITWISE_DRIVES[drive]
+    t = np.linspace(0.0, 40.0, 2001)
+    scalar = np.array([drive.value(s, P_BITWISE) for s in t.tolist()],
+                      dtype=np.complex128)
+    assert drive.value(t, P_BITWISE).tobytes() == scalar.tobytes()
+    grid = t.reshape(23, 87)
+    assert drive.value(grid, P_BITWISE).tobytes() == scalar.tobytes()
+    assert drive.value(np.asarray(t[7]), P_BITWISE) == scalar[7]
 
 
 def _signed_zeros(shape, rng):

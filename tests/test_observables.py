@@ -192,6 +192,19 @@ def test_quantum_lc_static_ellipse():
     assert np.max(static.ellipse_residual(t)) < 1e-14
 
 
+@pytest.mark.parametrize("Omega", [0.0, 0.7, P_DRIVEN.Omega, 2.9])
+def test_quantum_lc_array_bitwise_equals_scalar(Omega):
+    # husimi's cycle_path.tsv takes one array call; each row must carry
+    # the bits of a call at that time alone
+    from dataclasses import replace
+    lc = quantum_lc(replace(P_DRIVEN, Omega=Omega), COS)
+    t = np.concatenate((np.linspace(0.0, 2.0 * math.pi / P_DRIVEN.Omega,
+                                    257), np.linspace(0.0, 500.0, 1001)))
+    for f in (lc.mean_x, lc.mean_p):
+        scalar = np.array([f(s) for s in t.tolist()])
+        assert f(t).tobytes() == scalar.tobytes()
+
+
 def test_mean_x_second_order_ode():
     # <x> obeys x'' + 2 gamma x' + (omega^2 + gamma^2) x = ftilde(t)
     p = P_DRIVEN
