@@ -26,10 +26,6 @@ from .freeform_solutions import (
 )
 from .gaussian_class import (
     GaussianState,
-    PureExponentialForm,
-    SingularTransformError,
-    disentangle,
-    entangle,
     entropy,
     entropy_infinity,
     gaussian_expectations,
@@ -55,11 +51,9 @@ from .nonhermitian import (
     NHParams,
     abc,
     nh_expectations,
-    nh_husimi,
     nh_norm,
 )
 from .observables import (
-    classical_lc,
     classical_solution,
     limit_cycle_alpha,
     mean_a,
@@ -83,21 +77,16 @@ __all__ = [
     "IntegratorOptions",
     "LindbladParams",
     "NHParams",
-    "PureExponentialForm",
-    "SingularTransformError",
     "Trajectory",
     "TruncationError",
     "TruncationWarning",
     "abc",
-    "classical_lc",
     "classical_solution",
     "coherent_free_evolution",
     "coherent_state",
     "default_dt",
     "density_diagnostics",
-    "disentangle",
     "efg",
-    "entangle",
     "entropy",
     "entropy_infinity",
     "evolve",
@@ -116,7 +105,6 @@ __all__ = [
     "mean_n",
     "mean_n_limit_cycle",
     "nh_expectations",
-    "nh_husimi",
     "nh_norm",
     "quantum_lc",
     "required_dim",

@@ -26,7 +26,7 @@ import math
 import numpy as np
 
 from .fock_core import DensityMatrix, _as_matrix, _geometric_state
-from .gaussian_class import GaussianState
+from .gaussian_class import GaussianState, gaussian_flow
 from .lindblad_engine import LindbladParams
 
 __all__ = [
@@ -127,9 +127,8 @@ def thermal_from_ground(t: float, params: LindbladParams,
 
 def coherent_free_evolution(alpha0, t: float,
                             params: LindbladParams) -> GaussianState:
-    """Coherent initial state under f=0: Gaussian with u(t) = G(t) and
-    amplitude alpha0 e^(-(gamma + i omega) t). For nu=0 it stays pure."""
-    t = float(t)
-    _, _, G = efg(t, params)
-    alpha = complex(alpha0) * np.exp(-(params.gamma + 1j * params.omega) * t)
-    return GaussianState.from_alpha(G, complex(alpha))
+    """Coherent initial state under f=0, propagated by gaussian_flow: u(t)
+    from solve_u, which equals G(t) to rounding (the riccati-consistency
+    check), and amplitude alpha0 e^(-(gamma + i omega) t) from mean_a. For
+    nu=0 it stays pure."""
+    return gaussian_flow(GaussianState.coherent(alpha0), t, params)

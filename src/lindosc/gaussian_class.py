@@ -8,10 +8,8 @@ alpha = beta / b follows the first-moment ODE, so propagation never touches
 a matrix. The u -> 0 limit is the pure coherent state |alpha><alpha| and is
 kept representable by storing u itself rather than sigma.
 
-Also here: the equivalent single-exponential parameterization
-exp(z + v n + delta a+ + conj(delta) a) and the maps between the two, the
-Husimi function (a Gaussian of height b), the driven limit cycle, and the
-entropy, which depends on u alone.
+Also here: the Husimi function (a Gaussian of height b), the driven limit
+cycle, and the entropy, which depends on u alone.
 """
 
 from __future__ import annotations
@@ -36,15 +34,9 @@ from .observables import _require_cosine, limit_cycle_alpha, mean_a
 
 __all__ = [
     "GaussianState",
-    "PureExponentialForm",
     "GaussianExpectations",
     "HusimiGrid",
-    "SingularTransformError",
     "PURE_U_THRESHOLD",
-    "disentangle",
-    "entangle",
-    "disentangle_coefficients",
-    "entangle_coefficients",
     "solve_u",
     "gaussian_flow",
     "materialize",
@@ -59,10 +51,6 @@ __all__ = [
 PURE_U_THRESHOLD = 1e-300    # below this, u is treated as exactly 0
 _TAIL_WARN = 1e-7            # population above the basis worth a warning
 _TAIL_CAP = 100_000          # levels _population_tail walks past a smaller dim
-
-
-class SingularTransformError(ValueError):
-    """The v=0 point where the two exponential parameterizations cannot map."""
 
 
 @dataclass(frozen=True)
@@ -120,72 +108,6 @@ class GaussianState:
     @property
     def Z(self) -> float:
         return self.b * math.exp(-abs(self.beta) ** 2 / self.b)
-
-
-@dataclass(frozen=True)
-class PureExponentialForm:
-    """Coefficients of the single exponential e^(z + v n + delta a+ + conj(delta) a)."""
-
-    z: float
-    v: float
-    delta: complex
-
-
-# ---------------------------------------------------------------------------
-# the two parameterizations and the maps between them
-
-
-def disentangle_coefficients(z: float, v: float, delta: complex):
-    """(c, sigma, beta) of Z e^(beta a+) e^(sigma n) e^(beta* a), Z = e^c,
-    for the operator e^(z + v n + delta a+ + delta* a). No normalization
-    assumed; the map is purely algebraic."""
-    if v == 0.0:
-        raise SingularTransformError(
-            "v=0: the exponential-product coefficients degenerate "
-            "(beta = delta (e^v - 1)/v has no inverse there)")
-    ev = math.exp(v)
-    sigma = v
-    beta = complex(delta) * (ev - 1.0) / v
-    c = z - abs(complex(delta) / v) ** 2 * (1.0 + v - ev)
-    return c, sigma, beta
-
-
-def entangle_coefficients(c: float, sigma: float, beta: complex):
-    """Inverse of disentangle_coefficients: (z, v, delta)."""
-    if sigma == 0.0:
-        raise SingularTransformError(
-            "sigma=0: the single-exponential coefficients degenerate")
-    es = math.exp(sigma)
-    v = sigma
-    delta = complex(beta) * sigma / (es - 1.0)
-    z = c + abs(complex(beta)) ** 2 * (1.0 + sigma - es) / (1.0 - es) ** 2
-    return z, v, delta
-
-
-def disentangle(p: PureExponentialForm) -> GaussianState:
-    """Normalized state described by the single-exponential form.
-
-    Any trace the input carries through z is divided out: the returned
-    GaussianState is always unit trace (use disentangle_coefficients for
-    the raw map including the constant).
-    """
-    if p.v > 0.0:
-        raise ValueError(f"v must be < 0 for a normalizable state, got {p.v}")
-    _, sigma, beta = disentangle_coefficients(p.z, p.v, p.delta)
-    return GaussianState(u=math.exp(sigma), beta=beta)
-
-
-def entangle(g: GaussianState) -> PureExponentialForm:
-    """Single-exponential form of a normalized Gaussian state.
-
-    For unit trace the constant works out to z = log b + sigma |alpha|^2.
-    """
-    if g.is_pure:
-        raise ValueError("pure coherent state: sigma -> -inf has no "
-                         "single-exponential form")
-    c = math.log(g.Z)
-    z, v, delta = entangle_coefficients(c, g.sigma, g.beta)
-    return PureExponentialForm(z=z, v=v, delta=delta)
 
 
 # ---------------------------------------------------------------------------

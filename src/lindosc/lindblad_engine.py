@@ -141,7 +141,11 @@ class DriveFn:
         if self.kind not in ("none", "cosine", "fourier"):
             raise ValueError(f"unknown drive kind {self.kind!r}")
         if self.kind == "fourier":
-            ks = tuple(int(k) for k in self.harmonics)
+            hs = tuple(self.harmonics)
+            if not all(float(k).is_integer() for k in hs):
+                raise ValueError(f"fourier harmonics must be integers, "
+                                 f"got {hs!r}")
+            ks = tuple(int(k) for k in hs)
             cs = tuple(complex(c) for c in self.coefficients)
             if len(ks) == 0 or len(ks) != len(cs):
                 raise ValueError("fourier drive needs matching, nonempty "
@@ -369,12 +373,12 @@ def evolve(rho0, t_grid, params: LindbladParams,
            opts: IntegratorOptions | None = None) -> Trajectory:
     """Integrate the master equation, recording observables on t_grid.
 
-    t_grid must start at 0 and increase strictly. Every opts.renorm_every
-    steps the state is re-Hermitized and trace-renormalized. A minimum
-    eigenvalue below -1e-6 at any recorded time aborts with
-    IntegrationDivergedError. Each opts.snapshot_times entry must lie
-    within 1e-12 of a grid time; its snapshot is keyed by the time asked
-    for, not by the grid time it matched.
+    t_grid must be finite, start at 0 and increase strictly. Every
+    opts.renorm_every steps the state is re-Hermitized and
+    trace-renormalized. A minimum eigenvalue below -1e-6 at any recorded
+    time aborts with IntegrationDivergedError. Each opts.snapshot_times
+    entry must lie within 1e-12 of a grid time; its snapshot is keyed by
+    the time asked for, not by the grid time it matched.
     """
     drive = drive if drive is not None else DriveFn.none()
     opts = opts if opts is not None else IntegratorOptions()
@@ -386,6 +390,8 @@ def evolve(rho0, t_grid, params: LindbladParams,
         raise ValueError("t_grid must be a nonempty 1-d sequence")
     if t_grid[0] != 0.0:
         raise ValueError(f"t_grid must start at 0, got {t_grid[0]}")
+    if not np.all(np.isfinite(t_grid)):
+        raise ValueError("t_grid must be finite")
     if not np.all(np.diff(t_grid) > 0):
         raise ValueError("t_grid must be strictly increasing")
     snap_index: dict = {}  # grid index -> requested snapshot time
@@ -394,8 +400,8 @@ def evolve(rho0, t_grid, params: LindbladParams,
         if hits.size == 0:
             raise ValueError(f"snapshot time {float(ts)} is not on t_grid")
         snap_index[int(hits[0])] = float(ts)
-    if opts.dt is not None and not opts.dt > 0:
-        raise ValueError("dt must be positive")
+    if opts.dt is not None and not 0 < opts.dt < math.inf:
+        raise ValueError(f"dt must be positive and finite, got {opts.dt!r}")
     if not (float(opts.renorm_every).is_integer() and opts.renorm_every >= 0):
         raise ValueError(f"renorm_every must be an integer >= 0, "
                          f"got {opts.renorm_every!r}")

@@ -11,8 +11,8 @@ C obey
 
 and have closed forms below for f(t) = f0 cos(Omega t). The norm decays, so
 physical expectation values are taken with respect to the renormalized
-state: <n> = |alpha(t)|^2, and the Husimi density is the unit-height
-Gaussian e^(-|.|^2) of a pure coherent state.
+state: <n> = |alpha(t)|^2, and its Husimi density is husimi_value of
+GaussianState.coherent(nh_alpha(t, ...)).
 
 Expectation values reproduce the pure-loss Lindblad dynamics (mu = 2 gamma,
 nu = 0) exactly for coherent initial states, which is tested both against
@@ -35,7 +35,6 @@ __all__ = [
     "nh_alpha",
     "nh_expectations",
     "nh_norm",
-    "nh_husimi",
 ]
 
 
@@ -132,10 +131,3 @@ def nh_norm(t, alpha0: complex, p: NHParams) -> float:
     a_t = nh_alpha(t, alpha0, p)
     return math.exp(-p.gamma * t + 2.0 * (A + B * alpha0).real
                     - abs(alpha0) ** 2 + abs(a_t) ** 2)
-
-
-def nh_husimi(alpha_pt: complex, t: float, alpha0: complex,
-              p: NHParams) -> float:
-    """Husimi density of the renormalized state: e^(-|alpha_pt - alpha(t)|^2)."""
-    a_t = nh_alpha(float(t), alpha0, p)
-    return math.exp(-abs(complex(alpha_pt) - a_t) ** 2)

@@ -1,4 +1,4 @@
-"""Mean-value dynamics in closed form, plus the classical reference oscillator.
+"""Mean-value dynamics in closed form, and the classical oscillator <x> obeys.
 
 The first moment obeys a closed linear ODE,
 
@@ -7,10 +7,12 @@ The first moment obeys a closed linear ODE,
 so <a>, <x>, <p> come out analytically for every drive
 f(t) = sum_k c_k e^{i k Omega t}. The occupation follows from <a> by the exact
 identity <n>_t = |<a>_t|^2 + nu/2gamma + (n0 - |a0|^2 - nu/2gamma) e^{-2 gamma t}:
-the drive moves <n> and |<a>|^2 alike. The classical oscillator
-x'' + 2*gamma*x' + omega0**2 * x = ftilde(t) is included as the reference the
-quantum means are compared against (with omega0**2 <-> omega**2 + gamma**2
-as the explicit conversion between the two frequency conventions).
+the drive moves <n> and |<a>|^2 alike. Under the cosine drive <x> obeys the
+classical oscillator x'' + 2*gamma*x' + omega0**2 * x = ftilde0*cos(Omega*t)
+with omega0**2 = omega**2 + gamma**2 and velocity <p> - gamma*<x>;
+classical_solution solves it in every damping regime, the tests hold it to
+<x> from mean_a, and quantum_lc and classical_solution share one formula for
+its steady response.
 
 All time arguments accept scalars or 1-d arrays, through one code path: a
 scalar time gives a numpy scalar (np.float64 or np.complex128, subclasses of
@@ -27,11 +29,9 @@ import numpy as np
 from .lindblad_engine import DriveFn, LindbladParams
 
 __all__ = [
-    "ClassicalLC",
     "QuantumLC",
     "LimitCycleOccupation",
     "classical_solution",
-    "classical_lc",
     "limit_cycle_coefficients",
     "limit_cycle_alpha",
     "limit_cycle_alpha_max",
@@ -50,43 +50,26 @@ __all__ = [
 # classical reference oscillator
 
 
-@dataclass(frozen=True)
-class ClassicalLC:
-    """Steady response x(t) = A*cos(Omega*t + phi) of the classical oscillator."""
+def _steady_cycle(omega0_sq: float, gamma: float, ftilde0: float,
+                  Omega: float) -> tuple[float, float]:
+    """(A, phi) of the steady response A cos(Omega t + phi) of
+    x'' + 2 gamma x' + omega0_sq x = ftilde0 cos(Omega t).
 
-    A: float
-    phi: float
-    omega0: float
-    Omega_R: float
-    A_R: float
-
-
-def _classical_particular(omega0: float, gamma: float, ftilde0: float,
-                          Omega: float) -> tuple[float, float]:
-    d2 = (omega0 ** 2 - Omega ** 2) ** 2 + 4.0 * gamma ** 2 * Omega ** 2
-    if d2 == 0.0 and ftilde0 != 0.0:
-        raise ValueError(
-            "undamped oscillator driven exactly at its natural frequency "
-            "has no bounded periodic solution")
-    if ftilde0 == 0.0:
-        return 0.0, 0.0
-    A = ftilde0 / math.sqrt(d2)
-    phi = -math.atan2(2.0 * gamma * Omega, omega0 ** 2 - Omega ** 2)
-    return A, phi
-
-
-def classical_lc(omega0: float, gamma: float, ftilde0: float,
-                 Omega: float) -> ClassicalLC:
-    """Amplitude/phase of the classical limit cycle and its resonance point.
-
-    The response peaks at Omega_R = sqrt(omega0^2 - 2 gamma^2) when that is
-    real, otherwise at Omega = 0 (overdamped response is monotone in Omega).
+    A = ftilde0 / sqrt((omega0_sq - Omega^2)^2 + (2 gamma Omega)^2); the
+    phase is continued to (-pi, 0] so it passes -pi/2 smoothly where
+    Omega^2 crosses omega0_sq (atan2 does the branch tracking), and is
+    returned for ftilde0 = 0 too. A zero denominator (undamped, driven at
+    omega0) has no bounded response: (0, 0) for ftilde0 = 0, else an error.
     """
-    A, phi = _classical_particular(omega0, gamma, ftilde0, Omega)
-    s = omega0 ** 2 - 2.0 * gamma ** 2
-    Omega_R = math.sqrt(s) if s > 0 else 0.0
-    A_R, _ = _classical_particular(omega0, gamma, ftilde0, Omega_R)
-    return ClassicalLC(A=A, phi=phi, omega0=omega0, Omega_R=Omega_R, A_R=A_R)
+    det = omega0_sq - Omega ** 2
+    den = math.hypot(det, 2.0 * gamma * Omega)
+    if den == 0.0:
+        if ftilde0 != 0.0:
+            raise ValueError(
+                "undamped oscillator driven exactly at its natural frequency "
+                "has no bounded periodic solution")
+        return 0.0, 0.0
+    return ftilde0 / den, -math.atan2(2.0 * gamma * Omega, det)
 
 
 def classical_solution(x0: float, v0: float, t, omega0: float, gamma: float,
@@ -106,7 +89,7 @@ def classical_solution(x0: float, v0: float, t, omega0: float, gamma: float,
                                                        float(drive[1]))
     t = np.asarray(t, dtype=float)
 
-    A, phi = _classical_particular(omega0, gamma, ftilde0, Omega)
+    A, phi = _steady_cycle(omega0 ** 2, gamma, ftilde0, Omega)
     xp = A * np.cos(Omega * t + phi)
     vp = -A * Omega * np.sin(Omega * t + phi)
     xp0 = A * math.cos(phi)
@@ -224,17 +207,14 @@ def _require_cosine(drive: DriveFn):
 
 
 def quantum_lc(params: LindbladParams, drive: DriveFn) -> QuantumLC:
-    """Amplitude and phase of the asymptotic <x> oscillation.
-
-    A_q = ftilde0 / sqrt((omega^2+gamma^2-Omega^2)^2 + (2 gamma Omega)^2);
-    the phase is continued to (-pi, 0] so it passes -pi/2 smoothly where
-    Omega^2 crosses omega^2+gamma^2 (atan2 does the branch tracking).
+    """Amplitude and phase of the asymptotic <x> oscillation: <x> obeys the
+    classical oscillator with omega0^2 = omega^2 + gamma^2, so
+    A_q = ftilde0 / sqrt((omega^2+gamma^2-Omega^2)^2 + (2 gamma Omega)^2).
     """
     _require_cosine(drive)
-    w, g, W = params.omega, params.gamma, params.Omega
-    det = w ** 2 + g ** 2 - W ** 2
-    A_q = params.ftilde0 / math.hypot(det, 2.0 * g * W)
-    phi_q = -math.atan2(2.0 * g * W, det)
+    g, W = params.gamma, params.Omega
+    A_q, phi_q = _steady_cycle(params.omega ** 2 + g ** 2, g,
+                               params.ftilde0, W)
     return QuantumLC(A_q=A_q, phi_q=phi_q, Omega=W, gamma=g)
 
 

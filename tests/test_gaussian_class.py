@@ -15,14 +15,8 @@ from lindosc.fock_core import (
 )
 from lindosc.gaussian_class import (
     GaussianState,
-    PureExponentialForm,
-    SingularTransformError,
     _TAIL_CAP,
     _population_tail,
-    disentangle,
-    disentangle_coefficients,
-    entangle,
-    entangle_coefficients,
     entropy,
     entropy_infinity,
     gaussian_expectations,
@@ -69,44 +63,6 @@ def test_state_validation_and_properties():
     th = GaussianState.thermal(2.0)
     assert th.u == pytest.approx(2.0 / 3.0, abs=1e-16)
     assert th.beta == 0.0
-
-
-def test_parameterization_round_trip():
-    g = GaussianState(u=0.4, beta=0.3 + 0.2j)
-    back = disentangle(entangle(g))
-    assert abs(back.u - g.u) < 1e-14
-    assert abs(back.beta - g.beta) < 1e-14
-
-
-def test_raw_coefficient_maps():
-    # v = -1, delta = 1: beta = (e^v - 1)/v = 1 - 1/e
-    c, sigma, beta = disentangle_coefficients(0.0, -1.0, 1.0)
-    assert sigma == -1.0
-    assert beta == pytest.approx(0.6321205588285577, abs=1e-16)
-    assert c == pytest.approx(math.exp(-1.0), abs=1e-15)
-    z, v, delta = entangle_coefficients(c, sigma, beta)
-    assert v == -1.0
-    assert abs(delta - 1.0) < 1e-15
-    assert abs(z - 0.0) < 1e-15
-
-
-def test_singular_and_domain_errors():
-    with pytest.raises(SingularTransformError):
-        disentangle_coefficients(0.0, 0.0, 1.0)
-    with pytest.raises(SingularTransformError):
-        entangle_coefficients(0.0, 0.0, 1.0)
-    with pytest.raises(ValueError):
-        disentangle(PureExponentialForm(z=0.0, v=0.5, delta=0.0))
-    with pytest.raises(ValueError):
-        entangle(GaussianState.coherent(1.0))
-
-
-def test_entangle_constant():
-    # unit trace pins the constant at z = log b + sigma |alpha|^2
-    g = GaussianState.from_alpha(0.3, 0.7 - 0.2j)
-    p = entangle(g)
-    want = math.log(0.7) + math.log(0.3) * abs(0.7 - 0.2j) ** 2
-    assert abs(p.z - want) < 1e-14
 
 
 def test_solve_u_pinned_and_fixed_point():

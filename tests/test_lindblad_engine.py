@@ -75,6 +75,11 @@ def test_drive_fourier_validation():
         DriveFn.fourier((1, 1), (1.0, 2.0))  # duplicate harmonic
     with pytest.raises(ValueError):
         DriveFn.fourier((1, 2), (1.0,))  # length mismatch
+    with pytest.raises(ValueError, match="harmonics must be integers"):
+        DriveFn.fourier((1.5, -0.9), (0.3, 0.1))  # int() would truncate
+    with pytest.raises(ValueError, match="harmonics must be integers"):
+        DriveFn.fourier((float("inf"),), (0.3,))
+    assert DriveFn.fourier((1.0, -2.0), (0.3, 0.1)).harmonics == (1, -2)
     p0 = LindbladParams(omega=1.0, mu=0.5, nu=0.1, f0=1.0, Omega=0.0)
     with pytest.raises(ValueError):
         DriveFn.fourier((1,), (1.0,)).value(0.5, p0)  # needs Omega > 0
@@ -202,6 +207,11 @@ def test_time_grid_validation():
     with pytest.raises(ValueError):
         evolve(rho0, np.array([0.0, 1.0]), P_FREE,
                opts=IntegratorOptions(dt=0.0))
+    with pytest.raises(ValueError, match="dt must be positive and finite"):
+        evolve(rho0, np.array([0.0, 1.0]), P_FREE,
+               opts=IntegratorOptions(dt=math.inf))
+    with pytest.raises(ValueError, match="t_grid must be finite"):
+        evolve(rho0, np.array([0.0, math.inf]), P_FREE)
 
 
 @pytest.mark.parametrize("renorm_every", [-1, 2.5])

@@ -4,15 +4,12 @@ import numpy as np
 import pytest
 
 from lindosc.fock_core import DensityMatrix, coherent_state
-from lindosc.freeform_solutions import coherent_free_evolution
-from lindosc.gaussian_class import husimi_value
 from lindosc.lindblad_engine import DriveFn, evolve
 from lindosc.nonhermitian import (
     NHParams,
     abc,
     nh_alpha,
     nh_expectations,
-    nh_husimi,
     nh_norm,
 )
 from lindosc.observables import mean_a
@@ -148,14 +145,3 @@ def test_nh_norm_decay_rate():
         n = nh_expectations(t, a0, NH_FREE).n
         want = -2.0 * NH_FREE.gamma * (n + 0.5)
         assert abs((lp - lm) / (2 * h) - want) < 1e-8
-
-
-def test_nh_husimi_matches_gaussian_form():
-    # pure loss keeps the state coherent; compare against the u=0 density
-    a0 = 0.9 + 0.4j
-    lp = NH_FREE.to_lindblad()
-    for t in (0.0, 1.3):
-        g = coherent_free_evolution(a0, t, lp)
-        for pt in (0.0, 0.5 + 0.2j, g.alpha):
-            assert abs(nh_husimi(pt, t, a0, NH_FREE)
-                       - husimi_value(pt, g)) < 1e-10

@@ -11,7 +11,6 @@ from lindosc.lindblad_engine import (
     evolve,
 )
 from lindosc.observables import (
-    classical_lc,
     classical_solution,
     limit_cycle_alpha,
     limit_cycle_alpha_max,
@@ -81,25 +80,26 @@ def test_classical_validation():
         classical_solution(0, 0, 1.0, 1.0, 0.0, (1.0, 1.0))
 
 
-def test_classical_lc_amplitude_and_peak():
-    lc = classical_lc(1.2, 0.1, 0.7, 0.9)
-    want = 0.7 / math.sqrt((1.2 ** 2 - 0.9 ** 2) ** 2
-                           + 4 * 0.1 ** 2 * 0.9 ** 2)
-    assert lc.A == pytest.approx(want, abs=1e-12)
-    assert lc.Omega_R == pytest.approx(math.sqrt(1.2 ** 2 - 2 * 0.01),
-                                       abs=1e-14)
-    assert lc.A_R == pytest.approx(
-        classical_lc(1.2, 0.1, 0.7, lc.Omega_R).A, abs=1e-14)
-    over = classical_lc(0.5, 1.0, 0.7, 0.3)
-    assert over.Omega_R == 0.0
-    assert over.A_R == pytest.approx(0.7 / 0.25, abs=1e-12)
-
-
-def test_classical_peak_matches_quantum_resonance():
-    # omega0^2 = omega^2 + gamma^2 makes the peaks coincide
-    omega0 = math.hypot(P.omega, P.gamma)
-    lc = classical_lc(omega0, P.gamma, 1.0, 1.0)
-    assert lc.Omega_R == pytest.approx(resonance_frequency(P), abs=1e-13)
+@pytest.mark.parametrize("p", [
+    P_DRIVEN,
+    LindbladParams(omega=0.3, mu=2.0, nu=0.5, f0=0.7, Omega=2.1),
+    P,
+], ids=["resonant", "gamma>=omega", "undriven"])
+def test_classical_solution_is_mean_x(p):
+    # <x> obeys x'' + 2 gamma x' + (omega^2 + gamma^2) x = ftilde0 cos(Omega t)
+    # with velocity <p> - gamma <x>, over the whole trajectory
+    a0 = 0.8 - 0.3j
+    t = np.linspace(0.0, 30.0, 301)
+    a = mean_a(t, a0, p, COS)
+    mx = math.sqrt(2.0 / p.omega) * a.real
+    mp = math.sqrt(2.0 * p.omega) * a.imag
+    x0 = math.sqrt(2.0 / p.omega) * a0.real
+    p0 = math.sqrt(2.0 * p.omega) * a0.imag
+    x, v = classical_solution(x0, p0 - p.gamma * x0, t,
+                              math.hypot(p.omega, p.gamma), p.gamma,
+                              (p.ftilde0, p.Omega))
+    assert np.max(np.abs(x - mx)) < 1e-12
+    assert np.max(np.abs(v - (mp - p.gamma * mx))) < 1e-12
 
 
 def test_mean_a_free_decay():
