@@ -425,10 +425,10 @@ def _say(quiet: bool, *lines: str) -> None:
 def cmd_evolve(cfg: RunConfig, out_dir: str, quiet: bool) -> int:
     g0 = _gaussian_initial(cfg)
     _ensure_adequate(cfg, g0)
-    rho0 = _initial_density(cfg, g0)
     t = np.linspace(0.0, cfg.t_max, cfg.n_times)
     opts = IntegratorOptions(dt=cfg.dt, renorm_every=cfg.renorm_every)
-    traj = evolve(rho0, t, cfg.params, cfg.drive, opts)
+    # unbound, so evolve can free the start state once it has copied it
+    traj = evolve(_initial_density(cfg, g0), t, cfg.params, cfg.drive, opts)
 
     cols = ["t", "re_a", "im_a", "n", "x", "p", "S", "purity",
             "trace_err", "min_eig"]

@@ -63,7 +63,7 @@ def _check_adequacy(alpha, dim: int) -> None:
 
 def _require_dim(dim) -> int:
     """``dim`` as an int, or ValueError unless it is an integer >= 2."""
-    if int(dim) != dim or dim < 2:
+    if not float(dim).is_integer() or dim < 2:
         raise ValueError(f"dim must be an integer >= 2, got {dim!r}")
     return int(dim)
 

@@ -12,15 +12,18 @@ the generator is linear and non-stiff at desk scale, and a fixed step keeps
 convergence-order measurements clean.
 
 One stepper, ``_Workspace``, serves both ``evolve`` and ``lindblad_rhs``.
-It allocates its bands and seven flat buffers of dim*dim entries once and
-then steps without allocating, through ufuncs with ``out=`` whose operands
-and order are those of the plain RK4 expressions, so its states are
-bitwise the ones those expressions give (the tests keep the allocating
-form as reference). On the flat layout each shifted band product is one
-contiguous run at a fixed offset (dim+1 or 1); the row ends such a run
-crosses are set to the exact identity of the add or subtract that
-follows (-0-0j or +0+0j), so they leave every entry, signed zeros
-included, as the 2-d slices of the plain expression would.
+It allocates its bands, six flat buffers of dim*dim entries (seven when
+driven) and every view it steps through once. The bands are complex, so
+no product goes through a cast buffer, and an undriven step allocates no
+array; a driven step still gets a numpy iterator buffer for each of its
+two broadcast row products. Every stage is a ufunc with ``out=`` whose
+operands and order are those of the plain RK4 expressions, so its states
+are bitwise the ones those expressions give (the tests keep the
+allocating form as reference). On the flat layout each shifted band
+product is one contiguous run at a fixed offset (dim+1 or 1); the row
+ends such a run crosses are set to the exact identity of the add or
+subtract that follows (-0-0j or +0+0j), so they leave every entry,
+signed zeros included, as the 2-d slices of the plain expression would.
 
 This module is the numerical oracle for every closed-form solver in the
 package; conversely those solvers pin down this integrator in the tests.
@@ -243,8 +246,10 @@ _NEG_ZERO = complex(-0.0, -0.0)  # x + (-0-0j) is x bitwise, signed zeros too
 
 
 class _Workspace:
-    """The RK4 stepper for one (dim, params) pair: the generator's bands
-    and seven complex buffers of dim*dim entries, all allocated once.
+    """The RK4 stepper for one (dim, params) pair: the generator's bands,
+    six complex buffers of dim*dim entries and every view of them that
+    ``_apply`` takes, all made once. Only a stepper built ``driven`` has
+    the drive's bands and buffer and can step with a drive value.
 
     Every buffer is flat: entry (i, j) sits at i*dim + j, and ``rho`` is
     the (dim, dim) view of the state that ``step`` advances in place.
@@ -264,10 +269,14 @@ class _Workspace:
     +0+0j before a subtract, so that the entry they meet keeps its bits.
     Every operation is a ufunc with ``out`` whose operands come in the
     order of the plain expression quoted beside it, so the results are
-    bitwise those of that expression, signed zeros included.
+    bitwise those of that expression, signed zeros included. The bands
+    hold real values stored complex, so that no product casts; a driven
+    step still gets a numpy iterator buffer from each ``wcol`` product,
+    whose (dim-1, 1) operand broadcasts along the rows.
     """
 
-    def __init__(self, dim: int, params: LindbladParams):
+    def __init__(self, dim: int, params: LindbladParams,
+                 driven: bool = True):
         m = np.arange(dim, dtype=np.float64)
         # a a+ truncated is diagonal (1, 2, ..., dim-1, 0)
         aad = np.concatenate((np.arange(1.0, dim), [0.0]))
@@ -278,55 +287,65 @@ class _Workspace:
         ).astype(np.complex128).ravel()
         w = np.sqrt(np.arange(1.0, dim))
         self.w = w
-        self.wcol = w[:, None]
         n = dim * dim
         band = n - dim - 1                   # length of an offset dim+1 run
         wpad = np.append(w, 0.0)             # w_j with the pad column
         W2 = np.outer(w, wpad).ravel()[:band]
-        self.muW2 = params.mu * W2
-        self.nuW2 = params.nu * W2
-        self.wt = np.tile(wpad, dim)[:n - 1]  # w_j at every i*dim + j
+        c = np.complex128
+        self.muW2 = (params.mu * W2).astype(c)
+        self.nuW2 = (params.nu * W2).astype(c)
 
-        self._rho, self._y, self._k1, self._k2, self._k3, self._g, s = (
-            np.empty(n, dtype=np.complex128) for _ in range(7))
+        self._rho, self._y, self._k1, self._k2, self._k3, s = (
+            np.empty(n, dtype=c) for _ in range(6))
         self.rho = self._rho.reshape(dim, dim)
         self._s_band = s[:band]
         self._s_drive = s[:n - 1]
         self._wrap = s[dim - 1::dim]
 
-    def _apply(self, x: np.ndarray, out: np.ndarray, f) -> None:
-        """out = L[x] on flat buffers, the generator applied to x at drive
-        value f (None: no drive term)."""
-        dim = self.rho.shape[0]
-        sb, sd, g, wrap = self._s_band, self._s_drive, self._g, self._wrap
-        np.multiply(self.K, x, out)            # out = K * rho
-        np.multiply(self.muW2, x[dim + 1:], sb)  # mu * a rho a+
+        def reads(x):   # the runs at offsets dim+1, 0, 1, 0 and the rows
+            x2 = x.reshape(dim, dim)
+            return x, x[dim + 1:], x[:band], x[1:], x[:n - 1], x2[:-1], x2[1:]
+
+        self._rho_v, self._y_v = reads(self._rho), reads(self._y)
+        self._k1_v, self._k2_v, self._k3_v = (
+            (k, k[:band], k[dim + 1:]) for k in (self._k1, self._k2, self._k3))
+        if driven:
+            self.wt = np.tile(wpad, dim)[:n - 1].astype(c)  # w_j at i*dim+j
+            self.wcol = w.astype(c)[:, None]
+            self._g = g = np.empty(n, dtype=c)
+            g2 = g.reshape(dim, dim)
+            self._g_v = (g, g2[0], g2[1:], g[:n - 1], g2[-1], g2[:-1], g[1:])
+
+    def _apply(self, xv: tuple, ov: tuple, f) -> None:
+        """ov[0] = L[xv[0]] at drive value f (None: no drive term), on the
+        views of an input and an output buffer that ``__init__`` binds."""
+        x, x_shift, x_band, x_tail, x_head, x_up, x_down = xv
+        out, out_band, out_shift = ov
+        sb, sd, wrap = self._s_band, self._s_drive, self._wrap
+        np.multiply(self.K, x, out)              # out = K * rho
+        np.multiply(self.muW2, x_shift, sb)      # mu * a rho a+
         wrap.fill(_NEG_ZERO)
-        o = out[:sb.size]
-        np.add(o, sb, o)
-        np.multiply(self.nuW2, x[:sb.size], sb)  # nu * a+ rho a
+        np.add(out_band, sb, out_band)
+        np.multiply(self.nuW2, x_band, sb)       # nu * a+ rho a
         wrap.fill(_NEG_ZERO)
-        o = out[dim + 1:]
-        np.add(o, sb, o)
+        np.add(out_shift, sb, out_shift)
         if f is None:
             return
         # Complex scalars go first, as in c * g: the in-place g *= c runs
         # the operands the other way round and differs in the last bit.
-        x2, g2 = x.reshape(dim, dim), g.reshape(dim, dim)
-        g2[0] = 0
-        np.multiply(self.wcol, x2[:-1], g2[1:])  # a+ rho
-        np.multiply(x[1:], self.wt, sd)          # - rho a+
+        g, g_first, g_down, g_head, g_last, g_up, g_tail = self._g_v
+        g_first.fill(0)
+        np.multiply(self.wcol, x_up, g_down)     # a+ rho
+        np.multiply(x_tail, self.wt, sd)         # - rho a+
         wrap.fill(0)
-        o = g[:sd.size]
-        np.subtract(o, sd, o)
+        np.subtract(g_head, sd, g_head)
         np.multiply(1j * np.conj(f), g, g)
         np.add(out, g, out)
-        g2[-1] = 0
-        np.multiply(self.wcol, x2[1:], g2[:-1])  # a rho
-        np.multiply(x[:sd.size], self.wt, sd)    # - rho a
+        g_last.fill(0)
+        np.multiply(self.wcol, x_down, g_up)     # a rho
+        np.multiply(x_head, self.wt, sd)         # - rho a
         wrap.fill(0)
-        o = g[1:]
-        np.subtract(o, sd, o)
+        np.subtract(g_tail, sd, g_tail)
         np.multiply(1j * f, g, g)
         np.add(out, g, out)
 
@@ -336,19 +355,20 @@ class _Workspace:
         rho += (h/6) * (k1 + 2*(k2 + k3) + k4) with k2 = L[rho + (h/2) k1]
         and so on."""
         rho, y, k1, k2, k3 = self._rho, self._y, self._k1, self._k2, self._k3
-        self._apply(rho, k1, f0)
+        y_v, k3_v = self._y_v, self._k3_v
+        self._apply(self._rho_v, self._k1_v, f0)
         np.multiply(0.5 * h, k1, y)            # y = rho + (0.5*h) * k1
         np.add(rho, y, y)
-        self._apply(y, k2, f_mid)
+        self._apply(y_v, self._k2_v, f_mid)
         np.multiply(0.5 * h, k2, y)            # y = rho + (0.5*h) * k2
         np.add(rho, y, y)
-        self._apply(y, k3, f_mid)
+        self._apply(y_v, k3_v, f_mid)
         np.multiply(h, k3, y)                  # y = rho + h * k3
         np.add(rho, y, y)
         np.add(k2, k3, k2)                     # k1 = k1 + 2.0 * (k2 + k3)
         np.multiply(2.0, k2, k2)
         np.add(k1, k2, k1)
-        self._apply(y, k3, f1)                 # k4, into k3's buffer
+        self._apply(y_v, k3_v, f1)             # k4, into k3's buffer
         np.add(k1, k3, k1)                     # rho += (h/6.0) * (k1 + k4)
         np.multiply(h / 6.0, k1, k1)
         np.add(rho, k1, rho)
@@ -362,9 +382,9 @@ def lindblad_rhs(rho, t: float, params: LindbladParams,
         raise ValueError("need dim >= 2")
     drive = drive if drive is not None else DriveFn.none()
     f = drive.value(t, params) if drive.is_active(params) else None
-    st = _Workspace(m.shape[0], params)
+    st = _Workspace(m.shape[0], params, driven=f is not None)
     st.rho[...] = m
-    st._apply(st._rho, st._k1, f)
+    st._apply(st._rho_v, st._k1_v, f)
     return st._k1.reshape(m.shape)
 
 
@@ -407,15 +427,19 @@ def evolve(rho0, t_grid, params: LindbladParams,
                          f"got {opts.renorm_every!r}")
 
     dim = rho0.dim
-    st = _Workspace(dim, params)
-    dt = opts.dt if opts.dt is not None else default_dt(params, drive)
     active = drive.is_active(params)
+    st = _Workspace(dim, params, driven=active)
+    dt = opts.dt if opts.dt is not None else default_dt(params, drive)
 
     def fval(t):
         return drive.value(t, params) if active else None
 
     rho = st.rho
     rho[...] = rho0.matrix
+    del rho0          # the stepper holds the state now; free the start
+    # k1 is free between steps: the records build |rho|^2 and herm in it
+    absq = st._k1.view(np.float64)[:dim * dim].reshape(dim, dim)
+    herm = st._k1.reshape(dim, dim)
     n_diag = np.arange(dim, dtype=float)
     mean_a = np.empty(t_grid.size, dtype=np.complex128)
     mean_n, purity, entropy, trace_err, min_eig, top_pop = np.empty(
@@ -435,7 +459,8 @@ def evolve(rho0, t_grid, params: LindbladParams,
                 steps += 1
                 if opts.renorm_every and steps % opts.renorm_every == 0:
                     # rho = 0.5 * (rho + rho^+), then rho /= tr rho
-                    np.add(rho, rho.conj().T, rho)
+                    np.conjugate(rho.T, herm)
+                    np.add(rho, herm, rho)
                     np.multiply(0.5, rho, rho)
                     rho /= rho.trace().real
 
@@ -446,9 +471,14 @@ def evolve(rho0, t_grid, params: LindbladParams,
         diag = np.diagonal(rho).real
         mean_a[i] = np.sum(st.w * np.diagonal(rho, -1))
         mean_n[i] = np.dot(n_diag, diag)
-        purity[i] = np.sum(np.abs(rho) ** 2)
+        np.abs(rho, absq)                      # sum(np.abs(rho) ** 2)
+        np.square(absq, absq)
+        purity[i] = np.sum(absq)
         trace_err[i] = abs(complex(rho.trace()) - 1.0)
-        eigs = np.linalg.eigvalsh((rho + rho.conj().T) / 2.0)
+        np.conjugate(rho.T, herm)              # (rho + rho^+) / 2.0
+        np.add(rho, herm, herm)
+        np.divide(herm, 2.0, herm)
+        eigs = np.linalg.eigvalsh(herm)
         min_eig[i] = eigs[0]
         pos = eigs[eigs > 1e-300]
         entropy[i] = -np.dot(pos, np.log(pos)) + 0.0

@@ -296,7 +296,7 @@ def mean_n(t, n0: float, a0: complex, params: LindbladParams,
 
 def resonance_scan(params: LindbladParams, Omega_range, samples: int):
     """Rows (Omega, A_q, phi_q, nbar) over a uniform Omega grid."""
-    if int(samples) != samples or samples < 3:
+    if not float(samples).is_integer() or samples < 3:
         raise ValueError(f"samples must be an integer >= 3, got {samples!r}")
     lo, hi = float(Omega_range[0]), float(Omega_range[1])
     if not (math.isfinite(lo) and math.isfinite(hi)) or not lo < hi:

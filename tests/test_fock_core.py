@@ -44,6 +44,15 @@ def test_ladder_ops_validation():
         ladder_ops(2.5)
 
 
+@pytest.mark.parametrize("dim", [math.inf, -math.inf, math.nan])
+def test_dim_rejects_non_finite(dim):
+    # a ValueError naming dim, not the OverflowError of int(inf)
+    with pytest.raises(ValueError, match="dim must be an integer"):
+        ladder_ops(dim)
+    with pytest.raises(ValueError, match="dim must be an integer"):
+        coherent_state(0.5, dim)
+
+
 def test_coherent_state_amplitudes():
     al = 0.7 - 0.3j
     psi = coherent_state(al, 40)

@@ -141,6 +141,12 @@ def test_materialize_truncation_paths():
         materialize(GaussianState.thermal(1.0), 1)
 
 
+@pytest.mark.parametrize("dim", [math.inf, math.nan])
+def test_materialize_rejects_non_finite_dim(dim):
+    with pytest.raises(ValueError, match="dim must be an integer"):
+        materialize(GaussianState.thermal(1.0), dim)
+
+
 def test_materialize_warns_on_displaced_tail():
     # resonant limit-cycle start: u^40 = 9.0e-8 but 1.6e-5 of the
     # population lies above level 39

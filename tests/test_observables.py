@@ -306,6 +306,12 @@ def test_resonance_scan():
         resonance_scan(P_DRIVEN, (-0.1, 1.7), 10)
 
 
+@pytest.mark.parametrize("samples", [math.inf, math.nan])
+def test_resonance_scan_rejects_non_finite_samples(samples):
+    with pytest.raises(ValueError, match="samples must be an integer"):
+        resonance_scan(P_DRIVEN, (0.5, 1.5), samples)
+
+
 @pytest.mark.slow
 def test_mean_a_large_basis_example():
     # strong resonant drive pushes |<a>| above 7; dim=256 holds the support.
