@@ -11,19 +11,33 @@ costs O(dim^2). Time stepping is classic fixed-step 4th-order Runge-Kutta:
 the generator is linear and non-stiff at desk scale, and a fixed step keeps
 convergence-order measurements clean.
 
-One stepper, ``_Workspace``, serves both ``evolve`` and ``lindblad_rhs``.
-It allocates its bands, six flat buffers of dim*dim entries (seven when
-driven) and every view it steps through once. The bands are complex, so
-no product goes through a cast buffer, and an undriven step allocates no
-array; a driven step still gets a numpy iterator buffer for each of its
-two broadcast row products. Every stage is a ufunc with ``out=`` whose
-operands and order are those of the plain RK4 expressions, so its states
-are bitwise the ones those expressions give (the tests keep the
+One generator, ``_Generator``, evaluates L for ``lindblad_rhs``; the RK4
+stepper ``_Workspace`` extends it with the stage buffers that ``evolve``
+steps through. The generator allocates its bands, three flat buffers of
+dim*dim entries (input, output and scratch; four when driven) and every
+view it takes once; the stepper adds three more buffers. The bands are
+complex, so no product goes through a cast buffer, and an undriven step
+allocates no array; a driven step still gets a numpy iterator buffer for
+each of its broadcast row products. Every stage is a ufunc with ``out=``
+whose operands and order are those of the plain RK4 expressions, so its
+states are bitwise the ones those expressions give (the tests keep the
 allocating form as reference). On the flat layout each shifted band
 product is one contiguous run at a fixed offset (dim+1 or 1); the row
 ends such a run crosses are set to the exact identity of the add or
 subtract that follows (-0-0j or +0+0j), so they leave every entry,
 signed zeros included, as the 2-d slices of the plain expression would.
+
+L is evaluated in row blocks of max(1, _BLOCK_ENTRIES // dim) rows, about
+256 KiB of each operand, and every ufunc pass over one block runs before
+the next block starts. At dim 256 an operand is 1 MiB, and one evaluation
+makes 7 passes (21 driven) over six operands (eight driven): more than a
+core's 2 MiB L2 holds, so whole-array passes go out to L3 and back, while
+a block's slices stay in L2. Blocks are independent (the input is only
+read, each block writes its own rows of the output and the drive buffer,
+and the scratch is used up within a run), so every entry sees the same
+operations in the same order and the result is bitwise that of
+whole-array passes. At dim <= 128 there is one block. The RK4 combination
+of the stages stays whole-array.
 
 This module is the numerical oracle for every closed-form solver in the
 package; conversely those solvers pin down this integrator in the tests.
@@ -243,20 +257,28 @@ def default_dt(params: LindbladParams, drive: DriveFn | None = None) -> float:
 
 
 _NEG_ZERO = complex(-0.0, -0.0)  # x + (-0-0j) is x bitwise, signed zeros too
+_BLOCK_ENTRIES = 1 << 14  # about this many entries per row block (256 KiB)
 
 
-class _Workspace:
-    """The RK4 stepper for one (dim, params) pair: the generator's bands,
-    six complex buffers of dim*dim entries and every view of them that
-    ``_apply`` takes, all made once. Only a stepper built ``driven`` has
-    the drive's bands and buffer and can step with a drive value.
+def _cut(start: int, stop: int, lo: int, hi: int) -> slice:
+    """[start, stop) meet [lo, hi), as a slice that may be empty."""
+    start, stop = max(start, lo), min(stop, hi)
+    return slice(start, max(start, stop))
+
+
+def _shift(s: slice, k: int) -> slice:
+    return slice(s.start + k, s.stop + k)
+
+
+class _Generator:
+    """The generator L for one (dim, params) pair: its bands, an input
+    buffer ``rho``, an output buffer ``_k1``, one scratch buffer and, when
+    built ``driven``, the drive's bands and buffer ``_g``; every view that
+    ``_apply`` takes is bound here, once. Only a generator built
+    ``driven`` can apply a drive value.
 
     Every buffer is flat: entry (i, j) sits at i*dim + j, and ``rho`` is
-    the (dim, dim) view of the state that ``step`` advances in place.
-    ``_y`` is the stage input, ``_k1``..``_k3`` the stage slopes (k4
-    reuses k3's buffer), ``_g`` the drive term, and one scratch buffer
-    takes the band products through its views ``_s_band`` and
-    ``_s_drive``.
+    the (dim, dim) view of the input buffer.
 
     A shifted band is one contiguous run at a fixed flat offset:
     mu a rho a+ reads rho at offset dim+1, nu a+ rho a writes at offset
@@ -264,16 +286,30 @@ class _Workspace:
     whole rows and stay 2-d views). ``muW2``, ``nuW2`` and the tiled
     ``wt`` sit on the same grid with a pad column j = dim-1. A run also
     crosses the row ends that the 2-d slice skipped; after each product
-    those wrap slots (``_wrap``, column dim-1 of the scratch) are set to the
-    exact identity of the ufunc that follows, -0-0j before an add and
-    +0+0j before a subtract, so that the entry they meet keeps its bits.
-    Every operation is a ufunc with ``out`` whose operands come in the
-    order of the plain expression quoted beside it, so the results are
-    bitwise those of that expression, signed zeros included. The bands
-    hold real values stored complex, so that no product casts; a driven
-    step still gets a numpy iterator buffer from each ``wcol`` product,
-    whose (dim-1, 1) operand broadcasts along the rows.
+    those wrap slots (the scratch entries whose band index is in the pad
+    column) are set to the exact identity of the ufunc that follows,
+    -0-0j before an add and +0+0j before a subtract, so that the entry
+    they meet keeps its bits. Every operation is a ufunc with ``out``
+    whose operands come in the order of the plain expression quoted
+    beside it, so the results are bitwise those of that expression,
+    signed zeros included. The bands hold real values stored complex, so
+    that no product casts; a driven step still gets a numpy iterator
+    buffer from each ``wcol`` product, whose (rows, 1) operand broadcasts
+    along the rows.
+
+    ``_apply`` runs in row blocks (see the module docstring). Per block,
+    ``__init__`` binds the views of the bands, scratch and drive buffer
+    once, and ``_bind`` those of an input and an output buffer: the
+    block's whole rows for K and the drive buffer, and each run cut to
+    the band entries whose output falls in the block, which read up to
+    one row beyond it on either side. A run's scratch starts at the
+    scratch buffer's start, so its wrap slots start where the run's band
+    index first meets the pad column.
     """
+
+    # The flat buffers, allocated in this order: at small dims they share
+    # the heap, and the order sets how their holes are reused.
+    _BUFFERS = ("_rho", "_k1", "_s")
 
     def __init__(self, dim: int, params: LindbladParams,
                  driven: bool = True):
@@ -287,6 +323,7 @@ class _Workspace:
         ).astype(np.complex128).ravel()
         w = np.sqrt(np.arange(1.0, dim))
         self.w = w
+        self.dim = dim
         n = dim * dim
         band = n - dim - 1                   # length of an offset dim+1 run
         wpad = np.append(w, 0.0)             # w_j with the pad column
@@ -294,60 +331,121 @@ class _Workspace:
         c = np.complex128
         self.muW2 = (params.mu * W2).astype(c)
         self.nuW2 = (params.nu * W2).astype(c)
-
-        self._rho, self._y, self._k1, self._k2, self._k3, s = (
-            np.empty(n, dtype=c) for _ in range(6))
+        del W2            # a float temporary: not live beside the buffers
+        for name in self._BUFFERS:
+            setattr(self, name, np.empty(n, dtype=c))
         self.rho = self._rho.reshape(dim, dim)
-        self._s_band = s[:band]
-        self._s_drive = s[:n - 1]
-        self._wrap = s[dim - 1::dim]
-
-        def reads(x):   # the runs at offsets dim+1, 0, 1, 0 and the rows
-            x2 = x.reshape(dim, dim)
-            return x, x[dim + 1:], x[:band], x[1:], x[:n - 1], x2[:-1], x2[1:]
-
-        self._rho_v, self._y_v = reads(self._rho), reads(self._y)
-        self._k1_v, self._k2_v, self._k3_v = (
-            (k, k[:band], k[dim + 1:]) for k in (self._k1, self._k2, self._k3))
         if driven:
             self.wt = np.tile(wpad, dim)[:n - 1].astype(c)  # w_j at i*dim+j
             self.wcol = w.astype(c)[:, None]
             self._g = g = np.empty(n, dtype=c)
             g2 = g.reshape(dim, dim)
-            self._g_v = (g, g2[0], g2[1:], g[:n - 1], g2[-1], g2[:-1], g[1:])
 
-    def _apply(self, xv: tuple, ov: tuple, f) -> None:
-        """ov[0] = L[xv[0]] at drive value f (None: no drive term), on the
-        views of an input and an output buffer that ``__init__`` binds."""
-        x, x_shift, x_band, x_tail, x_head, x_up, x_down = xv
-        out, out_band, out_shift = ov
-        sb, sd, wrap = self._s_band, self._s_drive, self._wrap
-        np.multiply(self.K, x, out)              # out = K * rho
-        np.multiply(self.muW2, x_shift, sb)      # mu * a rho a+
-        wrap.fill(_NEG_ZERO)
-        np.add(out_band, sb, out_band)
-        np.multiply(self.nuW2, x_band, sb)       # nu * a+ rho a
-        wrap.fill(_NEG_ZERO)
-        np.add(out_shift, sb, out_shift)
-        if f is None:
-            return
-        # Complex scalars go first, as in c * g: the in-place g *= c runs
-        # the operands the other way round and differs in the last bit.
-        g, g_first, g_down, g_head, g_last, g_up, g_tail = self._g_v
-        g_first.fill(0)
-        np.multiply(self.wcol, x_up, g_down)     # a+ rho
-        np.multiply(x_tail, self.wt, sd)         # - rho a+
-        wrap.fill(0)
-        np.subtract(g_head, sd, g_head)
-        np.multiply(1j * np.conj(f), g, g)
-        np.add(out, g, out)
-        g_last.fill(0)
-        np.multiply(self.wcol, x_down, g_up)     # a rho
-        np.multiply(x_head, self.wt, sd)         # - rho a
-        wrap.fill(0)
-        np.subtract(g_tail, sd, g_tail)
-        np.multiply(1j * f, g, g)
-        np.add(out, g, out)
+        s, d = self._s, dim + 1
+
+        def run(b):   # the scratch of a run over band entries b, wrap slots
+            k = b.stop - b.start
+            return s[:k], s[(dim - 1 - b.start) % dim:k:dim]
+
+        # Per block: the slices of the input its terms read and of the
+        # output they write, and its views of the bands, scratch and drive
+        # buffer. Runs are cut by output index (mu, rho a+) or by input
+        # index (nu, rho a); a+ rho and a rho take whole rows.
+        rows = max(1, _BLOCK_ENTRIES // dim)
+        self._blocks = []
+        for r0 in range(0, dim, rows):
+            r1 = min(r0 + rows, dim)
+            lo, hi = r0 * dim, r1 * dim
+            e = slice(lo, hi)
+            mu = _cut(lo, hi, 0, band)
+            nu = _shift(_cut(lo, hi, d, n), -d)
+            reads, writes = (e, _shift(mu, d), nu), (e, mu, _shift(nu, d))
+            bands = (self.K[e], self.muW2[mu], *run(mu),
+                     self.nuW2[nu], *run(nu))
+            drive = None
+            if driven:
+                up, dn = _cut(r0, r1, 1, dim), _cut(r0, r1, 0, dim - 1)
+                tp, tm = _cut(lo, hi, 0, n - 1), _shift(_cut(lo, hi, 1, n), -1)
+                up_in = _shift(up, -1)
+                reads += (up_in, _shift(tp, 1), _shift(dn, 1), tm)
+                drive = (g[e], g2[_cut(r0, r1, 0, 1)],
+                         self.wcol[up_in], g2[up],
+                         self.wt[tp], *run(tp), g[tp],
+                         g2[_cut(r0, r1, dim - 1, dim)],
+                         self.wcol[dn], g2[dn],
+                         self.wt[tm], *run(tm), g[_shift(tm, 1)])
+            self._blocks.append((reads, writes, bands, drive))
+        self._rho_k1 = self._bind(self._rho, self._k1)
+
+    def _bind(self, x: np.ndarray, o: np.ndarray) -> list:
+        """Per block, every view that ``_apply`` takes to write L[x] to o:
+        a tuple for the undriven terms and one for the drive term (None
+        unless driven)."""
+        x2 = x.reshape(self.dim, self.dim)
+        bound = []
+        for reads, writes, bands, drive in self._blocks:
+            e, mu_in, nu, *dr = reads
+            terms = (x[e], x[mu_in], x[nu], *(o[w] for w in writes), *bands)
+            if drive is not None:
+                up_in, tp_in, dn_in, tm = dr
+                drive = (x2[up_in], x[tp_in], x2[dn_in], x[tm], *drive)
+            bound.append((terms, drive))
+        return bound
+
+    def _apply(self, blocks: list, f) -> None:
+        """Write L[x] at drive value f (None: no drive term) to o, block by
+        block, on the views of (x, o) that ``_bind`` returned."""
+        if f is not None:
+            # Complex scalars go first, as in c * g: the in-place g *= c
+            # runs the operands the other way round and differs in the
+            # last bit.
+            cfc, cf = 1j * np.conj(f), 1j * f
+        for ((x, x_shift, x_band, out, out_band, out_shift,
+              K, muW2, sm, wm, nuW2, sn, wn), drive) in blocks:
+            np.multiply(K, x, out)               # out = K * rho
+            np.multiply(muW2, x_shift, sm)       # mu * a rho a+
+            wm.fill(_NEG_ZERO)
+            np.add(out_band, sm, out_band)
+            np.multiply(nuW2, x_band, sn)        # nu * a+ rho a
+            wn.fill(_NEG_ZERO)
+            np.add(out_shift, sn, out_shift)
+            if f is None:
+                continue
+            (x_up, x_tail, x_down, x_head, g, g_first, wcol_up, g_down,
+             wt_tail, st, wrap_t, g_head, g_last, wcol_dn, g_up, wt_head,
+             sh, wrap_h, g_tail) = drive
+            g_first.fill(0)
+            np.multiply(wcol_up, x_up, g_down)   # a+ rho
+            np.multiply(x_tail, wt_tail, st)     # - rho a+
+            wrap_t.fill(0)
+            np.subtract(g_head, st, g_head)
+            np.multiply(cfc, g, g)
+            np.add(out, g, out)
+            g_last.fill(0)
+            np.multiply(wcol_dn, x_down, g_up)   # a rho
+            np.multiply(x_head, wt_head, sh)     # - rho a
+            wrap_h.fill(0)
+            np.subtract(g_tail, sh, g_tail)
+            np.multiply(cf, g, g)
+            np.add(out, g, out)
+
+
+class _Workspace(_Generator):
+    """The RK4 stepper for one (dim, params) pair: a ``_Generator`` whose
+    input buffer ``rho`` is the state that ``step`` advances in place,
+    plus the stage input ``_y`` and the stage slopes ``_k2`` and ``_k3``
+    (k4 reuses k3's buffer), with the views of each stage bound once.
+    Each stage's evaluation of L runs in row blocks, so at dim 256 its
+    working set stays in L2; the RK4 combination between the stages stays
+    whole-array."""
+
+    _BUFFERS = ("_rho", "_y", "_k1", "_k2", "_k3", "_s")
+
+    def __init__(self, dim: int, params: LindbladParams,
+                 driven: bool = True):
+        super().__init__(dim, params, driven)
+        self._y_k2 = self._bind(self._y, self._k2)
+        self._y_k3 = self._bind(self._y, self._k3)
 
     def step(self, h: float, f0, f_mid, f1) -> None:
         """One RK4 step of length h on rho, drive values at its start,
@@ -355,20 +453,19 @@ class _Workspace:
         rho += (h/6) * (k1 + 2*(k2 + k3) + k4) with k2 = L[rho + (h/2) k1]
         and so on."""
         rho, y, k1, k2, k3 = self._rho, self._y, self._k1, self._k2, self._k3
-        y_v, k3_v = self._y_v, self._k3_v
-        self._apply(self._rho_v, self._k1_v, f0)
+        self._apply(self._rho_k1, f0)
         np.multiply(0.5 * h, k1, y)            # y = rho + (0.5*h) * k1
         np.add(rho, y, y)
-        self._apply(y_v, self._k2_v, f_mid)
+        self._apply(self._y_k2, f_mid)
         np.multiply(0.5 * h, k2, y)            # y = rho + (0.5*h) * k2
         np.add(rho, y, y)
-        self._apply(y_v, k3_v, f_mid)
+        self._apply(self._y_k3, f_mid)
         np.multiply(h, k3, y)                  # y = rho + h * k3
         np.add(rho, y, y)
         np.add(k2, k3, k2)                     # k1 = k1 + 2.0 * (k2 + k3)
         np.multiply(2.0, k2, k2)
         np.add(k1, k2, k1)
-        self._apply(y_v, k3_v, f1)             # k4, into k3's buffer
+        self._apply(self._y_k3, f1)            # k4, into k3's buffer
         np.add(k1, k3, k1)                     # rho += (h/6.0) * (k1 + k4)
         np.multiply(h / 6.0, k1, k1)
         np.add(rho, k1, rho)
@@ -382,10 +479,10 @@ def lindblad_rhs(rho, t: float, params: LindbladParams,
         raise ValueError("need dim >= 2")
     drive = drive if drive is not None else DriveFn.none()
     f = drive.value(t, params) if drive.is_active(params) else None
-    st = _Workspace(m.shape[0], params, driven=f is not None)
-    st.rho[...] = m
-    st._apply(st._rho_v, st._k1_v, f)
-    return st._k1.reshape(m.shape)
+    gen = _Generator(m.shape[0], params, driven=f is not None)
+    gen.rho[...] = m
+    gen._apply(gen._rho_k1, f)
+    return gen._k1.reshape(m.shape)
 
 
 def evolve(rho0, t_grid, params: LindbladParams,

@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from lindosc import lindblad_engine
 from lindosc.fock_core import (
     HERM_TOL_EVOLVED,
     DensityMatrix,
@@ -16,6 +17,7 @@ from lindosc.lindblad_engine import (
     IntegrationDivergedError,
     IntegratorOptions,
     LindbladParams,
+    _Generator,
     _Workspace,
     default_dt,
     evolve,
@@ -487,6 +489,62 @@ def test_undriven_step_does_not_allocate(dim, rng):
     finally:
         tracemalloc.stop()
     assert peak < 1024
+
+
+@pytest.mark.parametrize("drive", sorted(BITWISE_DRIVES))
+def test_rhs_allocates_only_the_generator(drive, rng):
+    # One evaluation needs the bands K, muW2 and nuW2, its input, output
+    # and scratch and, driven, wt and the drive buffer: 6 or 8 arrays of
+    # dim*dim entries, none of the RK4 stage buffers. The slack covers
+    # the views and the driven row products' iterator buffers.
+    dim = 256
+    drive = BITWISE_DRIVES[drive]
+    m = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    arrays = 8 if drive.is_active(P_BITWISE) else 6
+    tracemalloc.start()
+    try:
+        lindblad_rhs(m, 0.37, P_BITWISE, drive)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < arrays * 16 * dim * dim + 256 * 1024
+
+
+@pytest.mark.filterwarnings("ignore::lindosc.fock_core.TruncationWarning")
+@pytest.mark.parametrize("drive", sorted(BITWISE_DRIVES))
+@pytest.mark.parametrize("rows", [1, 2, 3])
+@pytest.mark.parametrize("dim", [5, 16, 33])
+def test_blocked_apply_bitwise_equals_allocating_rk4(dim, rows, drive, rng,
+                                                      monkeypatch):
+    # Blocks of 1-3 rows, most with a ragged last block, put every block
+    # boundary, partial band run and wrap slot at a dim the suite runs
+    # fast; by default only dims above 128 get more than one block.
+    assert len(_Generator(128, P_BITWISE, driven=False)._blocks) == 1
+    assert len(_Generator(256, P_BITWISE, driven=False)._blocks) > 1
+    monkeypatch.setattr(lindblad_engine, "_BLOCK_ENTRIES", rows * dim)
+    assert len(_Generator(dim, P_BITWISE)._blocks) == -(-dim // rows)
+    drive = BITWISE_DRIVES[drive]
+    rho0 = _bitwise_start(dim, rng)
+    t = np.array([0.0, 0.02, 0.045])
+    traj = evolve(rho0, t, P_BITWISE, drive,
+                  IntegratorOptions(renorm_every=3, snapshot_times=tuple(t)))
+    ref = _reference_states(rho0.matrix, t, P_BITWISE, drive, 3)
+    for ti, rho in zip(t, ref):
+        snap = DensityMatrix.from_matrix(
+            rho, herm_tol=HERM_TOL_EVOLVED, positivity_tol=1e-6)
+        assert traj.snapshots[ti].matrix.tobytes() == snap.matrix.tobytes()
+    apply = _AllocatingWorkspace(dim, P_BITWISE).apply
+    for draw in range(20):   # the inputs of the wrap-slot test above
+        if draw % 2:
+            m = _signed_zeros((dim, dim), rng)
+        else:
+            m = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+            m[:, [0, -1]] = _signed_zeros((dim, 2), rng)
+        t = rng.uniform(0.0, 10.0)
+        f = (drive.value(t, P_BITWISE) if drive.is_active(P_BITWISE)
+             else None)
+        assert (lindblad_rhs(m, t, P_BITWISE, drive).tobytes()
+                == apply(m, f).tobytes())
 
 
 def test_evolve_state_buffer_does_not_alias(rng):

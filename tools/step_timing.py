@@ -1,12 +1,15 @@
 """Time one RK4 step of lindosc's stepper, ``_Workspace.step``.
 
-Prints the microseconds per step at dim 32, 64 and 256, undriven and
-under the cosine drive, on a fixed random Hermitian start. Each sample
+Prints the microseconds per step at dim 32, 64, 128, 256 and 384,
+undriven and under the cosine drive, on a fixed random Hermitian start.
+Dims 128 and 384 sit on either side of the size where the stepper starts
+to evaluate the generator in more than one row block. Each sample
 times a run of steps from a fresh copy of the start, and the samples of
 every (tree, dim, drive) cell are interleaved, so slow drift of the
 machine spreads over all cells alike; the table shows each cell's median.
 Given two or more source trees, it times them in one process, in the
-same interleaved order, with one column per tree:
+same interleaved order, with one column per tree and a last column
+saying whether every tree's final state is bitwise the same:
 
     python tools/step_timing.py --src src
     python tools/step_timing.py --src base/src --src src
@@ -27,9 +30,9 @@ import time
 
 import numpy as np
 
-DIMS = (32, 64, 256)
+DIMS = (32, 64, 128, 256, 384)
 DRIVES = ("none", "cosine")
-STEPS = {32: 40, 64: 20, 256: 2}   # steps per sample, about 2-20 ms each
+STEPS = {32: 40, 64: 20, 128: 5, 256: 2, 384: 1}  # about 2-20 ms a sample
 
 
 def _import_engine(src: str):
@@ -95,11 +98,17 @@ def main(argv=None) -> int:
     for _ in range(args.samples + 1):      # the first round warms up
         for key, cell in cells.items():
             times[key].append(cell.sample())
-    print("dim\tdrive\t" + "\t".join(f"us/step {s}" for s in args.src))
+    compare = len(args.src) > 1
+    print("dim\tdrive\t" + "\t".join(f"us/step {s}" for s in args.src)
+          + ("\tbitwise" if compare else ""))
     for dim in DIMS:
         for drive in DRIVES:
             row = [f"{statistics.median(times[(s, dim, drive)][1:]):.1f}"
                    for s in args.src]
+            if compare:   # every sample ends on the same steps' state
+                states = {cells[(s, dim, drive)].ws.rho.tobytes()
+                          for s in args.src}
+                row.append("yes" if len(states) == 1 else "NO")
             print(f"{dim}\t{drive}\t" + "\t".join(row))
     return 0
 
