@@ -51,10 +51,8 @@ from .nonhermitian import (
     NHParams,
     abc,
     nh_expectations,
-    nh_norm,
 )
 from .observables import (
-    classical_solution,
     limit_cycle_alpha,
     mean_a,
     mean_n,
@@ -81,7 +79,6 @@ __all__ = [
     "TruncationError",
     "TruncationWarning",
     "abc",
-    "classical_solution",
     "coherent_free_evolution",
     "coherent_state",
     "default_dt",
@@ -105,7 +102,6 @@ __all__ = [
     "mean_n",
     "mean_n_limit_cycle",
     "nh_expectations",
-    "nh_norm",
     "quantum_lc",
     "required_dim",
     "resonance_amplitude",

@@ -51,6 +51,7 @@ from .lindblad_engine import (
     IntegrationDivergedError,
     IntegratorOptions,
     LindbladParams,
+    default_dt,
     evolve,
     steady_state,
 )
@@ -344,7 +345,10 @@ def _ensure_adequate(cfg: RunConfig, g0: GaussianState | None) -> None:
     if g0 is None:
         return  # matrix from file: runtime tail diagnostics apply
     f_max = max(cfg.params.omega, cfg.drive.max_frequency(cfg.params))
-    n = min(65536, max(512, int(32 * cfg.t_max * f_max / (2.0 * math.pi)) + 1))
+    # 32 samples a period, 512 to 65536 of them; min() before int(), because
+    # a long enough t_max makes the count infinite
+    n = max(512, int(min(32 * cfg.t_max * f_max / (2.0 * math.pi),
+                         65535.0)) + 1)
     t = np.linspace(0.0, cfg.t_max, n)
     reach = 1.02 * float(np.max(np.abs(obs.mean_a(t, g0.alpha, cfg.params,
                                                   cfg.drive))))
@@ -423,6 +427,11 @@ def _say(quiet: bool, *lines: str) -> None:
 # subcommands
 
 def cmd_evolve(cfg: RunConfig, out_dir: str, quiet: bool) -> int:
+    dt = cfg.dt if cfg.dt is not None else default_dt(cfg.params, cfg.drive)
+    if not math.isfinite(cfg.t_max / dt):
+        raise ConfigError(
+            f"[integrator] dt = {_fmt(dt)}: t_max = {_fmt(cfg.t_max)} takes "
+            "more steps than a float can count; increase dt")
     g0 = _gaussian_initial(cfg)
     _ensure_adequate(cfg, g0)
     t = np.linspace(0.0, cfg.t_max, cfg.n_times)

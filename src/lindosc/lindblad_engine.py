@@ -490,12 +490,13 @@ def evolve(rho0, t_grid, params: LindbladParams,
            opts: IntegratorOptions | None = None) -> Trajectory:
     """Integrate the master equation, recording observables on t_grid.
 
-    t_grid must be finite, start at 0 and increase strictly. Every
-    opts.renorm_every steps the state is re-Hermitized and
-    trace-renormalized. A minimum eigenvalue below -1e-6 at any recorded
-    time aborts with IntegrationDivergedError. Each opts.snapshot_times
-    entry must lie within 1e-12 of a grid time; its snapshot is keyed by
-    the time asked for, not by the grid time it matched.
+    t_grid must be finite, start at 0 and increase strictly, and
+    t_grid[-1] / dt must be finite too. Every opts.renorm_every steps the
+    state is re-Hermitized and trace-renormalized. A minimum eigenvalue
+    below -1e-6 at any recorded time aborts with IntegrationDivergedError.
+    Each opts.snapshot_times entry must lie within 1e-12 of a grid time;
+    its snapshot is keyed by the time asked for, not by the grid time it
+    matched.
     """
     drive = drive if drive is not None else DriveFn.none()
     opts = opts if opts is not None else IntegratorOptions()
@@ -523,10 +524,15 @@ def evolve(rho0, t_grid, params: LindbladParams,
         raise ValueError(f"renorm_every must be an integer >= 0, "
                          f"got {opts.renorm_every!r}")
 
+    dt = opts.dt if opts.dt is not None else default_dt(params, drive)
+    t_end = t_grid[-1].item()
+    if not math.isfinite(t_end / dt):   # would overflow math.ceil below
+        raise ValueError(f"dt = {dt!r} is too small: t_grid up to {t_end!r} "
+                         "takes more steps than a float can count")
+
     dim = rho0.dim
     active = drive.is_active(params)
     st = _Workspace(dim, params, driven=active)
-    dt = opts.dt if opts.dt is not None else default_dt(params, drive)
 
     def fval(t):
         return drive.value(t, params) if active else None

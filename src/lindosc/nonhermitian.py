@@ -9,9 +9,10 @@ C obey
     i B' = -f(t) e^(-i omega_tilde t),  i C' = omega_tilde C - f(t),
     i A' = -f(t) C(t),       A(0) = B(0) = C(0) = 0,
 
-and have closed forms below for f(t) = f0 cos(Omega t). The norm decays, so
-physical expectation values are taken with respect to the renormalized
-state: <n> = |alpha(t)|^2, and its Husimi density is husimi_value of
+and have closed forms below for f(t) = f0 cos(Omega t). The norm decays as
+exp(-gamma t + 2 Re(A + B alpha0) - |alpha0|^2 + |alpha(t)|^2), so physical
+expectation values are taken with respect to the renormalized state:
+<n> = |alpha(t)|^2, and its Husimi density is husimi_value of
 GaussianState.coherent(nh_alpha(t, ...)).
 
 Expectation values reproduce the pure-loss Lindblad dynamics (mu = 2 gamma,
@@ -21,7 +22,6 @@ the closed forms and the dense integrator.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,7 +34,6 @@ __all__ = [
     "abc",
     "nh_alpha",
     "nh_expectations",
-    "nh_norm",
 ]
 
 
@@ -117,17 +116,3 @@ def nh_expectations(t, alpha0: complex, p: NHParams):
     """Renormalized <a> and <n>; the state is coherent, so <n> = |<a>|^2."""
     a = nh_alpha(t, alpha0, p)
     return NHExpectations(a=a, n=np.abs(a) ** 2)
-
-
-def nh_norm(t, alpha0: complex, p: NHParams) -> float:
-    """Squared norm <psi(t)|psi(t)> of the decaying state, from the scalar
-    coefficients alone (no basis):
-
-        exp(-gamma t + 2 Re(A + B alpha0) - |alpha0|^2 + |alpha(t)|^2).
-    """
-    alpha0 = complex(alpha0)
-    t = float(t)
-    A, B, _ = abc(t, p)
-    a_t = nh_alpha(t, alpha0, p)
-    return math.exp(-p.gamma * t + 2.0 * (A + B * alpha0).real
-                    - abs(alpha0) ** 2 + abs(a_t) ** 2)

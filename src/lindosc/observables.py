@@ -1,4 +1,4 @@
-"""Mean-value dynamics in closed form, and the classical oscillator <x> obeys.
+"""Mean-value dynamics in closed form, and the quantum limit cycle.
 
 The first moment obeys a closed linear ODE,
 
@@ -10,9 +10,8 @@ identity <n>_t = |<a>_t|^2 + nu/2gamma + (n0 - |a0|^2 - nu/2gamma) e^{-2 gamma t
 the drive moves <n> and |<a>|^2 alike. Under the cosine drive <x> obeys the
 classical oscillator x'' + 2*gamma*x' + omega0**2 * x = ftilde0*cos(Omega*t)
 with omega0**2 = omega**2 + gamma**2 and velocity <p> - gamma*<x>;
-classical_solution solves it in every damping regime, the tests hold it to
-<x> from mean_a, and quantum_lc and classical_solution share one formula for
-its steady response.
+quantum_lc is its steady response, the phase-space form of the limit cycle
+limit_cycle_alpha gives, and mean_n_limit_cycle the occupation along it.
 
 All time arguments accept scalars or 1-d arrays, through one code path: a
 scalar time gives a numpy scalar (np.float64 or np.complex128, subclasses of
@@ -31,10 +30,8 @@ from .lindblad_engine import DriveFn, LindbladParams
 __all__ = [
     "QuantumLC",
     "LimitCycleOccupation",
-    "classical_solution",
     "limit_cycle_coefficients",
     "limit_cycle_alpha",
-    "limit_cycle_alpha_max",
     "drive_response",
     "mean_a",
     "quantum_lc",
@@ -44,76 +41,6 @@ __all__ = [
     "resonance_amplitude",
     "resonance_scan",
 ]
-
-
-# ---------------------------------------------------------------------------
-# classical reference oscillator
-
-
-def _steady_cycle(omega0_sq: float, gamma: float, ftilde0: float,
-                  Omega: float) -> tuple[float, float]:
-    """(A, phi) of the steady response A cos(Omega t + phi) of
-    x'' + 2 gamma x' + omega0_sq x = ftilde0 cos(Omega t).
-
-    A = ftilde0 / sqrt((omega0_sq - Omega^2)^2 + (2 gamma Omega)^2); the
-    phase is continued to (-pi, 0] so it passes -pi/2 smoothly where
-    Omega^2 crosses omega0_sq (atan2 does the branch tracking), and is
-    returned for ftilde0 = 0 too. A zero denominator (undamped, driven at
-    omega0) has no bounded response: (0, 0) for ftilde0 = 0, else an error.
-    """
-    det = omega0_sq - Omega ** 2
-    den = math.hypot(det, 2.0 * gamma * Omega)
-    if den == 0.0:
-        if ftilde0 != 0.0:
-            raise ValueError(
-                "undamped oscillator driven exactly at its natural frequency "
-                "has no bounded periodic solution")
-        return 0.0, 0.0
-    return ftilde0 / den, -math.atan2(2.0 * gamma * Omega, det)
-
-
-def classical_solution(x0: float, v0: float, t, omega0: float, gamma: float,
-                       drive: tuple[float, float] | None = None):
-    """Exact solution (x, xdot) of x'' + 2 gamma x' + omega0^2 x = ftilde(t).
-
-    drive is None for the free oscillator or a pair (ftilde0, Omega) for a
-    cosine force ftilde0*cos(Omega*t). All damping regimes are covered: the
-    homogeneous basis switches between trigonometric (underdamped),
-    hyperbolic (overdamped) and polynomial (critical) branches.
-    """
-    if not omega0 > 0:
-        raise ValueError(f"omega0 must be > 0, got {omega0}")
-    if not gamma >= 0:
-        raise ValueError(f"gamma must be >= 0, got {gamma}")
-    ftilde0, Omega = (0.0, 0.0) if drive is None else (float(drive[0]),
-                                                       float(drive[1]))
-    t = np.asarray(t, dtype=float)
-
-    A, phi = _steady_cycle(omega0 ** 2, gamma, ftilde0, Omega)
-    xp = A * np.cos(Omega * t + phi)
-    vp = -A * Omega * np.sin(Omega * t + phi)
-    xp0 = A * math.cos(phi)
-    vp0 = -A * Omega * math.sin(phi)
-
-    # homogeneous basis h1, h2 with h1(0)=1, h1'(0)=-gamma, h2(0)=0, h2'(0)=1;
-    # both derivatives close on the pair: h1' = -gamma h1 - s h2, h2' = h1 - gamma h2
-    s = omega0 ** 2 - gamma ** 2
-    env = np.exp(-gamma * t)
-    if s > 0:
-        w = math.sqrt(s)
-        c, sn = np.cos(w * t), np.sin(w * t) / w
-    elif s < 0:
-        k = math.sqrt(-s)
-        c, sn = np.cosh(k * t), np.sinh(k * t) / k
-    else:
-        c, sn = np.ones_like(t), t.copy()
-    h1, h2 = env * c, env * sn
-
-    ca = x0 - xp0
-    cb = v0 - vp0 + gamma * ca
-    x = xp + ca * h1 + cb * h2
-    v = vp + ca * (-gamma * h1 - s * h2) + cb * (h1 - gamma * h2)
-    return x, v
 
 
 # ---------------------------------------------------------------------------
@@ -156,17 +83,6 @@ def limit_cycle_alpha(t, params: LindbladParams):
     return cp * np.exp(1j * params.Omega * t) + cm * np.exp(-1j * params.Omega * t)
 
 
-def limit_cycle_alpha_max(params: LindbladParams) -> float:
-    # |c+ e^{ix} + c- e^{-ix}| peaks at |c+|+|c-| (phases align twice a period)
-    cp, cm = limit_cycle_coefficients(params)
-    return abs(cp) + abs(cm)
-
-
-def _limit_cycle_alpha_meansq(params: LindbladParams) -> float:
-    cp, cm = limit_cycle_coefficients(params)
-    return abs(cp) ** 2 + abs(cm) ** 2
-
-
 # ---------------------------------------------------------------------------
 # quantum limit cycle of <x>, <p>
 
@@ -192,14 +108,6 @@ class QuantumLC:
         ph = self.Omega * t + self.phi_q
         return self.A_q * (self.gamma * np.cos(ph) - self.Omega * np.sin(ph))
 
-    def ellipse_residual(self, t):
-        x = self.mean_x(t)
-        p = self.mean_p(t)
-        if self.Omega == 0.0:
-            return np.abs(x ** 2 - self.A_q ** 2)
-        return np.abs((p - self.gamma * x) ** 2 / self.Omega ** 2
-                      + x ** 2 - self.A_q ** 2)
-
 
 def _require_cosine(drive: DriveFn):
     if drive.kind != "cosine":
@@ -210,12 +118,24 @@ def quantum_lc(params: LindbladParams, drive: DriveFn) -> QuantumLC:
     """Amplitude and phase of the asymptotic <x> oscillation: <x> obeys the
     classical oscillator with omega0^2 = omega^2 + gamma^2, so
     A_q = ftilde0 / sqrt((omega^2+gamma^2-Omega^2)^2 + (2 gamma Omega)^2).
+
+    The phase is continued to (-pi, 0] so it passes -pi/2 smoothly where
+    Omega^2 crosses omega0^2 (atan2 does the branch tracking), and is
+    returned for ftilde0 = 0 too. A denominator that underflows to zero
+    leaves no bounded response: (0, 0) for ftilde0 = 0, else an error.
     """
     _require_cosine(drive)
-    g, W = params.gamma, params.Omega
-    A_q, phi_q = _steady_cycle(params.omega ** 2 + g ** 2, g,
-                               params.ftilde0, W)
-    return QuantumLC(A_q=A_q, phi_q=phi_q, Omega=W, gamma=g)
+    g, W, ft = params.gamma, params.Omega, params.ftilde0
+    det = params.omega ** 2 + g ** 2 - W ** 2
+    den = math.hypot(det, 2.0 * g * W)
+    if den == 0.0:
+        if ft != 0.0:
+            raise ValueError(
+                "undamped oscillator driven exactly at its natural frequency "
+                "has no bounded periodic solution")
+        return QuantumLC(A_q=0.0, phi_q=0.0, Omega=W, gamma=g)
+    return QuantumLC(A_q=ft / den, phi_q=-math.atan2(2.0 * g * W, det),
+                     Omega=W, gamma=g)
 
 
 def resonance_frequency(params: LindbladParams) -> float:
@@ -239,15 +159,12 @@ class LimitCycleOccupation:
     """<n> on the limit cycle: nbar plus a cos(2 Omega t + phi_q) ripple.
 
     cycle is the QuantumLC it was built from (A_q, phi_q, Omega), so one
-    mean_n_limit_cycle call gives the whole scan row. nbar_from_alpha is
-    the same average computed from the period mean of |alpha_lc|^2 instead
-    of the quadrature form; the two must agree.
+    mean_n_limit_cycle call gives the whole scan row.
     """
 
     nbar: float
     amplitude: float
     cycle: QuantumLC
-    nbar_from_alpha: float
 
     def value(self, t):
         t = np.asarray(t, dtype=float)
@@ -261,15 +178,10 @@ def mean_n_limit_cycle(params: LindbladParams,
     lc = quantum_lc(params, drive)
     w, g, W = params.omega, params.gamma, params.Omega
     ft, A, phi = params.ftilde0, lc.A_q, lc.phi_q
-    base = params.nbar
-    nbar = base + (ft * A / (4.0 * g * w)) * (g * math.cos(phi)
-                                              - W * math.sin(phi))
-    return LimitCycleOccupation(
-        nbar=nbar,
-        amplitude=ft * A / (4.0 * w),
-        cycle=lc,
-        nbar_from_alpha=base + _limit_cycle_alpha_meansq(params),
-    )
+    nbar = params.nbar + (ft * A / (4.0 * g * w)) * (g * math.cos(phi)
+                                                     - W * math.sin(phi))
+    return LimitCycleOccupation(nbar=nbar, amplitude=ft * A / (4.0 * w),
+                                cycle=lc)
 
 
 def mean_n(t, n0: float, a0: complex, params: LindbladParams,

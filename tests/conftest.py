@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -16,3 +18,59 @@ def enveloped_density(dim: int, rng, ratio: float = 0.4) -> DensityMatrix:
     env = ratio ** (np.arange(dim) / 2.0)
     m = env[:, None] * a
     return DensityMatrix.from_matrix(m @ m.conj().T)
+
+
+def classical_solution(x0: float, v0: float, t, omega0: float, gamma: float,
+                       drive: tuple[float, float] | None = None):
+    """Exact solution (x, xdot) of x'' + 2 gamma x' + omega0^2 x = ftilde(t).
+
+    Reference for the classical oscillator <x> obeys: drive is None for the
+    free oscillator or a pair (ftilde0, Omega) for a cosine force
+    ftilde0*cos(Omega*t). All damping regimes are covered: the homogeneous
+    basis switches between trigonometric (underdamped), hyperbolic
+    (overdamped) and polynomial (critical) branches. The steady response is
+    its own copy of the formula, so it does not share code with quantum_lc.
+    """
+    if not omega0 > 0:
+        raise ValueError(f"omega0 must be > 0, got {omega0}")
+    if not gamma >= 0:
+        raise ValueError(f"gamma must be >= 0, got {gamma}")
+    ftilde0, Omega = (0.0, 0.0) if drive is None else (float(drive[0]),
+                                                       float(drive[1]))
+    t = np.asarray(t, dtype=float)
+
+    # steady response A cos(Omega t + phi); a zero denominator (undamped,
+    # driven at omega0) has no bounded response
+    det = omega0 ** 2 - Omega ** 2
+    den = math.hypot(det, 2.0 * gamma * Omega)
+    if den == 0.0:
+        if ftilde0 != 0.0:
+            raise ValueError("undamped oscillator driven exactly at its "
+                             "natural frequency has no bounded solution")
+        A, phi = 0.0, 0.0
+    else:
+        A, phi = ftilde0 / den, -math.atan2(2.0 * gamma * Omega, det)
+    xp = A * np.cos(Omega * t + phi)
+    vp = -A * Omega * np.sin(Omega * t + phi)
+    xp0 = A * math.cos(phi)
+    vp0 = -A * Omega * math.sin(phi)
+
+    # homogeneous basis h1, h2 with h1(0)=1, h1'(0)=-gamma, h2(0)=0, h2'(0)=1;
+    # both derivatives close on the pair: h1' = -gamma h1 - s h2, h2' = h1 - gamma h2
+    s = omega0 ** 2 - gamma ** 2
+    env = np.exp(-gamma * t)
+    if s > 0:
+        w = math.sqrt(s)
+        c, sn = np.cos(w * t), np.sin(w * t) / w
+    elif s < 0:
+        k = math.sqrt(-s)
+        c, sn = np.cosh(k * t), np.sinh(k * t) / k
+    else:
+        c, sn = np.ones_like(t), t.copy()
+    h1, h2 = env * c, env * sn
+
+    ca = x0 - xp0
+    cb = v0 - vp0 + gamma * ca
+    x = xp + ca * h1 + cb * h2
+    v = vp + ca * (-gamma * h1 - s * h2) + cb * (h1 - gamma * h2)
+    return x, v

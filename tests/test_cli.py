@@ -312,6 +312,31 @@ dt = 1.0
     assert capsys.readouterr().err.startswith("divergence:")
 
 
+@pytest.mark.parametrize("body", [
+    pytest.param("[grid]\nt_max = 1e308\n", id="t_max"),
+    pytest.param("[integrator]\ndim = 12\ndt = 5e-324\n"
+                 "[grid]\nt_max = 1\nn_times = 3\n", id="dt"),
+])
+def test_uncountable_step_count_exit_2(tmp_path, capsys, body):
+    # t_max / dt overflows to inf: rejected before a stepper is built
+    cfg = write_ini(tmp_path, body)
+    rc = main(["evolve", "--config", cfg, "--out",
+               str(tmp_path / "out"), "--quiet"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: [integrator] dt = ")
+    assert "more steps than a float can count" in err
+
+
+def test_validate_accepts_longest_grid(tmp_path, capsys, monkeypatch):
+    # the basis check samples a capped number of times even when
+    # 32 samples a period overflow to inf
+    monkeypatch.setattr("lindosc.cli.run_all",
+                        lambda seed=None: _fake_results()[:1])
+    cfg = write_ini(tmp_path, "[grid]\nt_max = 1e308\n")
+    assert main(["validate", "--config", cfg, "--quiet"]) == 0
+
+
 def test_file_initial_roundtrip(tmp_path):
     rho0 = materialize(GaussianState.thermal(1.0), 48)
     npy = tmp_path / "state.npy"

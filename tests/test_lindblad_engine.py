@@ -218,6 +218,17 @@ def test_time_grid_validation():
         evolve(rho0, np.array([0.0, math.inf]), P_FREE)
 
 
+def test_uncountable_step_count_raises():
+    # 1 / 5e-324 overflows to inf: a ValueError before any step, not an
+    # OverflowError from the step count
+    rho0 = DensityMatrix.pure(coherent_state(0.0, 12))
+    with pytest.raises(ValueError, match="more steps than a float can count"):
+        evolve(rho0, np.linspace(0.0, 1.0, 3), P_FREE,
+               opts=IntegratorOptions(dt=5e-324))
+    with pytest.raises(ValueError, match="more steps than a float can count"):
+        evolve(rho0, np.array([0.0, 1e308]), P_FREE)
+
+
 @pytest.mark.parametrize("renorm_every", [-1, 2.5])
 def test_renorm_every_validation(renorm_every):
     rho0 = DensityMatrix.pure(coherent_state(0.0, 8))

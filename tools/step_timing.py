@@ -4,9 +4,11 @@ Prints the microseconds per step at dim 32, 64, 128, 256 and 384,
 undriven and under the cosine drive, on a fixed random Hermitian start.
 Dims 128 and 384 sit on either side of the size where the stepper starts
 to evaluate the generator in more than one row block. Each sample
-times a run of steps from a fresh copy of the start, and the samples of
-every (tree, dim, drive) cell are interleaved, so slow drift of the
-machine spreads over all cells alike; the table shows each cell's median.
+times a run of steps from a fresh copy of the start on a freshly built
+stepper, so a cell's median does not carry one stepper's heap placement,
+and the samples of every (tree, dim, drive) cell are interleaved, so slow
+drift of the machine spreads over all cells alike; the table shows each
+cell's median.
 Given two or more source trees, it times them in one process, in the
 same interleaved order, with one column per tree and a last column
 saying whether every tree's final state is bitwise the same:
@@ -14,8 +16,9 @@ saying whether every tree's final state is bitwise the same:
     python tools/step_timing.py --src src
     python tools/step_timing.py --src base/src --src src
 
-The stepper is built once per cell, outside the timed runs, so the table
-reads the per-step cost that ``evolve`` pays, not the construction.
+Each stepper is built as ``evolve`` builds it (undriven when the drive is
+off), outside the timed runs, so the table reads the per-step cost that
+``evolve`` pays, not the construction.
 Needs only the standard library and numpy (which lindosc itself needs).
 """
 
@@ -52,27 +55,33 @@ def _import_engine(src: str):
 
 
 class _Cell:
-    """One stepper, its start state and the drive values of its steps."""
+    """The stepper's inputs, its start state and the drive values of its
+    steps; ``ws`` is the stepper of the latest sample."""
 
     def __init__(self, eng, dim: int, drive: str):
-        params = eng.LindbladParams(omega=1.1, mu=0.6, nu=0.4, f0=0.3,
-                                    Omega=1.3)
+        self.eng, self.dim = eng, dim
+        self.params = eng.LindbladParams(omega=1.1, mu=0.6, nu=0.4, f0=0.3,
+                                         Omega=1.3)
         fn = eng.DriveFn.cosine() if drive == "cosine" else eng.DriveFn.none()
-        self.h = eng.default_dt(params, fn)
+        self.driven = fn.is_active(self.params)
+        self.h = eng.default_dt(self.params, fn)
         rng = np.random.default_rng(dim)
         m = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
         self.start = (m + m.conj().T) / (2.0 * dim)
-        self.ws = eng._Workspace(dim, params)
+        self.ws = None
         self.fs = []
         for j in range(STEPS[dim]):
             t = j * self.h
             self.fs.append(
-                tuple(fn.value(s, params) if drive == "cosine" else None
+                tuple(fn.value(s, self.params) if self.driven else None
                       for s in (t, t + 0.5 * self.h, t + self.h)))
 
     def sample(self) -> float:
         """Microseconds per step over one run from the start state."""
-        ws, h, fs = self.ws, self.h, self.fs
+        self.ws = None       # free the last stepper before building anew
+        self.ws = ws = self.eng._Workspace(self.dim, self.params,
+                                           driven=self.driven)
+        h, fs = self.h, self.fs
         ws.rho[...] = self.start
         t0 = time.perf_counter()
         for f0, f_mid, f1 in fs:
