@@ -173,6 +173,29 @@ def test_quantum_lc_static_and_fast_limits():
     assert abs(fast.phi_q + math.pi) < 1e-3
 
 
+def _ellipse_residual(lc, t):
+    # distance of (<x>, <p>) from the ellipse in QuantumLC's docstring
+    x, p = lc.mean_x(t), lc.mean_p(t)
+    if lc.Omega == 0.0:
+        return np.abs(x ** 2 - lc.A_q ** 2)
+    return np.abs((p - lc.gamma * x) ** 2 / lc.Omega ** 2
+                  + x ** 2 - lc.A_q ** 2)
+
+
+def test_quantum_lc_ellipse():
+    lc = quantum_lc(P_DRIVEN, COS)
+    t = np.linspace(0.0, 12.0, 400)
+    assert np.max(_ellipse_residual(lc, t)) < 1e-9
+
+
+def test_quantum_lc_static_ellipse():
+    # Omega = 0: <x> rests at A_q and the "ellipse" degenerates to x^2 = A_q^2
+    static = quantum_lc(
+        LindbladParams(omega=1.1, mu=0.6, nu=0.4, f0=1.4, Omega=0.0), COS)
+    t = np.linspace(0.0, 12.0, 40)
+    assert np.max(_ellipse_residual(static, t)) < 1e-14
+
+
 def test_quantum_lc_is_alpha_cycle():
     # <x>, <p> on the cycle are (x, p) of limit_cycle_alpha, down to the
     # static Omega = 0 limit, where <x> rests at A_q; measured within 2e-15
