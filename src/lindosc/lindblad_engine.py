@@ -13,29 +13,28 @@ convergence-order measurements clean.
 
 One generator, ``_Generator``, evaluates L for ``lindblad_rhs``; the RK4
 stepper ``_Workspace`` extends it with the stage buffers that ``evolve``
-steps through. The generator allocates its bands, three flat buffers of
-dim*dim entries (input, output and scratch; four when driven) and every
-view it takes once; the stepper adds three more buffers. The bands are
-complex, so no product goes through a cast buffer, and an undriven step
-allocates no array; a driven step still gets a numpy iterator buffer for
-each of its broadcast row products. Every stage is a ufunc with ``out=``
-whose operands and order are those of the plain RK4 expressions, so its
-states are bitwise the ones those expressions give (the tests keep the
-allocating form as reference). On the flat layout each shifted band
-product is one contiguous run at a fixed offset (dim+1 or 1); the row
-ends such a run crosses are set to the exact identity of the add or
-subtract that follows (-0-0j or +0+0j), so they leave every entry,
-signed zeros included, as the 2-d slices of the plain expression would.
+steps through. The generator allocates its bands, input and output
+buffers of dim*dim entries, a scratch and (driven) a drive buffer of one
+row block, and every view it takes once; the stepper adds three more
+buffers. The bands are complex, so a step allocates no array. Every stage
+is a ufunc with ``out=`` whose operands and order are those of the plain
+RK4 expressions, so its states are bitwise the ones those expressions
+give (the tests keep the allocating form as reference). On the flat
+layout every band product is one contiguous run at offset dim+1, dim or
+1; the row ends that a run at offset dim+1 or 1 crosses are set to the
+exact identity of the add or subtract that follows (-0-0j or +0+0j), so
+they leave every entry, signed zeros included, as the 2-d slices of the
+plain expression would.
 
 L is evaluated in row blocks of max(1, _BLOCK_ENTRIES // dim) rows, about
 256 KiB of each operand, and every ufunc pass over one block runs before
 the next block starts. At dim 256 an operand is 1 MiB, and one evaluation
-makes 7 passes (21 driven) over six operands (eight driven): more than a
+makes 7 passes (21 driven) over six operands (nine driven): more than a
 core's 2 MiB L2 holds, so whole-array passes go out to L3 and back, while
 a block's slices stay in L2. Blocks are independent (the input is only
-read, each block writes its own rows of the output and the drive buffer,
-and the scratch is used up within a run), so every entry sees the same
-operations in the same order and the result is bitwise that of
+read, each block writes its own rows of the output, and the scratch and
+the drive buffer are used up within the block), so every entry sees the
+same operations in the same order and the result is bitwise that of
 whole-array passes. At dim <= 128 there is one block. The RK4 combination
 of the stages stays whole-array.
 
@@ -272,44 +271,44 @@ def _shift(s: slice, k: int) -> slice:
 
 class _Generator:
     """The generator L for one (dim, params) pair: its bands, an input
-    buffer ``rho``, an output buffer ``_k1``, one scratch buffer and, when
-    built ``driven``, the drive's bands and buffer ``_g``; every view that
-    ``_apply`` takes is bound here, once. Only a generator built
+    buffer ``rho``, an output buffer ``_k1``, a scratch buffer ``_s`` and,
+    when built ``driven``, the drive's bands and buffer ``_g``; every view
+    that ``_apply`` takes is bound here, once. Only a generator built
     ``driven`` can apply a drive value.
 
     Every buffer is flat: entry (i, j) sits at i*dim + j, and ``rho`` is
-    the (dim, dim) view of the input buffer.
+    the (dim, dim) view of the input buffer; ``_s`` and ``_g`` hold one
+    row block, and a block's views of them start at their first entry.
 
-    A shifted band is one contiguous run at a fixed flat offset:
+    Every band product is one contiguous run at a fixed flat offset:
     mu a rho a+ reads rho at offset dim+1, nu a+ rho a writes at offset
-    dim+1, and rho a+ and rho a use offset 1 (a+ rho and a rho shift
-    whole rows and stay 2-d views). ``muW2``, ``nuW2`` and the tiled
-    ``wt`` sit on the same grid with a pad column j = dim-1. A run also
-    crosses the row ends that the 2-d slice skipped; after each product
-    those wrap slots (the scratch entries whose band index is in the pad
-    column) are set to the exact identity of the ufunc that follows,
-    -0-0j before an add and +0+0j before a subtract, so that the entry
-    they meet keeps its bits. Every operation is a ufunc with ``out``
-    whose operands come in the order of the plain expression quoted
-    beside it, so the results are bitwise those of that expression,
-    signed zeros included. The bands hold real values stored complex, so
-    that no product casts; a driven step still gets a numpy iterator
-    buffer from each ``wcol`` product, whose (rows, 1) operand broadcasts
-    along the rows.
+    dim+1, a rho reads and a+ rho writes at offset dim, and rho a+ and
+    rho a use offset 1. ``muW2``, ``nuW2`` and the tiled ``wt`` sit on
+    the same grid with a pad column j = dim-1; the row band ``wr`` (w_i
+    at i*dim + j) needs none, as a shift by dim crosses no row end. A run
+    at offset dim+1 or 1 crosses the row ends that the 2-d slice skipped;
+    after each product those wrap slots (the scratch entries whose band
+    index is in the pad column) are set to the exact identity of the
+    ufunc that follows, -0-0j before an add and +0+0j before a subtract,
+    so that the entry they meet keeps its bits. Every operation is a
+    ufunc with ``out`` whose operands come in the order of the plain
+    expression quoted beside it, so the results are bitwise those of
+    that expression, signed zeros included. The bands hold real values
+    stored complex, so that no product casts.
 
     ``_apply`` runs in row blocks (see the module docstring). Per block,
     ``__init__`` binds the views of the bands, scratch and drive buffer
     once, and ``_bind`` those of an input and an output buffer: the
-    block's whole rows for K and the drive buffer, and each run cut to
-    the band entries whose output falls in the block, which read up to
-    one row beyond it on either side. A run's scratch starts at the
-    scratch buffer's start, so its wrap slots start where the run's band
-    index first meets the pad column.
+    block's whole rows for K, and each run cut to the band entries whose
+    output falls in the block, which read up to one row beyond it on
+    either side. A run's scratch starts at the scratch buffer's start, so
+    its wrap slots start where the run's band index first meets the pad
+    column.
     """
 
     # The flat buffers, allocated in this order: at small dims they share
     # the heap, and the order sets how their holes are reused.
-    _BUFFERS = ("_rho", "_k1", "_s")
+    _BUFFERS = ("_rho", "_k1")
 
     def __init__(self, dim: int, params: LindbladParams,
                  driven: bool = True):
@@ -323,9 +322,9 @@ class _Generator:
         ).astype(np.complex128).ravel()
         w = np.sqrt(np.arange(1.0, dim))
         self.w = w
-        self.dim = dim
         n = dim * dim
         band = n - dim - 1                   # length of an offset dim+1 run
+        nb = min(max(1, _BLOCK_ENTRIES // dim) * dim, n)  # one row block
         wpad = np.append(w, 0.0)             # w_j with the pad column
         W2 = np.outer(w, wpad).ravel()[:band]
         c = np.complex128
@@ -334,14 +333,13 @@ class _Generator:
         del W2            # a float temporary: not live beside the buffers
         for name in self._BUFFERS:
             setattr(self, name, np.empty(n, dtype=c))
+        self._s = s = np.empty(nb, dtype=c)
         self.rho = self._rho.reshape(dim, dim)
         if driven:
             self.wt = np.tile(wpad, dim)[:n - 1].astype(c)  # w_j at i*dim+j
-            self.wcol = w.astype(c)[:, None]
-            self._g = g = np.empty(n, dtype=c)
-            g2 = g.reshape(dim, dim)
-
-        s, d = self._s, dim + 1
+            self.wr = np.repeat(w.astype(c), dim)           # w_i at i*dim+j
+            self._g = np.empty(nb, dtype=c)
+        d = dim + 1
 
         def run(b):   # the scratch of a run over band entries b, wrap slots
             k = b.stop - b.start
@@ -349,13 +347,11 @@ class _Generator:
 
         # Per block: the slices of the input its terms read and of the
         # output they write, and its views of the bands, scratch and drive
-        # buffer. Runs are cut by output index (mu, rho a+) or by input
-        # index (nu, rho a); a+ rho and a rho take whole rows.
-        rows = max(1, _BLOCK_ENTRIES // dim)
+        # buffer. Runs are cut by output index (mu, rho a+, a rho) or by
+        # input index (nu, a+ rho, rho a).
         self._blocks = []
-        for r0 in range(0, dim, rows):
-            r1 = min(r0 + rows, dim)
-            lo, hi = r0 * dim, r1 * dim
+        for lo in range(0, n, nb):
+            hi = min(lo + nb, n)
             e = slice(lo, hi)
             mu = _cut(lo, hi, 0, band)
             nu = _shift(_cut(lo, hi, d, n), -d)
@@ -364,16 +360,18 @@ class _Generator:
                      self.nuW2[nu], *run(nu))
             drive = None
             if driven:
-                up, dn = _cut(r0, r1, 1, dim), _cut(r0, r1, 0, dim - 1)
+                def g(b):   # the drive buffer at output entries b
+                    return self._g[_shift(b, -lo)]
+                up = _shift(_cut(lo, hi, dim, n), -dim)
+                dn = _cut(lo, hi, 0, n - dim)
                 tp, tm = _cut(lo, hi, 0, n - 1), _shift(_cut(lo, hi, 1, n), -1)
-                up_in = _shift(up, -1)
-                reads += (up_in, _shift(tp, 1), _shift(dn, 1), tm)
-                drive = (g[e], g2[_cut(r0, r1, 0, 1)],
-                         self.wcol[up_in], g2[up],
-                         self.wt[tp], *run(tp), g[tp],
-                         g2[_cut(r0, r1, dim - 1, dim)],
-                         self.wcol[dn], g2[dn],
-                         self.wt[tm], *run(tm), g[_shift(tm, 1)])
+                reads += (up, _shift(tp, 1), _shift(dn, dim), tm)
+                drive = (self._g[:hi - lo], g(_cut(lo, hi, 0, dim)),
+                         self.wr[up], g(_shift(up, dim)),
+                         self.wt[tp], *run(tp), g(tp),
+                         g(_cut(lo, hi, n - dim, n)),
+                         self.wr[dn], g(dn),
+                         self.wt[tm], *run(tm), g(_shift(tm, 1)))
             self._blocks.append((reads, writes, bands, drive))
         self._rho_k1 = self._bind(self._rho, self._k1)
 
@@ -381,14 +379,12 @@ class _Generator:
         """Per block, every view that ``_apply`` takes to write L[x] to o:
         a tuple for the undriven terms and one for the drive term (None
         unless driven)."""
-        x2 = x.reshape(self.dim, self.dim)
         bound = []
         for reads, writes, bands, drive in self._blocks:
-            e, mu_in, nu, *dr = reads
-            terms = (x[e], x[mu_in], x[nu], *(o[w] for w in writes), *bands)
+            xs = [x[r] for r in reads]
+            terms = (*xs[:3], *(o[w] for w in writes), *bands)
             if drive is not None:
-                up_in, tp_in, dn_in, tm = dr
-                drive = (x2[up_in], x[tp_in], x2[dn_in], x[tm], *drive)
+                drive = (*xs[3:], *drive)
             bound.append((terms, drive))
         return bound
 
@@ -411,18 +407,18 @@ class _Generator:
             np.add(out_shift, sn, out_shift)
             if f is None:
                 continue
-            (x_up, x_tail, x_down, x_head, g, g_first, wcol_up, g_down,
-             wt_tail, st, wrap_t, g_head, g_last, wcol_dn, g_up, wt_head,
+            (x_up, x_tail, x_down, x_head, g, g_first, wr_up, g_down,
+             wt_tail, st, wrap_t, g_head, g_last, wr_dn, g_up, wt_head,
              sh, wrap_h, g_tail) = drive
             g_first.fill(0)
-            np.multiply(wcol_up, x_up, g_down)   # a+ rho
+            np.multiply(wr_up, x_up, g_down)     # a+ rho
             np.multiply(x_tail, wt_tail, st)     # - rho a+
             wrap_t.fill(0)
             np.subtract(g_head, st, g_head)
             np.multiply(cfc, g, g)
             np.add(out, g, out)
             g_last.fill(0)
-            np.multiply(wcol_dn, x_down, g_up)   # a rho
+            np.multiply(wr_dn, x_down, g_up)     # a rho
             np.multiply(x_head, wt_head, sh)     # - rho a
             wrap_h.fill(0)
             np.subtract(g_tail, sh, g_tail)
@@ -436,10 +432,10 @@ class _Workspace(_Generator):
     plus the stage input ``_y`` and the stage slopes ``_k2`` and ``_k3``
     (k4 reuses k3's buffer), with the views of each stage bound once.
     Each stage's evaluation of L runs in row blocks, so at dim 256 its
-    working set stays in L2; the RK4 combination between the stages stays
-    whole-array."""
+    working set stays in L2 and the one-block scratch and drive buffers
+    serve every stage; the RK4 combination stays whole-array."""
 
-    _BUFFERS = ("_rho", "_y", "_k1", "_k2", "_k3", "_s")
+    _BUFFERS = ("_rho", "_y", "_k1", "_k2", "_k3")
 
     def __init__(self, dim: int, params: LindbladParams,
                  driven: bool = True):
@@ -512,12 +508,12 @@ def evolve(rho0, t_grid, params: LindbladParams,
         raise ValueError("t_grid must be finite")
     if not np.all(np.diff(t_grid) > 0):
         raise ValueError("t_grid must be strictly increasing")
-    snap_index: dict = {}  # grid index -> requested snapshot time
+    snap_index: dict = {}  # grid index -> the snapshot times asked for there
     for ts in opts.snapshot_times:
         hits = np.flatnonzero(np.isclose(t_grid, ts, rtol=0.0, atol=1e-12))
         if hits.size == 0:
             raise ValueError(f"snapshot time {float(ts)} is not on t_grid")
-        snap_index[int(hits[0])] = float(ts)
+        snap_index.setdefault(int(hits[0]), []).append(float(ts))
     if opts.dt is not None and not 0 < opts.dt < math.inf:
         raise ValueError(f"dt must be positive and finite, got {opts.dt!r}")
     if not (float(opts.renorm_every).is_integer() and opts.renorm_every >= 0):
@@ -596,8 +592,8 @@ def evolve(rho0, t_grid, params: LindbladParams,
                 f"at t={t1:g}; results may be corrupted by truncation",
                 TruncationWarning, stacklevel=2)
             warned = True
-        if i in snap_index:
-            snapshots[snap_index[i]] = DensityMatrix.from_matrix(
+        for ts in snap_index.get(i, ()):
+            snapshots[ts] = DensityMatrix.from_matrix(
                 rho, herm_tol=HERM_TOL_EVOLVED, positivity_tol=1e-6)
 
     mean_x, mean_p = _phase_point(mean_a, params.omega)

@@ -131,8 +131,8 @@ def quantum_lc(params: LindbladParams, drive: DriveFn) -> QuantumLC:
     if den == 0.0:
         if ft != 0.0:
             raise ValueError(
-                "undamped oscillator driven exactly at its natural frequency "
-                "has no bounded periodic solution")
+                "response denominator underflows to zero: no bounded periodic "
+                "solution at this scale of omega, gamma and Omega")
         return QuantumLC(A_q=0.0, phi_q=0.0, Omega=W, gamma=g)
     return QuantumLC(A_q=ft / den, phi_q=-math.atan2(2.0 * g * W, det),
                      Omega=W, gamma=g)

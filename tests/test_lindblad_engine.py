@@ -202,6 +202,19 @@ def test_snapshots_keyed_by_requested_time():
                - traj.mean_n[1]) < 1e-10
 
 
+def test_snapshot_times_sharing_a_grid_time_keep_their_keys():
+    # both requested times match grid time 0.09999999999999999; each
+    # keeps its own key, holding the state at that grid time
+    t = np.linspace(0.0, 0.3, 4)
+    asked = (0.1, 0.1 + 5e-13)
+    rho0 = DensityMatrix.pure(coherent_state(0.3, 16))
+    traj = evolve(rho0, t, P_FREE,
+                  opts=IntegratorOptions(snapshot_times=asked))
+    assert list(traj.snapshots) == list(asked)
+    assert (traj.snapshots[asked[0]].matrix.tobytes()
+            == traj.snapshots[asked[1]].matrix.tobytes())
+
+
 def test_time_grid_validation():
     rho0 = DensityMatrix.pure(coherent_state(0.0, 8))
     with pytest.raises(ValueError):
@@ -485,10 +498,7 @@ def test_rhs_copies_any_input_layout(drive, rng):
 def test_undriven_step_does_not_allocate(dim, rng):
     # The bands are complex, so no band product goes through a cast
     # buffer, and every view is bound when the stepper is built. Driven
-    # steps are left out: each of the two wcol row products broadcasts a
-    # (dim-1, 1) operand, and numpy allocates an iterator buffer for that
-    # (65,616 B at dim 64). A flat full-size row band would remove it, at
-    # 1 MiB more per stepper at dim 256 for no measured gain.
+    # steps are pinned by test_driven_step_does_not_allocate.
     ws = _Workspace(dim, P_BITWISE)
     ws.rho[...] = enveloped_density(dim, rng).matrix
     h = default_dt(P_BITWISE)
@@ -500,6 +510,43 @@ def test_undriven_step_does_not_allocate(dim, rng):
     finally:
         tracemalloc.stop()
     assert peak < 1024
+
+
+@pytest.mark.parametrize("drive", ["cosine", "fourier"])
+@pytest.mark.parametrize("dim", [64, 256])
+def test_driven_step_does_not_allocate(dim, drive, rng):
+    # a+ rho and a rho are flat runs on the row band wr, like every other
+    # band product, so no operand broadcasts through an iterator buffer
+    drive = BITWISE_DRIVES[drive]
+    ws = _Workspace(dim, P_BITWISE)
+    ws.rho[...] = enveloped_density(dim, rng).matrix
+    h = default_dt(P_BITWISE, drive)
+    f = [drive.value(0.5 * k * h, P_BITWISE) for k in range(5)]
+    ws.step(h, *f[:3])
+    tracemalloc.start()
+    try:
+        ws.step(h, *f[2:])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1024
+
+
+@pytest.mark.parametrize("driven", [False, True])
+def test_stepper_holds_one_block_of_scratch(driven):
+    # K, muW2, nuW2 and the five stage buffers are dim*dim arrays, and
+    # driven so are wt and wr; the scratch and the drive buffer hold one
+    # row block each. The slack covers the bound views.
+    dim = 256
+    block = 16 * (lindblad_engine._BLOCK_ENTRIES // dim) * dim
+    tracemalloc.start()
+    try:
+        _Workspace(dim, P_BITWISE, driven=driven)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    arrays, blocks = (10, 2) if driven else (8, 1)
+    assert peak < arrays * 16 * dim * dim + blocks * block + 64 * 1024
 
 
 @pytest.mark.parametrize("drive", sorted(BITWISE_DRIVES))
