@@ -28,7 +28,6 @@ from .gaussian_class import (
     GaussianState,
     entropy,
     entropy_infinity,
-    gaussian_expectations,
     gaussian_flow,
     husimi_grid,
     husimi_value,
@@ -89,7 +88,6 @@ __all__ = [
     "evolve",
     "expectation",
     "fujii_density",
-    "gaussian_expectations",
     "gaussian_flow",
     "husimi_grid",
     "husimi_value",

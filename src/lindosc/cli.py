@@ -47,6 +47,7 @@ from .gaussian_class import (
     solve_u,
 )
 from .lindblad_engine import (
+    _MAX_STEPS,
     DriveFn,
     IntegrationDivergedError,
     IntegratorOptions,
@@ -428,7 +429,7 @@ def _say(quiet: bool, *lines: str) -> None:
 
 def cmd_evolve(cfg: RunConfig, out_dir: str, quiet: bool) -> int:
     dt = cfg.dt if cfg.dt is not None else default_dt(cfg.params, cfg.drive)
-    if not math.isfinite(cfg.t_max / dt):
+    if not cfg.t_max / dt <= _MAX_STEPS:
         raise ConfigError(
             f"[integrator] dt = {_fmt(dt)}: t_max = {_fmt(cfg.t_max)} takes "
             "more steps than a float can count; increase dt")

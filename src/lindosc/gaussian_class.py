@@ -24,7 +24,6 @@ from .fock_core import (
     DensityMatrix,
     TruncationWarning,
     _check_adequacy,
-    _phase_point,
     _require_dim,
     coherent_state,
     log_factorial,
@@ -34,13 +33,11 @@ from .observables import _require_cosine, limit_cycle_alpha, mean_a
 
 __all__ = [
     "GaussianState",
-    "GaussianExpectations",
     "HusimiGrid",
     "PURE_U_THRESHOLD",
     "solve_u",
     "gaussian_flow",
     "materialize",
-    "gaussian_expectations",
     "husimi_value",
     "husimi_grid",
     "limit_cycle_state",
@@ -58,8 +55,9 @@ class GaussianState:
     """Parameters (u, beta) of a normalized Gaussian density operator.
 
     u = e^sigma in [0, 1) is the width parameter (0 = pure coherent state,
-    nu/mu = thermal steady value); beta = alpha * (1 - u). Everything else
-    (b, alpha, sigma, Z) is derived.
+    nu/mu = thermal steady value); beta = alpha * (1 - u). b = 1 - u and
+    alpha are derived properties; sigma = log u and Z = b exp(-|beta|^2 / b)
+    are computed inline where a formula needs them (materialize).
     """
 
     u: float
@@ -101,14 +99,6 @@ class GaussianState:
     def alpha(self) -> complex:
         return self.beta / self.b
 
-    @property
-    def sigma(self) -> float:
-        return float("-inf") if self.is_pure else math.log(self.u)
-
-    @property
-    def Z(self) -> float:
-        return self.b * math.exp(-abs(self.beta) ** 2 / self.b)
-
 
 # ---------------------------------------------------------------------------
 # parameter flow
@@ -139,7 +129,7 @@ def gaussian_flow(g0: GaussianState, t: float, params: LindbladParams,
 
 
 # ---------------------------------------------------------------------------
-# materialization and expectation values
+# materialization and Fock populations
 
 
 def materialize(g: GaussianState, dim: int) -> DensityMatrix:
@@ -149,17 +139,16 @@ def materialize(g: GaussianState, dim: int) -> DensityMatrix:
     M[m, n] = sqrt(Z) u^(n/2) beta^(m-n) sqrt(m!/n!) / (m-n)!  (m >= n),
     assembled in log space. e^(beta a+) is nilpotent-triangular at
     truncation, so the series is exact; positivity holds by construction.
+
+    Row m of M holds every term n <= m of p_m = sum_n |M[m, n]|^2, so
+    the diagonal of M M+ is the exact population p_m for m < dim, and
+    1 - tr(M M+) is the population on the levels >= dim, with no walk
+    over levels; above _TAIL_WARN it raises a TruncationWarning.
     """
     dim = _require_dim(dim)
     _check_adequacy(g.alpha, dim)
     if g.is_pure:
         return DensityMatrix.pure(coherent_state(g.alpha, dim))
-    above = _population_tail(g, dim, _TAIL_WARN, cap=0)[1]  # only above dim
-    if above is not None:
-        warnings.warn(
-            f"population {above:.3e} lies above level {dim - 1}: the tail "
-            f"extends past the basis, expectation values will be biased",
-            TruncationWarning, stacklevel=2)
 
     lf = log_factorial(dim)
     n = np.arange(dim)
@@ -178,16 +167,13 @@ def materialize(g: GaussianState, dim: int) -> DensityMatrix:
                      np.exp(logmag + 1j * kc * np.angle(g.beta)),
                      0.0)
     rho = M @ M.conj().T
+    above = 1.0 - rho.trace().real
+    if above > _TAIL_WARN:
+        warnings.warn(
+            f"population {above:.3e} lies above level {dim - 1}: the tail "
+            f"extends past the basis, expectation values will be biased",
+            TruncationWarning, stacklevel=2)
     return DensityMatrix.from_matrix(rho)
-
-
-@dataclass(frozen=True)
-class GaussianExpectations:
-    a: complex
-    adag: complex
-    n: float
-    x: float
-    p: float
 
 
 def _occupation(u, alpha):
@@ -196,14 +182,13 @@ def _occupation(u, alpha):
     return u / (1.0 - u) + abs(alpha) ** 2
 
 
-def _population_tail(g: GaussianState, dim: int, tol: float,
-                     cap: int = _TAIL_CAP) -> tuple[int, float | None]:
+def _population_tail(g: GaussianState, dim: int,
+                     tol: float) -> tuple[int, float | None]:
     """(n, above): n is the smallest basis that leaves at most tol of the
     Fock population of g outside; above is the population on the levels
     >= dim when dim < n, else None. The walk stops at level
-    L = max(dim, cap): an n <= L is exact, and n = L + 1 is a lower
-    bound, returned when the levels >= L still hold more than tol. A
-    caller that needs only above passes cap=0 and walks dim levels.
+    L = max(dim, _TAIL_CAP): an n <= L is exact, and n = L + 1 is a lower
+    bound, returned when the levels >= L still hold more than tol.
 
     The exact populations p_m = Z u^m L_m(-|beta|^2/u) follow from the
     Laguerre recurrence, written for the ratios p_m / p_(m-1) = u + s_m as
@@ -213,7 +198,7 @@ def _population_tail(g: GaussianState, dim: int, tol: float,
     term over- or underflows, and u = 0 (Poisson) needs no special case.
     The cost is one pass over the levels below min(n, L).
     """
-    limit = max(dim, cap)
+    limit = max(dim, _TAIL_CAP)
     b2 = abs(g.beta) ** 2
     log_p, s = math.log(g.b) - b2 / g.b, b2
     tail, above, m = 1.0, None, 0     # tail: population on the levels >= m
@@ -229,19 +214,6 @@ def _population_tail(g: GaussianState, dim: int, tol: float,
         tail -= math.exp(log_p)
         m += 1
     return m, above
-
-
-def gaussian_expectations(g: GaussianState, omega: float) -> GaussianExpectations:
-    """First moments and occupation by parameter differentiation of Z."""
-    a = g.alpha
-    x, p = _phase_point(a, omega)
-    return GaussianExpectations(
-        a=a,
-        adag=a.conjugate(),
-        n=_occupation(g.u, a),
-        x=x,
-        p=p,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -272,7 +244,7 @@ def husimi_value(alpha_pt, g: GaussianState):
 def husimi_grid(g: GaussianState, window, resolution, omega: float) -> HusimiGrid:
     """Husimi values over window = (x_min, x_max, p_min, p_max).
 
-    resolution is the number of samples per axis (int, or a pair (nx, np)).
+    resolution is the pair (nx, np) of samples along x and p.
     """
     x_min, x_max, p_min, p_max = lims = tuple(float(v) for v in window)
     if not all(map(math.isfinite, lims)):
@@ -280,10 +252,7 @@ def husimi_grid(g: GaussianState, window, resolution, omega: float) -> HusimiGri
     if not (x_min < x_max and p_min < p_max):
         raise ValueError(f"window must satisfy x_min < x_max and "
                          f"p_min < p_max, got {window!r}")
-    if np.ndim(resolution) == 0:
-        nx = npts = int(resolution)
-    else:
-        nx, npts = (int(v) for v in resolution)
+    nx, npts = (int(v) for v in resolution)
     if nx < 2 or npts < 2:
         raise ValueError("resolution must be >= 2 per axis")
     x = np.linspace(x_min, x_max, nx)

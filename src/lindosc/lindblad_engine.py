@@ -78,6 +78,7 @@ __all__ = [
 
 DIVERGENCE_EIG = -1e-6  # min eigenvalue below this aborts the run
 TOP_POP_WARN = 1e-6     # population in the top two levels worth a warning
+_MAX_STEPS = 2.0 ** 53  # above this a float no longer counts steps exactly
 
 
 class IntegrationDivergedError(RuntimeError):
@@ -198,18 +199,13 @@ class DriveFn:
         if self.kind == "fourier" and not params.Omega > 0:
             raise ValueError("fourier drive requires Omega > 0")
 
-    def value(self, t, params: LindbladParams):
-        """f(t) from one cmath sum over the terms, the sum evolve integrates
-        per RK4 stage; an array t is summed entry by entry."""
+    def value(self, t: float, params: LindbladParams) -> complex:
+        """f(t) at one time t (a float) from one cmath sum over the terms,
+        the sum evolve integrates per RK4 stage."""
         self.require_Omega(params)
         W = params.Omega
-        if isinstance(t, (int, float)):
-            return sum([c * cmath.exp(1j * k * W * t)
-                        for k, c in self.terms(params)], 0j)
-        t = np.asarray(t, dtype=float)
-        out = np.array([self.value(s, params) for s in t.ravel().tolist()],
-                       dtype=np.complex128).reshape(t.shape)
-        return out if t.ndim else complex(out)
+        return sum([c * cmath.exp(1j * k * W * t)
+                    for k, c in self.terms(params)], 0j)
 
     def max_frequency(self, params: LindbladParams) -> float:
         """Highest angular frequency present in f(t); sets the default step."""
@@ -235,7 +231,6 @@ class IntegratorOptions:
 class Trajectory:
     """Observables recorded along an evolve run (one entry per grid time)."""
 
-    times: np.ndarray
     mean_a: np.ndarray
     mean_n: np.ndarray
     mean_x: np.ndarray
@@ -487,9 +482,10 @@ def evolve(rho0, t_grid, params: LindbladParams,
     """Integrate the master equation, recording observables on t_grid.
 
     t_grid must be finite, start at 0 and increase strictly, and
-    t_grid[-1] / dt must be finite too. Every opts.renorm_every steps the
-    state is re-Hermitized and trace-renormalized. A minimum eigenvalue
-    below -1e-6 at any recorded time aborts with IntegrationDivergedError.
+    t_grid[-1] / dt must be at most _MAX_STEPS (2**53). Every
+    opts.renorm_every steps the state is re-Hermitized and
+    trace-renormalized. A minimum eigenvalue below -1e-6 at any recorded
+    time aborts with IntegrationDivergedError.
     Each opts.snapshot_times entry must lie within 1e-12 of a grid time;
     its snapshot is keyed by the time asked for, not by the grid time it
     matched.
@@ -522,7 +518,7 @@ def evolve(rho0, t_grid, params: LindbladParams,
 
     dt = opts.dt if opts.dt is not None else default_dt(params, drive)
     t_end = t_grid[-1].item()
-    if not math.isfinite(t_end / dt):   # would overflow math.ceil below
+    if not t_end / dt <= _MAX_STEPS:
         raise ValueError(f"dt = {dt!r} is too small: t_grid up to {t_end!r} "
                          "takes more steps than a float can count")
 
@@ -597,7 +593,7 @@ def evolve(rho0, t_grid, params: LindbladParams,
                 rho, herm_tol=HERM_TOL_EVOLVED, positivity_tol=1e-6)
 
     mean_x, mean_p = _phase_point(mean_a, params.omega)
-    return Trajectory(times=t_grid.copy(), mean_a=mean_a, mean_n=mean_n,
+    return Trajectory(mean_a=mean_a, mean_n=mean_n,
                       mean_x=mean_x, mean_p=mean_p, purity=purity,
                       entropy=entropy, trace_err=trace_err, min_eig=min_eig,
                       top_pop=top_pop, snapshots=snapshots)

@@ -18,13 +18,17 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import observables as obs
-from .fock_core import DensityMatrix, coherent_state, trace_distance
+from .fock_core import (
+    DensityMatrix,
+    _phase_point,
+    coherent_state,
+    trace_distance,
+)
 from .freeform_solutions import efg, fujii_density, thermal_from_ground
 from .gaussian_class import (
     GaussianState,
     entropy,
     entropy_infinity,
-    gaussian_expectations,
     gaussian_flow,
     husimi_value,
     limit_cycle_state,
@@ -191,9 +195,9 @@ def check_limit_cycle_geometry() -> list[CheckResult]:
     lc = obs.quantum_lc(p, drive)
     err_ellipse = 0.0
     for ts in np.linspace(0.0, period, 100, endpoint=False):
-        ex = gaussian_expectations(limit_cycle_state(ts, p, drive), p.omega)
-        z = (ex.p - p.gamma * ex.x) / lc.Omega
-        err_ellipse = max(err_ellipse, abs(z * z + ex.x * ex.x - lc.A_q ** 2))
+        x, px = _phase_point(limit_cycle_state(ts, p, drive).alpha, p.omega)
+        z = (px - p.gamma * x) / lc.Omega
+        err_ellipse = max(err_ellipse, abs(z * z + x * x - lc.A_q ** 2))
 
     g0 = limit_cycle_state(0.0, p, drive)
     g1 = gaussian_flow(g0, period, p, drive)

@@ -314,11 +314,15 @@ dt = 1.0
 
 @pytest.mark.parametrize("body", [
     pytest.param("[grid]\nt_max = 1e308\n", id="t_max"),
+    pytest.param("[integrator]\ndim = 12\n[grid]\nt_max = 1e300\n",
+                 id="t_max-past-2**53"),
     pytest.param("[integrator]\ndim = 12\ndt = 5e-324\n"
                  "[grid]\nt_max = 1\nn_times = 3\n", id="dt"),
 ])
 def test_uncountable_step_count_exit_2(tmp_path, capsys, body):
-    # t_max / dt overflows to inf: rejected before a stepper is built
+    # t_max / dt overflows to inf, or is finite but above 2**53 where a
+    # float no longer counts steps exactly: rejected before a stepper is
+    # built
     cfg = write_ini(tmp_path, body)
     rc = main(["evolve", "--config", cfg, "--out",
                str(tmp_path / "out"), "--quiet"])

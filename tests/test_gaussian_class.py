@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from lindosc.fock_core import (
     DensityMatrix,
     TruncationError,
     TruncationWarning,
+    _phase_point,
     coherent_state,
     expectation,
     ladder_ops,
@@ -16,10 +18,10 @@ from lindosc.fock_core import (
 from lindosc.gaussian_class import (
     GaussianState,
     _TAIL_CAP,
+    _occupation,
     _population_tail,
     entropy,
     entropy_infinity,
-    gaussian_expectations,
     gaussian_flow,
     husimi_grid,
     husimi_value,
@@ -54,12 +56,8 @@ def test_state_validation_and_properties():
     assert g.b == 0.75
     assert g.beta == pytest.approx((0.4 - 0.3j) * 0.75, abs=1e-16)
     assert g.alpha == pytest.approx(0.4 - 0.3j, abs=1e-16)
-    assert g.sigma == pytest.approx(math.log(0.25), abs=1e-15)
-    assert g.Z == pytest.approx(0.75 * math.exp(-abs(g.beta) ** 2 / 0.75),
-                                abs=1e-16)
 
     assert GaussianState.coherent(1.0).is_pure
-    assert GaussianState.coherent(1.0).sigma == float("-inf")
     th = GaussianState.thermal(2.0)
     assert th.u == pytest.approx(2.0 / 3.0, abs=1e-16)
     assert th.beta == 0.0
@@ -127,9 +125,8 @@ def test_materialize_moments_cross_check():
     dim = 48
     rho = materialize(g, dim)
     a, _, nop = ladder_ops(dim)
-    ex = gaussian_expectations(g, omega=1.1)
-    assert abs(expectation(a, rho) - ex.a) < 1e-12
-    assert abs(expectation(nop, rho).real - ex.n) < 1e-12
+    assert abs(expectation(a, rho) - g.alpha) < 1e-12
+    assert abs(expectation(nop, rho).real - _occupation(g.u, g.alpha)) < 1e-12
 
 
 def test_materialize_truncation_paths():
@@ -163,9 +160,10 @@ def _populations_by_sum(g, n_levels):
     # M M+ in materialize, summed term by term
     lf = log_factorial(n_levels)
     b2 = abs(g.beta) ** 2
-    return np.array([g.Z * sum(math.exp(lf[m] - lf[n] - 2.0 * lf[m - n])
-                               * g.u ** n * b2 ** (m - n)
-                               for n in range(m + 1))
+    Z = g.b * math.exp(-b2 / g.b)
+    return np.array([Z * sum(math.exp(lf[m] - lf[n] - 2.0 * lf[m - n])
+                             * g.u ** n * b2 ** (m - n)
+                             for n in range(m + 1))
                      for m in range(n_levels)])
 
 
@@ -207,23 +205,51 @@ def test_population_tail_walk_is_capped():
     (GaussianState.from_alpha(0.3, 1.2 + 0.7j), 8),
 ])
 def test_materialize_warning_needs_no_walk_past_dim(g, dim):
-    # materialize reads only the tail above its basis: a walk capped at dim
-    # ends there (n = dim + 1) and gives the full walk's number
-    capped = _population_tail(g, dim, 1e-7, cap=0)
-    full = _population_tail(g, dim, 1e-7)
-    assert capped == (dim + 1, full[1]) and full[0] > dim + 1
-    with pytest.warns(TruncationWarning, match=f"population {full[1]:.3e} "):
+    # materialize reads the tail above its basis from 1 - tr(M M+), with
+    # no walk at all, and gives the full walk's number; each of these
+    # states needs more than dim + 1 levels
+    n, above = _population_tail(g, dim, 1e-7)
+    assert n > dim + 1
+    with pytest.warns(TruncationWarning, match=f"population {above:.3e} "):
         materialize(g, dim)
 
 
+def _warned_tail(g, dim):
+    """The population materialize(g, dim) warns of, or None."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        materialize(g, dim)
+    msgs = [str(w.message) for w in caught
+            if issubclass(w.category, TruncationWarning)]
+    assert len(msgs) <= 1
+    return msgs[0].split()[1] if msgs else None
+
+
+def test_materialize_tail_from_trace_matches_walk():
+    # the trace identity against the Laguerre walk: the same warn/no-warn
+    # decision and the same printed number on seeded states
+    rng = np.random.default_rng(1717)
+    outcomes = set()
+    for _ in range(400):
+        dim = int(rng.integers(2, 81))
+        r = rng.uniform() * min(3.0, math.sqrt(dim) / 2.0)
+        g = GaussianState.from_alpha(
+            rng.uniform(0.01, 0.95), r * np.exp(2j * math.pi * rng.uniform()))
+        above = _population_tail(g, dim, 1e-7)[1]
+        expected = None if above is None else f"{above:.3e}"
+        assert _warned_tail(g, dim) == expected, (g, dim)
+        outcomes.add(expected is None)
+    assert outcomes == {True, False}
+
+
 def test_gaussian_expectations_formulas():
+    # <n> and the (x, p) map of a Gaussian state, as read from (u, alpha)
     g = GaussianState.from_alpha(0.25, 1.2 - 0.7j)
-    ex = gaussian_expectations(g, omega=1.1)
-    assert ex.a == g.alpha
-    assert ex.adag == g.alpha.conjugate()
-    assert ex.n == pytest.approx(0.25 / 0.75 + abs(g.alpha) ** 2, abs=1e-15)
-    assert ex.x == pytest.approx(math.sqrt(2 / 1.1) * 1.2, abs=1e-15)
-    assert ex.p == pytest.approx(-math.sqrt(2 * 1.1) * 0.7, abs=1e-15)
+    assert _occupation(g.u, g.alpha) == pytest.approx(
+        0.25 / 0.75 + abs(g.alpha) ** 2, abs=1e-15)
+    x, p = _phase_point(g.alpha, 1.1)
+    assert x == pytest.approx(math.sqrt(2 / 1.1) * 1.2, abs=1e-15)
+    assert p == pytest.approx(-math.sqrt(2 * 1.1) * 0.7, abs=1e-15)
 
 
 def test_husimi_value_peak_and_falloff():
@@ -243,7 +269,7 @@ def test_husimi_grid_orientation():
         for j, p in enumerate(grid.p_axis):
             pt = (omega * x + 1j * p) / s
             assert abs(grid.values[i, j] - husimi_value(pt, g)) < 1e-15
-    square = husimi_grid(g, (-1.0, 1.0, -1.0, 1.0), 4, omega)
+    square = husimi_grid(g, (-1.0, 1.0, -1.0, 1.0), (4, 4), omega)
     assert square.values.shape == (4, 4)
 
 
@@ -266,15 +292,15 @@ def test_husimi_grid_bitwise_equals_husimi_value(u, alpha):
 def test_husimi_grid_rejects_non_finite_window(window):
     g = GaussianState.thermal(1.0)
     with pytest.raises(ValueError, match="window must be finite"):
-        husimi_grid(g, window, 5, 1.1)
+        husimi_grid(g, window, (5, 5), 1.1)
 
 
 def test_husimi_grid_validation():
     g = GaussianState.thermal(1.0)
     with pytest.raises(ValueError):
-        husimi_grid(g, (1.0, -1.0, -1.0, 1.0), 5, 1.1)
+        husimi_grid(g, (1.0, -1.0, -1.0, 1.0), (5, 5), 1.1)
     with pytest.raises(ValueError):
-        husimi_grid(g, (-1.0, 1.0, -1.0, 1.0), 1, 1.1)
+        husimi_grid(g, (-1.0, 1.0, -1.0, 1.0), (5, 1), 1.1)
 
 
 def test_limit_cycle_state():

@@ -58,12 +58,15 @@ def test_params_derived_quantities():
 def test_drive_values():
     p = LindbladParams(omega=1.0, mu=0.5, nu=0.1, f0=0.7, Omega=1.3)
     t = np.linspace(0.0, 5.0, 11)
-    assert np.all(DriveFn.none().value(t, p) == 0)
-    assert np.allclose(DriveFn.cosine().value(t, p), 0.7 * np.cos(1.3 * t))
+
+    def values(drive):
+        return np.array([drive.value(s, p) for s in t.tolist()])
+
+    assert np.all(values(DriveFn.none()) == 0)
+    assert np.allclose(values(DriveFn.cosine()), 0.7 * np.cos(1.3 * t))
     fr = DriveFn.fourier((1, -1), (0.35 + 0j, 0.35 + 0j))
     # symmetric pair reproduces the cosine
-    assert np.max(np.abs(fr.value(t, p)
-                         - DriveFn.cosine().value(t, p))) < 1e-15
+    assert np.max(np.abs(values(fr) - values(DriveFn.cosine()))) < 1e-15
     assert DriveFn.cosine().max_frequency(p) == 1.3
     assert DriveFn.fourier((2, -3), (1j, 1.0)).max_frequency(p) == 3 * 1.3
     assert DriveFn.none().terms(p) == ()
@@ -240,6 +243,10 @@ def test_uncountable_step_count_raises():
                opts=IntegratorOptions(dt=5e-324))
     with pytest.raises(ValueError, match="more steps than a float can count"):
         evolve(rho0, np.array([0.0, 1e308]), P_FREE)
+    # about 1.75e302 steps: finite, but above 2**53, where a float no
+    # longer counts steps exactly
+    with pytest.raises(ValueError, match="more steps than a float can count"):
+        evolve(rho0, np.array([0.0, 1e300]), P_FREE)
 
 
 @pytest.mark.parametrize("renorm_every", [-1, 2.5])
@@ -439,19 +446,6 @@ def test_rhs_bitwise_equals_allocating_apply(dim, drive, rng):
     assert lindblad_rhs(m, 0.37, P_BITWISE, drive).tobytes() == ref.tobytes()
 
 
-@pytest.mark.parametrize("drive", sorted(BITWISE_DRIVES))
-def test_drive_value_array_bitwise_equals_scalar(drive):
-    # the array form must give the bits evolve integrates, call by call
-    drive = BITWISE_DRIVES[drive]
-    t = np.linspace(0.0, 40.0, 2001)
-    scalar = np.array([drive.value(s, P_BITWISE) for s in t.tolist()],
-                      dtype=np.complex128)
-    assert drive.value(t, P_BITWISE).tobytes() == scalar.tobytes()
-    grid = t.reshape(23, 87)
-    assert drive.value(grid, P_BITWISE).tobytes() == scalar.tobytes()
-    assert drive.value(np.asarray(t[7]), P_BITWISE) == scalar[7]
-
-
 def _signed_zeros(shape, rng):
     z = np.empty(shape, dtype=np.complex128)
     z.real = np.copysign(0.0, rng.normal(size=shape))
@@ -551,10 +545,11 @@ def test_stepper_holds_one_block_of_scratch(driven):
 
 @pytest.mark.parametrize("drive", sorted(BITWISE_DRIVES))
 def test_rhs_allocates_only_the_generator(drive, rng):
-    # One evaluation needs the bands K, muW2 and nuW2, its input, output
-    # and scratch and, driven, wt and the drive buffer: 6 or 8 arrays of
-    # dim*dim entries, none of the RK4 stage buffers. The slack covers
-    # the views and the driven row products' iterator buffers.
+    # One evaluation holds the bands K, muW2 and nuW2 and its input and
+    # output buffers, plus wt and wr when driven: 5 or 7 arrays of dim*dim
+    # entries, none of the RK4 stage buffers, and one row block of scratch
+    # (two with the drive buffer). At dim 256 the peak reads 5,517,928 B
+    # undriven and 7,882,896 B under the cosine drive, within the bound.
     dim = 256
     drive = BITWISE_DRIVES[drive]
     m = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
