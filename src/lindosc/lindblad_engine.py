@@ -38,6 +38,12 @@ same operations in the same order and the result is bitwise that of
 whole-array passes. At dim <= 128 there is one block. The RK4 combination
 of the stages stays whole-array.
 
+The records of ``evolve`` use the stepper's buffers that are free between
+steps. Their entropy and minimum eigenvalue come from the spectrum of
+(rho + rho^+)/2, taken by ``fock_core._eigvalsh``, which first zeroes the
+parts below ``_SPECTRUM_FLOOR`` (about 2.8e-103) of that copy; the state
+itself is never floored, so the stepper's states keep every bit.
+
 This module is the numerical oracle for every closed-form solver in the
 package; conversely those solvers pin down this integrator in the tests.
 
@@ -60,6 +66,7 @@ from .fock_core import (
     DensityMatrix,
     TruncationWarning,
     _as_matrix,
+    _eigvalsh,
     _geometric_state,
     _phase_point,
 )
@@ -532,9 +539,11 @@ def evolve(rho0, t_grid, params: LindbladParams,
     rho = st.rho
     rho[...] = rho0.matrix
     del rho0          # the stepper holds the state now; free the start
-    # k1 is free between steps: the records build |rho|^2 and herm in it
+    # k1 and y are free between steps: the records build |rho|^2 and herm
+    # in k1, and the spectrum floor takes |herm|'s parts in y
     absq = st._k1.view(np.float64)[:dim * dim].reshape(dim, dim)
     herm = st._k1.reshape(dim, dim)
+    herm_abs = st._y.view(np.float64).reshape(dim, 2 * dim)
     n_diag = np.arange(dim, dtype=float)
     mean_a = np.empty(t_grid.size, dtype=np.complex128)
     mean_n, purity, entropy, trace_err, min_eig, top_pop = np.empty(
@@ -573,7 +582,7 @@ def evolve(rho0, t_grid, params: LindbladParams,
         np.conjugate(rho.T, herm)              # (rho + rho^+) / 2.0
         np.add(rho, herm, herm)
         np.divide(herm, 2.0, herm)
-        eigs = np.linalg.eigvalsh(herm)
+        eigs = _eigvalsh(herm, herm_abs)
         min_eig[i] = eigs[0]
         pos = eigs[eigs > 1e-300]
         entropy[i] = -np.dot(pos, np.log(pos)) + 0.0

@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 from lindosc.fock_core import (
+    _SPECTRUM_FLOOR,
     DensityMatrix,
     TruncationError,
+    _eigvalsh,
     coherent_state,
     density_diagnostics,
     expectation,
@@ -14,6 +16,10 @@ from lindosc.fock_core import (
     required_dim,
     trace_distance,
 )
+from lindosc.gaussian_class import GaussianState, materialize
+from lindosc.lindblad_engine import IntegratorOptions, LindbladParams, evolve
+
+from conftest import enveloped_density
 
 
 def test_ladder_action():
@@ -177,3 +183,68 @@ def test_trace_distance_extremes():
     e1 = DensityMatrix.pure(one)
     assert abs(trace_distance(e0, e1) - 1.0) < 1e-14
     assert trace_distance(e0, e0) == 0.0
+
+
+def test_trace_distance_dimension_mismatch():
+    a = DensityMatrix.pure(coherent_state(0.3, 6))
+    b = DensityMatrix.pure(coherent_state(0.3, 8))
+    with pytest.raises(ValueError, match=r"dimension mismatch: "
+                       r"rho1 \(6, 6\) vs rho2 \(8, 8\)"):
+        trace_distance(a, b)
+
+
+def _entropy(eigs):
+    pos = eigs[eigs > 1e-300]
+    return -np.dot(pos, np.log(pos)) + 0.0
+
+
+# Each of the two LAPACK runs errs by O(dim * eps * ||rho||), about 5.7e-14
+# at dim 256 for a density matrix, and the floor moves each exact
+# eigenvalue by at most sqrt(2) * dim * _SPECTRUM_FLOOR, about 1e-100
+# (Weyl); the entropy sum is held to the same tolerance.
+SPECTRUM_TOL = 1e-13
+
+
+# the small-dim Gaussians spill past their basis, which two spectra of the
+# same matrix do not mind
+@pytest.mark.filterwarnings("ignore::lindosc.fock_core.TruncationWarning")
+def test_floored_spectrum_matches_raw_eigvalsh():
+    rng = np.random.default_rng(20261019)
+    floored = 0
+    for dim in (8, 32, 64, 128, 256):
+        reach = min(2.0, 0.9 * math.sqrt(dim / 4.0))
+        for _ in range(2):
+            alpha = rng.uniform(0.3, reach) * np.exp(2j * np.pi * rng.uniform())
+            u = rng.uniform(0.05, 0.4)
+            states = (
+                DensityMatrix.pure(coherent_state(alpha, dim)),
+                materialize(GaussianState(u=u, beta=alpha * (1 - u)), dim),
+                enveloped_density(dim, rng, ratio=rng.uniform(0.02, 0.4)),
+            )
+            for rho in states:
+                h = rho.matrix.copy()
+                parts = h.view(np.float64)
+                floored += np.count_nonzero(
+                    (parts != 0) & (np.abs(parts) < _SPECTRUM_FLOOR))
+                raw = np.linalg.eigvalsh(rho.matrix)
+                eigs = _eigvalsh(h)
+                assert np.max(np.abs(eigs - raw)) < SPECTRUM_TOL
+                assert abs(_entropy(eigs) - _entropy(raw)) < SPECTRUM_TOL
+    assert floored > 0   # the sweep reaches states the floor changes
+
+
+def test_floor_never_reaches_caller_data():
+    # unit trace, empty top levels and off-diagonal parts of about 1e-150,
+    # which the spectrum floor zeroes in its own copies
+    m = np.diag([0.5, 0.25, 0.125, 0.125, 0.0, 0.0]).astype(np.complex128)
+    m[0, 3] = 1e-150 - 3e-151j
+    m[1, 2] = -2e-150 + 1e-150j
+    m += np.triu(m, 1).conj().T
+    before = m.tobytes()
+    assert DensityMatrix.from_matrix(m).matrix.tobytes() == before
+    trace_distance(m, np.diag(np.diagonal(m)))
+    density_diagnostics(m)
+    assert m.tobytes() == before
+    p = LindbladParams(omega=1.0, mu=0.5, nu=0.1)
+    traj = evolve(m, [0.0], p, opts=IntegratorOptions(snapshot_times=(0.0,)))
+    assert traj.snapshots[0.0].matrix.tobytes() == before

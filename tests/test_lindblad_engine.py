@@ -7,6 +7,7 @@ import pytest
 from lindosc import lindblad_engine
 from lindosc.fock_core import (
     HERM_TOL_EVOLVED,
+    _SPECTRUM_FLOOR,
     DensityMatrix,
     TruncationWarning,
     coherent_state,
@@ -428,7 +429,12 @@ def test_evolve_bitwise_equals_allocating_rk4(dim, drive, rng):
             np.arange(dim, dtype=float), np.diagonal(rho).real).tobytes()
         assert traj.trace_err[i].tobytes() == np.float64(
             abs(complex(rho.trace()) - 1.0)).tobytes()
-        eigs = np.linalg.eigvalsh((rho + rho.conj().T) / 2.0)
+        # the records read the spectrum with the parts of (rho + rho^+)/2
+        # below the floor zeroed
+        herm = (rho + rho.conj().T) / 2.0
+        parts = herm.view(np.float64)
+        parts[np.abs(parts) < _SPECTRUM_FLOOR] = 0.0
+        eigs = np.linalg.eigvalsh(herm)
         assert traj.min_eig[i].tobytes() == eigs[0].tobytes()
         pos = eigs[eigs > 1e-300]
         assert traj.entropy[i].tobytes() == (
