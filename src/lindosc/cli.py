@@ -5,8 +5,12 @@ husimi (phase-space grids plus the cycle path), scan (driving-frequency
 sweep), validate (cross-oracle check suite), steady-state (asymptotic
 populations).  Runs are described by a flat INI config; every output
 file starts with a header echoing the resolved configuration and the
-library version, numbers carry 17 significant digits, and identical
-configs produce byte-identical files.
+library version, and identical configs produce byte-identical files.
+Every number in a table body is one "%.17g" cell, the bytes of
+format(x, ".17g"): 17 significant digits, integral values such as the
+steady-state level n without a decimal point.  scan sweeps the response
+to the cosine drive f0 cos(Omega t), so it refuses (exit 2) a config
+whose [drive] is fourier, or none with a nonzero f0.
 
 Exit codes: 0 success, 1 validation failures, 2 bad configuration,
 3 numerical divergence.
@@ -390,15 +394,18 @@ def _initial_density(cfg: RunConfig,
 
 
 def _write_table(out_dir: str, name: str, command: str, cfg: RunConfig,
-                 rows, extra=(), meta=(), columns=None, footer=(),
-                 sep: str = "\t") -> str:
+                 table: np.ndarray, extra=(), meta=(), columns=None,
+                 footer=(), sep: str = "\t", cell: str = "%.17g") -> str:
     """Write out_dir/name in the one layout every output file shares.
 
     Header: version, command, one ``# key = value`` line per resolved
     setting and ``extra`` pair, one ``# `` line per ``meta`` entry, then
-    ``# columns:`` when given.  Body: one line per row, cells through
-    _fmt joined by ``sep``.  Footer: one ``# `` line per entry.
-    Returns the path written.
+    ``# columns:`` when given.  Body: one line per row of the 2-d array
+    ``table``, its cells through the %-format ``cell`` joined by ``sep``
+    in one format call per row.  A float cell through "%.17g" reads as
+    format(x, ".17g") (both are CPython's PyOS_double_to_string), so a
+    level n < 1e17 stored as a float reads as str(n).  Footer: one ``# ``
+    line per entry.  Returns the path written.
     """
     os.makedirs(out_dir, exist_ok=True)
     path = os.path.join(out_dir, name)
@@ -411,8 +418,9 @@ def _write_table(out_dir: str, name: str, command: str, cfg: RunConfig,
             fh.write(f"# {line}\n")
         if columns is not None:
             fh.write("# columns: " + " ".join(columns) + "\n")
-        for row in rows:
-            fh.write(sep.join(map(_fmt, row)) + "\n")
+        fmt = sep.join([cell] * table.shape[1]) + "\n"
+        for row in table:       # row by row: no list of the whole table
+            fh.write(fmt % tuple(row.tolist()))
         for line in footer:
             fh.write(f"# {line}\n")
     return path
@@ -466,7 +474,7 @@ def cmd_evolve(cfg: RunConfig, out_dir: str, quiet: bool) -> int:
                           f"(tol 1e-06) -> {verdict}")
 
     path = _write_table(out_dir, "trajectory.tsv", "evolve", cfg,
-                        np.column_stack(data).tolist(), columns=cols,
+                        np.column_stack(data), columns=cols,
                         footer=footer)
     _say(quiet, f"wrote {path} ({t.size} rows)", *footer)
     return 0
@@ -542,15 +550,14 @@ def cmd_husimi(cfg: RunConfig, out_dir: str, quiet: bool) -> int:
                 f"nx: {grid.x_axis.size}", f"np: {grid.p_axis.size}",
                 f"time: {_fmt(float(ts))}")
         path = _write_table(out_dir, f"husimi_{i:02d}.txt", "husimi", cfg,
-                            (row.tolist() for row in grid.values), extra,
-                            meta, sep=" ")
+                            grid.values, extra, meta, sep=" ")
         _say(quiet, f"wrote {path} "
                     f"(t = {ts:g}, peak {float(grid.values.max()):.6g})")
 
     if periodic:
         lc = obs.quantum_lc(p, drive)
         ts = np.linspace(0.0, period, 257)
-        rows = np.column_stack((ts, lc.mean_x(ts), lc.mean_p(ts))).tolist()
+        rows = np.column_stack((ts, lc.mean_x(ts), lc.mean_p(ts)))
         path = _write_table(out_dir, "cycle_path.tsv", "husimi", cfg, rows,
                             extra, columns=("t", "x", "p"))
         _say(quiet, f"wrote {path} (ellipse, {len(ts)} samples)")
@@ -558,6 +565,12 @@ def cmd_husimi(cfg: RunConfig, out_dir: str, quiet: bool) -> int:
 
 
 def cmd_scan(cfg: RunConfig, out_dir: str, quiet: bool) -> int:
+    kind, f0 = cfg.drive.kind, cfg.params.f0
+    if not (kind == "cosine" or (kind == "none" and f0 == 0.0)):
+        raise ConfigError(
+            f"[drive] kind = {kind} with [params] f0 = {_fmt(f0)}: scan "
+            "sweeps the cosine drive f0 cos(Omega t), so it needs "
+            "kind = cosine, or kind = none with f0 = 0")
     table = obs.resonance_scan(cfg.params, cfg.scan_range, cfg.scan_samples)
     lo, hi = cfg.scan_range
     step = (hi - lo) / (cfg.scan_samples - 1)
@@ -578,9 +591,8 @@ def cmd_scan(cfg: RunConfig, out_dir: str, quiet: bool) -> int:
 
     extra = [("scan.Omega_min", _fmt(lo)), ("scan.Omega_max", _fmt(hi)),
              ("scan.samples", str(cfg.scan_samples))]
-    path = _write_table(out_dir, "resonance_scan.tsv", "scan", cfg,
-                        (row.tolist() for row in table), extra,
-                        columns=("Omega", "A_q", "phi_q", "nbar"),
+    path = _write_table(out_dir, "resonance_scan.tsv", "scan", cfg, table,
+                        extra, columns=("Omega", "A_q", "phi_q", "nbar"),
                         footer=footer)
     _say(quiet, f"wrote {path} ({cfg.scan_samples} rows)", *footer)
     return 0
@@ -596,8 +608,8 @@ def cmd_steady_state(cfg: RunConfig, out_dir: str, quiet: bool) -> int:
             f"truncated_mean_n = {_fmt(mean_n)}",
             f"top_level_population = {_fmt(float(pops[-1]))}")
     path = _write_table(out_dir, "steady_state.tsv", "steady-state", cfg,
-                        enumerate(pops.tolist()), meta=meta,
-                        columns=("n", "p_n"))
+                        np.column_stack((np.arange(cfg.dim), pops)),
+                        meta=meta, columns=("n", "p_n"))
     _say(quiet, f"wrote {path} (dim {cfg.dim}, <n> = {mean_n:.6g})")
     return 0
 
@@ -612,11 +624,12 @@ def cmd_validate(cfg: RunConfig, out_dir: str | None, quiet: bool) -> int:
         if not quiet or not r.passed:
             print(r.line())
     if out_dir is not None:
-        rows = [("PASS" if r.passed else "FAIL", r.key, r.expected,
-                 r.actual, r.tolerance) for r in results]
+        rows = np.array([("PASS" if r.passed else "FAIL", r.key, r.expected,
+                          r.actual, r.tolerance) for r in results])
         path = _write_table(out_dir, "validate_report.tsv", "validate", cfg,
                             rows, columns=("status", "key", "expected",
-                                           "actual", "tolerance"))
+                                           "actual", "tolerance"),
+                            cell="%s")
         _say(quiet, f"wrote {path}")
     print(f"{len(results) - len(fails)}/{len(results)} checks passed")
     if fails:

@@ -21,7 +21,7 @@ float and complex), an array time an array of its shape.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -114,6 +114,33 @@ def _require_cosine(drive: DriveFn):
         raise ValueError(f"cosine drive required, got kind={drive.kind!r}")
 
 
+def _response(w: float, g: float, W: float,
+              ft: float) -> tuple[float, float]:
+    """(A_q, phi_q) at frequency w, damping g, drive frequency W and force
+    ftilde0 = ft, on plain floats; see quantum_lc."""
+    det = w ** 2 + g ** 2 - W ** 2
+    den = math.hypot(det, 2.0 * g * W)
+    if den == 0.0:
+        if ft != 0.0:
+            raise ValueError(
+                "response denominator underflows to zero: no bounded periodic "
+                "solution at this scale of omega, gamma and Omega")
+        return 0.0, 0.0
+    return ft / den, -math.atan2(2.0 * g * W, det)
+
+
+def _cycle_response(w: float, g: float, W: float, ft: float,
+                    nbar: float) -> tuple[float, float, float, float]:
+    """(A_q, phi_q, cycle-mean <n>, ripple amplitude) of the limit cycle
+    over thermal occupation nbar, on plain floats; see mean_n_limit_cycle.
+    Kept apart from _response, so quantum_lc never divides by 4 gamma omega
+    (zero when gamma * omega underflows)."""
+    A, phi = _response(w, g, W, ft)
+    n = nbar + (ft * A / (4.0 * g * w)) * (g * math.cos(phi)
+                                           - W * math.sin(phi))
+    return A, phi, n, ft * A / (4.0 * w)
+
+
 def quantum_lc(params: LindbladParams, drive: DriveFn) -> QuantumLC:
     """Amplitude and phase of the asymptotic <x> oscillation: <x> obeys the
     classical oscillator with omega0^2 = omega^2 + gamma^2, so
@@ -125,17 +152,9 @@ def quantum_lc(params: LindbladParams, drive: DriveFn) -> QuantumLC:
     leaves no bounded response: (0, 0) for ftilde0 = 0, else an error.
     """
     _require_cosine(drive)
-    g, W, ft = params.gamma, params.Omega, params.ftilde0
-    det = params.omega ** 2 + g ** 2 - W ** 2
-    den = math.hypot(det, 2.0 * g * W)
-    if den == 0.0:
-        if ft != 0.0:
-            raise ValueError(
-                "response denominator underflows to zero: no bounded periodic "
-                "solution at this scale of omega, gamma and Omega")
-        return QuantumLC(A_q=0.0, phi_q=0.0, Omega=W, gamma=g)
-    return QuantumLC(A_q=ft / den, phi_q=-math.atan2(2.0 * g * W, det),
-                     Omega=W, gamma=g)
+    g, W = params.gamma, params.Omega
+    A, phi = _response(params.omega, g, W, params.ftilde0)
+    return QuantumLC(A_q=A, phi_q=phi, Omega=W, gamma=g)
 
 
 def resonance_frequency(params: LindbladParams) -> float:
@@ -158,8 +177,7 @@ def resonance_amplitude(params: LindbladParams) -> float:
 class LimitCycleOccupation:
     """<n> on the limit cycle: nbar plus a cos(2 Omega t + phi_q) ripple.
 
-    cycle is the QuantumLC it was built from (A_q, phi_q, Omega), so one
-    mean_n_limit_cycle call gives the whole scan row.
+    cycle is the QuantumLC it was built from (A_q, phi_q, Omega).
     """
 
     nbar: float
@@ -175,13 +193,12 @@ class LimitCycleOccupation:
 def mean_n_limit_cycle(params: LindbladParams,
                        drive: DriveFn) -> LimitCycleOccupation:
     _require_cosine(drive)
-    lc = quantum_lc(params, drive)
-    w, g, W = params.omega, params.gamma, params.Omega
-    ft, A, phi = params.ftilde0, lc.A_q, lc.phi_q
-    nbar = params.nbar + (ft * A / (4.0 * g * w)) * (g * math.cos(phi)
-                                                     - W * math.sin(phi))
-    return LimitCycleOccupation(nbar=nbar, amplitude=ft * A / (4.0 * w),
-                                cycle=lc)
+    g, W = params.gamma, params.Omega
+    A, phi, nbar, ripple = _cycle_response(params.omega, g, W,
+                                           params.ftilde0, params.nbar)
+    return LimitCycleOccupation(
+        nbar=nbar, amplitude=ripple,
+        cycle=QuantumLC(A_q=A, phi_q=phi, Omega=W, gamma=g))
 
 
 def mean_n(t, n0: float, a0: complex, params: LindbladParams,
@@ -207,7 +224,9 @@ def mean_n(t, n0: float, a0: complex, params: LindbladParams,
 
 
 def resonance_scan(params: LindbladParams, Omega_range, samples: int):
-    """Rows (Omega, A_q, phi_q, nbar) over a uniform Omega grid."""
+    """Rows (Omega, A_q, phi_q, nbar) over a uniform Omega grid, for the
+    cosine drive f0 cos(Omega t) with f0 from params: row i holds the
+    quantum_lc and mean_n_limit_cycle values at Omega = Omega_i."""
     if not float(samples).is_integer() or samples < 3:
         raise ValueError(f"samples must be an integer >= 3, got {samples!r}")
     lo, hi = float(Omega_range[0]), float(Omega_range[1])
@@ -216,9 +235,9 @@ def resonance_scan(params: LindbladParams, Omega_range, samples: int):
                          f"got ({lo}, {hi})")
     if lo < 0:
         raise ValueError("Omega must be >= 0")
-    drive = DriveFn.cosine()
+    w, g, ft, nbar = params.omega, params.gamma, params.ftilde0, params.nbar
     rows = np.empty((int(samples), 4))
-    for i, W in enumerate(np.linspace(lo, hi, int(samples))):
-        occ = mean_n_limit_cycle(replace(params, Omega=float(W)), drive)
-        rows[i] = (W, occ.cycle.A_q, occ.cycle.phi_q, occ.nbar)
+    for i, W in enumerate(np.linspace(lo, hi, int(samples)).tolist()):
+        A, phi, n, _ = _cycle_response(w, g, W, ft, nbar)
+        rows[i] = (W, A, phi, n)
     return rows

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from lindosc import __version__
-from lindosc.cli import main
+from lindosc.cli import _write_table, main, resolve_config
 from lindosc.gaussian_class import (
     GaussianState,
     husimi_value,
@@ -517,6 +517,23 @@ samples = 201
     assert "sqrt(omega^2 - gamma^2)" in tail
 
 
+@pytest.mark.parametrize("drive, needle", [
+    ("f0 = 0.5\nOmega = 1.2\n[drive]\nkind = fourier\nharmonics = 1\n"
+     "coefficients = 0.2\n", "kind = fourier with [params] f0 = 0.5"),
+    ("f0 = 0.5\n[drive]\nkind = none\n",
+     "kind = none with [params] f0 = 0.5"),
+], ids=["fourier", "none-with-f0"])
+def test_scan_refuses_a_drive_it_does_not_sweep(tmp_path, capsys, drive,
+                                               needle):
+    cfg = write_ini(tmp_path, "[params]\n" + drive)
+    rc = main(["scan", "--config", cfg, "--out", str(tmp_path / "out"),
+               "--quiet"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert needle in err and "scan sweeps the cosine drive" in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_scan_non_finite_range_exit_2(tmp_path, capsys):
     cfg = write_ini(tmp_path, "[scan]\nOmega_max = inf\n")
     rc = main(["scan", "--config", cfg, "--out", str(tmp_path / "out"),
@@ -558,6 +575,31 @@ def test_steady_state_table(tmp_path):
     assert pops.size == 64
     assert pops.sum() == pytest.approx(1.0, abs=1e-12)
     assert pops[1] / pops[0] == pytest.approx(2.0 / 3.0, abs=1e-12)
+
+
+def test_table_cells_read_as_format_17g(tmp_path):
+    cells = [-0.0, 0.0, 5e-324, 2.2250738585072014e-308, 0.1, 1e-5, 1e-4,
+             1e16, 1e17, math.nan, math.inf, -math.inf, 5.0, -3.0, 255.0,
+             1.0 / 3.0, -2.5e-300, 1.7976931348623157e308]
+    table = np.array(cells).reshape(6, 3)
+    cfg = resolve_config(None, None)
+    for sep in ("\t", " "):
+        path = _write_table(str(tmp_path), "t.tsv", "test", cfg, table,
+                            sep=sep)
+        with open(path, encoding="utf-8") as fh:
+            body = [ln for ln in fh.read().split("\n")
+                    if ln and not ln.startswith("#")]
+        assert body == [sep.join(format(x, ".17g") for x in row)
+                        for row in table.tolist()]
+
+
+def test_steady_state_levels_read_as_integers(tmp_path):
+    cfg = write_ini(tmp_path, "[integrator]\ndim = 12\n")
+    out = tmp_path / "out"
+    assert main(["steady-state", "--config", cfg, "--out", str(out),
+                 "--quiet"]) == 0
+    _, rows = read_rows(out / "steady_state.tsv")
+    assert [r.split("\t")[0] for r in rows] == [str(n) for n in range(12)]
 
 
 def test_output_files_share_one_layout(tmp_path, monkeypatch):

@@ -339,6 +339,35 @@ def test_resonance_scan():
         resonance_scan(P_DRIVEN, (-0.1, 1.7), 10)
 
 
+def _scan_reference(p, Omega_range, samples):
+    # reference: one mean_n_limit_cycle call on LindbladParams per sample
+    from dataclasses import replace
+    rows = np.empty((samples, 4))
+    for i, W in enumerate(np.linspace(*Omega_range, samples)):
+        occ = mean_n_limit_cycle(replace(p, Omega=float(W)), COS)
+        rows[i] = (W, occ.cycle.A_q, occ.cycle.phi_q, occ.nbar)
+    return rows
+
+
+@pytest.mark.parametrize("p, Omega_range, samples", [
+    (P_DRIVEN, (0.5, 1.7), 401),
+    (LindbladParams(omega=1.1, mu=0.6, nu=0.4), (0.5, 1.7), 41),
+    (P_DRIVEN, (0.0, 2.5), 257),
+], ids=["driven", "undriven", "from-zero"])
+def test_resonance_scan_bitwise_equals_per_sample_calls(p, Omega_range,
+                                                        samples):
+    rows = resonance_scan(p, Omega_range, samples)
+    assert rows.tobytes() == _scan_reference(p, Omega_range,
+                                             samples).tobytes()
+
+
+def test_resonance_scan_underflowing_denominator():
+    # Omega = 0 is the first sample, where both denominator terms underflow
+    tiny = LindbladParams(omega=1e-200, mu=2e-200, nu=0.0, f0=1.0)
+    with pytest.raises(ValueError, match="response denominator underflows"):
+        resonance_scan(tiny, (0.0, 1.0), 5)
+
+
 @pytest.mark.parametrize("samples", [math.inf, math.nan])
 def test_resonance_scan_rejects_non_finite_samples(samples):
     with pytest.raises(ValueError, match="samples must be an integer"):
