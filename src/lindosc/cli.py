@@ -10,7 +10,8 @@ Every number in a table body is one "%.17g" cell, the bytes of
 format(x, ".17g"): 17 significant digits, integral values such as the
 steady-state level n without a decimal point.  scan sweeps the response
 to the cosine drive f0 cos(Omega t), so it refuses (exit 2) a config
-whose [drive] is fourier, or none with a nonzero f0.
+whose [drive] is fourier, or none with a nonzero f0, and one whose
+response or occupation denominator underflows to zero on the grid.
 
 Exit codes: 0 success, 1 validation failures, 2 bad configuration,
 3 numerical divergence.
@@ -571,7 +572,11 @@ def cmd_scan(cfg: RunConfig, out_dir: str, quiet: bool) -> int:
             f"[drive] kind = {kind} with [params] f0 = {_fmt(f0)}: scan "
             "sweeps the cosine drive f0 cos(Omega t), so it needs "
             "kind = cosine, or kind = none with f0 = 0")
-    table = obs.resonance_scan(cfg.params, cfg.scan_range, cfg.scan_samples)
+    try:
+        table = obs.resonance_scan(cfg.params, cfg.scan_range,
+                                   cfg.scan_samples)
+    except ValueError as exc:
+        raise ConfigError(f"[params] {exc}") from exc
     lo, hi = cfg.scan_range
     step = (hi - lo) / (cfg.scan_samples - 1)
     k = int(np.argmax(table[:, 1]))

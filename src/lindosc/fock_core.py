@@ -12,7 +12,10 @@ and the per-record entropy and minimum eigenvalue of ``evolve``) comes
 from ``_eigvalsh``, which zeroes the parts below ``_SPECTRUM_FLOOR``
 before LAPACK sees them, so that tiny Fock-tail entries cannot drive the
 reduction into subnormal arithmetic; it moves no eigenvalue by more than
-about 1e-100.
+about 1e-100. LAPACK then reduces only the live levels, the rows that
+keep a part, and each dead level adds an exact eigenvalue 0. That is
+exact because every caller passes an exactly Hermitian matrix, built as
+(X + X^+)/2, so a zero row is also a zero column.
 
 Units: hbar = 1, unit mass. Phase-space coordinates relate to the mode
 amplitude through alpha = (omega*x + i*p) / sqrt(2*omega).
@@ -182,10 +185,10 @@ class DensityMatrix:
 
 
 def _eigvalsh(h: np.ndarray, scratch: np.ndarray | None = None) -> np.ndarray:
-    """Ascending eigenvalues of the Hermitian, C-contiguous complex128
-    ``h``, after zeroing in place every real and imaginary part of ``h``
-    whose magnitude is below ``_SPECTRUM_FLOOR``. ``scratch``, a float64
-    array of ``h``'s shape with the last axis doubled, holds the
+    """Ascending eigenvalues of the exactly Hermitian, C-contiguous
+    complex128 ``h``, after zeroing in place every real and imaginary part
+    of ``h`` whose magnitude is below ``_SPECTRUM_FLOOR``. ``scratch``, a
+    float64 array of ``h``'s shape with the last axis doubled, holds the
     magnitudes; without it they take a temporary.
 
     Why the floor: a density matrix's Fock tail holds entries that are
@@ -201,11 +204,29 @@ def _eigvalsh(h: np.ndarray, scratch: np.ndarray | None = None) -> np.ndarray:
     and by Weyl's inequality each eigenvalue moves by at most
     ||E||_2 <= ||E||_F < sqrt(2) * dim * _SPECTRUM_FLOOR, about 1e-100 at
     dim 256, far below LAPACK's own error of O(dim * eps * ||h||).
+
+    Live levels: LAPACK gets only the principal submatrix A of the levels
+    whose row keeps a part after the floor, and each dead level adds one
+    exact 0.0 to its eigenvalues. The caller must pass ``h`` exactly
+    Hermitian, as (X + X^+)/2 is: then a zero row is a zero column, ``h``
+    is permutation-similar to diag(A, 0) and its spectrum is spec(A) plus
+    the zeros. Only LAPACK's rounding inside A differs from a call on the
+    whole matrix, and a matrix without a dead level reaches LAPACK whole,
+    so its eigenvalues keep every bit. A row of NaNs stays live. (The
+    floor leaves 135 of the 256 levels of a coherent state with
+    |alpha| = 1.25 live.)
     """
     v = h.view(np.float64)
-    a = np.abs(v, out=scratch)
-    v[a < _SPECTRUM_FLOOR] = 0.0
-    return np.linalg.eigvalsh(h)
+    small = np.abs(v, out=scratch) < _SPECTRUM_FLOOR
+    v[small] = 0.0
+    live = ~small.all(axis=-1)
+    if live.all():
+        return np.linalg.eigvalsh(h)
+    if not live.any():
+        return np.zeros(live.size)
+    w = np.linalg.eigvalsh(h[np.ix_(live, live)])
+    k = np.searchsorted(w, 0.0)
+    return np.concatenate((w[:k], np.zeros(live.size - w.size), w[k:]))
 
 
 def _geometric_state(ratio: float, dim) -> DensityMatrix:

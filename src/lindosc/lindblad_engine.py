@@ -42,7 +42,12 @@ The records of ``evolve`` use the stepper's buffers that are free between
 steps. Their entropy and minimum eigenvalue come from the spectrum of
 (rho + rho^+)/2, taken by ``fock_core._eigvalsh``, which first zeroes the
 parts below ``_SPECTRUM_FLOOR`` (about 2.8e-103) of that copy; the state
-itself is never floored, so the stepper's states keep every bit.
+itself is never floored, so the stepper's states keep every bit. LAPACK
+then sees only the live levels, those whose row of the copy keeps a
+part, and each dead level adds the exact eigenvalue 0: the copy is
+exactly Hermitian (rho[i, j] + conj(rho[j, i]) is the conjugate of
+rho[j, i] + conj(rho[i, j]) bit for bit), so a zero row is a zero
+column and the spectrum is that of the live block plus the zeros.
 
 This module is the numerical oracle for every closed-form solver in the
 package; conversely those solvers pin down this integrator in the tests.

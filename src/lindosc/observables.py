@@ -133,9 +133,13 @@ def _cycle_response(w: float, g: float, W: float, ft: float,
                     nbar: float) -> tuple[float, float, float, float]:
     """(A_q, phi_q, cycle-mean <n>, ripple amplitude) of the limit cycle
     over thermal occupation nbar, on plain floats; see mean_n_limit_cycle.
-    Kept apart from _response, so quantum_lc never divides by 4 gamma omega
-    (zero when gamma * omega underflows)."""
+    Kept apart from _response, so quantum_lc never divides by 4 gamma omega;
+    where that occupation denominator underflows to zero, this raises."""
     A, phi = _response(w, g, W, ft)
+    if 4.0 * g * w == 0.0:
+        raise ValueError(
+            "occupation denominator 4 gamma omega underflows to zero: no "
+            "cycle-mean <n> at this scale of omega and gamma")
     n = nbar + (ft * A / (4.0 * g * w)) * (g * math.cos(phi)
                                            - W * math.sin(phi))
     return A, phi, n, ft * A / (4.0 * w)

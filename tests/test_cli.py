@@ -534,6 +534,23 @@ def test_scan_refuses_a_drive_it_does_not_sweep(tmp_path, capsys, drive,
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("params,needle", [
+    ("omega = 1e-170\nmu = 2e-170\nnu = 0\nf0 = 0.3\nOmega = 1\n",
+     "occupation denominator 4 gamma omega underflows"),
+    ("omega = 1e-200\nmu = 2e-200\nnu = 0\nf0 = 1\nOmega = 1\n"
+     "[scan]\nOmega_min = 0\n", "response denominator underflows"),
+], ids=["occupation", "response"])
+def test_scan_underflowing_denominator_exit_2(tmp_path, capsys, params,
+                                              needle):
+    cfg = write_ini(tmp_path,
+                    "[params]\n" + params + "[drive]\nkind = cosine\n")
+    rc = main(["scan", "--config", cfg, "--out", str(tmp_path / "out"),
+               "--quiet"])
+    assert rc == 2
+    assert needle in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_scan_non_finite_range_exit_2(tmp_path, capsys):
     cfg = write_ini(tmp_path, "[scan]\nOmega_max = inf\n")
     rc = main(["scan", "--config", cfg, "--out", str(tmp_path / "out"),

@@ -248,3 +248,105 @@ def test_floor_never_reaches_caller_data():
     p = LindbladParams(omega=1.0, mu=0.5, nu=0.1)
     traj = evolve(m, [0.0], p, opts=IntegratorOptions(snapshot_times=(0.0,)))
     assert traj.snapshots[0.0].matrix.tobytes() == before
+
+
+def _dead_levels(h):
+    """Levels whose row of h is all zeros once the floor has run."""
+    return ~np.any(np.abs(h.view(np.float64)) >= _SPECTRUM_FLOOR, axis=1)
+
+
+def _support_density(dim, support, rng):
+    """Random mixed state on the Fock levels of the boolean mask
+    ``support``, with parts of about 1e-150 (below the floor) on the rest."""
+    a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    a[~support] = 1e-150 * a[~support]
+    m = a @ a.conj().T
+    return (m + m.conj().T) / (2.0 * m.trace().real)
+
+
+def _indefinite(dim, support, rng):
+    """Hermitian matrix of unit Frobenius norm with both signs in its
+    spectrum, zero outside ``support``."""
+    a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    a[~support] = 0.0
+    a[:, ~support] = 0.0
+    m = (a + a.conj().T) / 2.0
+    return m / np.linalg.norm(m)
+
+
+def test_live_level_spectrum_matches_raw_eigvalsh():
+    rng = np.random.default_rng(20261020)
+    seen = set()
+    for dim in (2, 3, 5, 17, 64, 128, 256):
+        n = np.arange(dim)
+        supports = {
+            "none dead": np.ones(dim, dtype=bool),
+            "tail": n < max(1, dim // 2),
+            "interior": n % 2 == 0,
+            "one live": n == dim // 3,
+        }
+        for kind, support in supports.items():
+            for make in (_support_density, _indefinite):
+                m = make(dim, support, rng)
+                h = m.copy()
+                dead = _dead_levels(h)
+                assert np.array_equal(dead, ~support), (dim, kind)
+                seen.add(kind)
+                raw = np.linalg.eigvalsh(m)
+                eigs = _eigvalsh(h)
+                assert eigs.shape == (dim,)
+                assert np.all(np.diff(eigs) >= 0)
+                assert np.count_nonzero(eigs == 0.0) >= dead.sum()
+                assert np.max(np.abs(eigs - raw)) < SPECTRUM_TOL
+                assert abs(_entropy(eigs) - _entropy(raw)) < SPECTRUM_TOL
+    assert seen == {"none dead", "tail", "interior", "one live"}
+
+
+@pytest.mark.parametrize("dim", [2, 3, 256])
+def test_all_dead_levels_skip_lapack(dim, monkeypatch):
+    def no_lapack(h):
+        raise AssertionError("LAPACK called on a matrix with no live level")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", no_lapack)
+    tiny = np.full((dim, dim), 1e-150 - 1e-160j)
+    tiny = (tiny + tiny.conj().T) / 2.0
+    for h in (np.zeros((dim, dim), dtype=np.complex128), tiny):
+        eigs = _eigvalsh(h)
+        assert eigs.dtype == np.float64
+        assert eigs.tobytes() == np.zeros(dim).tobytes()
+
+
+def test_lapack_sees_only_the_live_levels(monkeypatch):
+    rho = DensityMatrix.pure(coherent_state(1.25, 256))
+    dead = _dead_levels(rho.matrix.copy())
+    shapes = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def recording(h):
+        shapes.append(h.shape)
+        return eigvalsh(h)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", recording)
+    eigs = _eigvalsh(rho.matrix.copy())
+    live = 256 - int(dead.sum())
+    # every row of the pure state holds a nonzero part, so a level is
+    # dead only because the floor emptied it
+    assert np.all(np.any(rho.matrix != 0, axis=1))
+    assert shapes == [(live, live)] and live < 256
+    assert eigs.shape == (256,)
+    assert np.max(np.abs(eigs - eigvalsh(rho.matrix))) < SPECTRUM_TOL
+
+
+@pytest.mark.parametrize("dim", [2, 33, 256])
+def test_no_dead_level_spectrum_is_bitwise_the_floored_eigvalsh(dim, rng):
+    # parts below the floor, but no row made of them only: LAPACK gets the
+    # whole floored matrix, as before live levels were split off
+    m = enveloped_density(dim, rng, ratio=0.2).matrix
+    h = m.copy()
+    assert not _dead_levels(h).any()
+    ref = m.copy()
+    parts = ref.view(np.float64)
+    parts[np.abs(parts) < _SPECTRUM_FLOOR] = 0.0
+    if dim == 256:
+        assert not np.array_equal(ref, m)   # the floor does zero parts
+    assert _eigvalsh(h).tobytes() == np.linalg.eigvalsh(ref).tobytes()

@@ -368,6 +368,19 @@ def test_resonance_scan_underflowing_denominator():
         resonance_scan(tiny, (0.0, 1.0), 5)
 
 
+def test_cycle_occupation_underflowing_denominator():
+    # 4 gamma omega = 4e-340 underflows to zero while the response itself
+    # is finite: the cycle-mean <n> has no value, A_q does
+    tiny = LindbladParams(omega=1e-170, mu=2e-170, nu=0.0, f0=0.3, Omega=1.0)
+    with pytest.raises(ValueError, match="occupation denominator"):
+        mean_n_limit_cycle(tiny, COS)
+    with pytest.raises(ValueError, match="occupation denominator"):
+        resonance_scan(tiny, (1.0, 2.0), 3)
+    A_q = quantum_lc(tiny, COS).A_q
+    assert A_q == pytest.approx(0.3 * math.sqrt(2e-170), rel=1e-12)
+    assert 4.2e-86 < A_q < 4.3e-86
+
+
 @pytest.mark.parametrize("samples", [math.inf, math.nan])
 def test_resonance_scan_rejects_non_finite_samples(samples):
     with pytest.raises(ValueError, match="samples must be an integer"):

@@ -1,19 +1,24 @@
 """Time lindosc's Hermitian spectrum, raw ``eigvalsh`` against the floored
-``fock_core._eigvalsh``.
+``fock_core._eigvalsh`` of one or more source trees.
 
 Prints the milliseconds per call of ``np.linalg.eigvalsh`` on a density
-matrix and of ``_eigvalsh`` (which first zeroes every part below
-``_SPECTRUM_FLOOR``, the floor pass included in its time) at dim 32, 64
-and 256, for three starts: a coherent state (|alpha| = 1.25), a Gaussian
+matrix and of each tree's ``_eigvalsh`` (which zeroes every part below
+``_SPECTRUM_FLOOR`` and hands LAPACK the live levels only, the rows that
+keep a part; both passes are included in its time) at dim 32, 64 and
+256, for three starts: a coherent state (|alpha| = 1.25), a Gaussian
 (u = 0.2, |alpha| = 1.25) and a seeded random state with a thermal-like
-Fock envelope (ratio 0.4). The last columns give the number of real and
-imaginary parts the floor zeroes (out of 2 * dim**2) and the largest
-|delta lambda| between the two spectra. Each sample times one call on
-a fresh copy of the matrix, the samples of every cell are interleaved,
-and the table shows each cell's median:
+Fock envelope (ratio 0.4). The last columns give the number of live
+levels (out of dim), the number of real and imaginary parts the floor
+zeroes (out of 2 * dim**2) and the largest |delta lambda| between the
+raw spectrum and any tree's. Each sample times one call on a fresh copy
+of the matrix, the samples of every cell are interleaved, and the table
+shows each cell's median. Given two or more trees, it times them in one
+process, with one column per tree:
 
     python tools/spectrum_timing.py --src src
+    python tools/spectrum_timing.py --src base/src --src src
 
+Every tree times the same matrices, built by the first tree.
 Needs only the standard library and numpy (which lindosc itself needs).
 """
 
@@ -34,8 +39,12 @@ STATES = ("coherent", "gaussian", "envelope")
 
 
 def _import_lindosc(src: str):
-    """(fock_core, gaussian_class) of lindosc from the tree at src."""
+    """(fock_core, gaussian_class) of lindosc from the tree at src,
+    imported afresh."""
     src = os.path.abspath(src)
+    for k in [k for k in sys.modules
+              if k == "lindosc" or k.startswith("lindosc.")]:
+        del sys.modules[k]
     sys.path.insert(0, src)
     try:
         fc = importlib.import_module("lindosc.fock_core")
@@ -70,13 +79,16 @@ def _ms(fn, m: np.ndarray) -> float:
 
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--src", required=True,
-                    help="source directory that contains the lindosc package")
+    ap.add_argument("--src", required=True, action="append",
+                    help="source directory that contains the lindosc "
+                         "package; repeat it to compare trees")
     ap.add_argument("--samples", type=int, default=21,
                     help="samples per cell (default 21)")
     args = ap.parse_args(argv)
-    fc, gc = _import_lindosc(args.src)
-    fns = (np.linalg.eigvalsh, fc._eigvalsh)
+    trees = [_import_lindosc(src) for src in args.src]
+    fc, gc = trees[0]
+    floor = fc._SPECTRUM_FLOOR
+    fns = [np.linalg.eigvalsh] + [t[0]._eigvalsh for t in trees]
     cells = {(dim, kind): _state(fc, gc, dim, kind)
              for dim in DIMS for kind in STATES}
     times = {(key, k): [] for key in cells for k in range(len(fns))}
@@ -84,16 +96,18 @@ def main(argv=None) -> int:
         for key, m in cells.items():
             for k, fn in enumerate(fns):
                 times[(key, k)].append(_ms(fn, m))
-    print("dim\tstate\tms raw\tms floored\tfloored parts\tmax |dlambda|")
+    print("dim\tstate\tms raw\t" + "\t".join(f"ms {s}" for s in args.src)
+          + "\tlive levels\tfloored parts\tmax |dlambda|")
     for (dim, kind), m in cells.items():
-        parts = m.view(np.float64)
-        zeroed = np.count_nonzero(
-            (parts != 0) & (np.abs(parts) < fc._SPECTRUM_FLOOR))
-        delta = np.max(np.abs(np.linalg.eigvalsh(m) - fc._eigvalsh(m.copy())))
+        a = np.abs(m.view(np.float64))
+        live = np.count_nonzero(np.any(a >= floor, axis=1))
+        zeroed = np.count_nonzero((a != 0) & (a < floor))
+        raw = np.linalg.eigvalsh(m)
+        delta = max(np.max(np.abs(raw - fn(m.copy()))) for fn in fns[1:])
         ms = [f"{statistics.median(times[((dim, kind), k)][1:]):.2f}"
               for k in range(len(fns))]
         print(f"{dim}\t{kind}\t" + "\t".join(ms)
-              + f"\t{zeroed}\t{delta:.1e}")
+              + f"\t{live}\t{zeroed}\t{delta:.1e}")
     return 0
 
 
