@@ -38,6 +38,16 @@ same operations in the same order and the result is bitwise that of
 whole-array passes. At dim <= 128 there is one block. The RK4 combination
 of the stages stays whole-array.
 
+Without a drive, a state whose off-diagonal entries are all +0.0+0.0j
+stays so, and its populations follow a closed rate equation: every
+undriven term (omega a+a, a rho a+, a+ rho a and the anticommutators)
+keeps m - n, so a diagonal entry of L reads diagonal entries only. From
+such a start ``evolve`` binds the stepper to the diagonals of its
+buffers and bands (``_Workspace.load``) and steps dim entries instead of
+dim*dim, with the same operations in the same order; the off-diagonal
+entries stay +0.0, which is what the full step leaves there, so the
+states are bitwise those of the full step.
+
 The records of ``evolve`` use the stepper's buffers that are free between
 steps. Their entropy and minimum eigenvalue come from the spectrum of
 (rho + rho^+)/2, taken by ``fock_core._eigvalsh``, which first zeroes the
@@ -440,13 +450,46 @@ class _Workspace(_Generator):
     (k4 reuses k3's buffer), with the views of each stage bound once.
     Each stage's evaluation of L runs in row blocks, so at dim 256 its
     working set stays in L2 and the one-block scratch and drive buffers
-    serve every stage; the RK4 combination stays whole-array."""
+    serve every stage; the RK4 combination stays whole-array.
+
+    ``load`` copies a start into ``rho``. Undriven, from a start whose
+    every off-diagonal entry is +0.0+0.0j bit for bit, it binds ``step``
+    to the diagonals (flat stride dim+1) of the state, the stage buffers
+    and the bands: one block of dim entries. This is exact: every
+    undriven term keeps m - n, so a diagonal entry of L reads only
+    diagonal entries, through the same operations in the same order, and
+    its band products stop at level dim-2, short of the pad column, so
+    the diagonal holds no wrap slot. Off the diagonal the full step reads
+    zeros only, so it adds a signed zero to each +0.0 part, which leaves
+    +0.0: the restricted step leaves there what the full step does."""
 
     _BUFFERS = ("_rho", "_y", "_k1", "_k2", "_k3")
 
     def __init__(self, dim: int, params: LindbladParams,
                  driven: bool = True):
         super().__init__(dim, params, driven)
+        self._driven = driven
+        self._y_k2 = self._bind(self._y, self._k2)
+        self._y_k3 = self._bind(self._y, self._k3)
+
+    def load(self, m) -> None:
+        """Copy the start m into rho and, undriven from a start with
+        every off-diagonal word zero, bind ``step`` to the diagonals.
+        Called once, on a fresh stepper."""
+        self.rho[...] = m
+        dim = self.rho.shape[0]
+        d = dim + 1
+        off = self._rho[1:].reshape(dim - 1, d)[:, :dim]  # off the diagonal
+        if self._driven or np.count_nonzero(off.view(np.uint64)):
+            return
+        for name in self._BUFFERS:
+            setattr(self, name, getattr(self, name)[::d])
+        x, lo, hi = slice(0, dim), slice(0, dim - 1), slice(1, dim)
+        s, no_wrap = self._s[:dim - 1], self._s[:0]
+        bands = (self.K[::d], self.muW2[::d], s, no_wrap,
+                 self.nuW2[::d], s, no_wrap)
+        self._blocks = [((x, hi, lo), (x, lo, hi), bands, None)]
+        self._rho_k1 = self._bind(self._rho, self._k1)
         self._y_k2 = self._bind(self._y, self._k2)
         self._y_k3 = self._bind(self._y, self._k3)
 
@@ -498,6 +541,10 @@ def evolve(rho0, t_grid, params: LindbladParams,
     opts.renorm_every steps the state is re-Hermitized and
     trace-renormalized. A minimum eigenvalue below -1e-6 at any recorded
     time aborts with IntegrationDivergedError.
+    Without an active drive, from a start whose every off-diagonal entry
+    is +0.0+0.0j bit for bit, each step advances the diagonal only (see
+    ``_Workspace``); the records, renormalization and snapshots read the
+    whole state, and every output is bitwise that of the full step.
     Each opts.snapshot_times entry must lie within 1e-12 of a grid time;
     its snapshot is keyed by the time asked for, not by the grid time it
     matched.
@@ -541,14 +588,14 @@ def evolve(rho0, t_grid, params: LindbladParams,
     def fval(t):
         return drive.value(t, params) if active else None
 
-    rho = st.rho
-    rho[...] = rho0.matrix
-    del rho0          # the stepper holds the state now; free the start
     # k1 and y are free between steps: the records build |rho|^2 and herm
     # in k1, and the spectrum floor takes |herm|'s parts in y
     absq = st._k1.view(np.float64)[:dim * dim].reshape(dim, dim)
     herm = st._k1.reshape(dim, dim)
     herm_abs = st._y.view(np.float64).reshape(dim, 2 * dim)
+    rho = st.rho
+    st.load(rho0.matrix)
+    del rho0          # the stepper holds the state now; free the start
     n_diag = np.arange(dim, dtype=float)
     mean_a = np.empty(t_grid.size, dtype=np.complex128)
     mean_n, purity, entropy, trace_err, min_eig, top_pop = np.empty(

@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from lindosc import lindblad_engine
+from lindosc import gaussian_class, lindblad_engine
 from lindosc.fock_core import (
     HERM_TOL_EVOLVED,
     _SPECTRUM_FLOOR,
@@ -416,7 +416,14 @@ def test_evolve_bitwise_equals_allocating_rk4(dim, drive, rng):
     t = np.array([0.0, 0.02, 0.045])
     traj = evolve(rho0, t, P_BITWISE, drive,
                   IntegratorOptions(renorm_every=3, snapshot_times=tuple(t)))
-    ref = _reference_states(rho0.matrix, t, P_BITWISE, drive, 3)
+    _assert_run_bitwise(traj, t,
+                        _reference_states(rho0.matrix, t, P_BITWISE, drive, 3))
+
+
+def _assert_run_bitwise(traj, t, ref):
+    """Every snapshot and record of traj is bitwise that of the reference
+    states ref at the grid times t."""
+    dim = ref[0].shape[0]
     w = np.sqrt(np.arange(1.0, dim))
     for i, rho in enumerate(ref):
         snap = DensityMatrix.from_matrix(
@@ -439,6 +446,113 @@ def test_evolve_bitwise_equals_allocating_rk4(dim, drive, rng):
         pos = eigs[eigs > 1e-300]
         assert traj.entropy[i].tobytes() == (
             -np.dot(pos, np.log(pos)) + 0.0).tobytes()
+
+
+def _diagonal_start(dim, kind, rng):
+    if kind == "vacuum":
+        return DensityMatrix.pure(coherent_state(0.0, dim))
+    if kind == "steady_state":
+        return steady_state(P_BITWISE, dim)
+    p = rng.uniform(size=dim) * 0.4 ** np.arange(dim)
+    return DensityMatrix.from_matrix(np.diag(p).astype(np.complex128))
+
+
+# Undriven from a Fock-diagonal start, evolve steps the diagonals only.
+# 4 + 5 + 98 substeps: renormalized every 3 steps, or once after step 100.
+@pytest.mark.filterwarnings("ignore::lindosc.fock_core.TruncationWarning")
+@pytest.mark.parametrize("renorm_every", [3, 100])
+@pytest.mark.parametrize("start", ["vacuum", "steady_state", "random"])
+@pytest.mark.parametrize("dim", [2, 3, 33, 256])
+def test_diagonal_evolve_bitwise_equals_allocating_rk4(dim, start,
+                                                       renorm_every, rng):
+    rho0 = _diagonal_start(dim, start, rng)
+    t = np.array([0.0, 0.02, 0.045, 0.6])
+    drive = DriveFn.none()
+    traj = evolve(rho0, t, P_BITWISE, drive,
+                  IntegratorOptions(renorm_every=renorm_every,
+                                    snapshot_times=tuple(t)))
+    _assert_run_bitwise(traj, t, _reference_states(
+        rho0.matrix, t, P_BITWISE, drive, renorm_every))
+
+
+@pytest.mark.filterwarnings("ignore::lindosc.fock_core.TruncationWarning")
+@pytest.mark.parametrize("word", ["imag -0.0", "real 1e-300"])
+@pytest.mark.parametrize("dim", [3, 33])
+def test_one_off_diagonal_word_keeps_the_full_step(dim, word, rng):
+    # The start check reads bits: -0.0 == 0, yet the full step turns it
+    # into +0.0 (the renormalization would too, so only the unrenormalized
+    # state shows it), and it decays a 1e-300 entry that a check on
+    # magnitudes might drop.
+    m = _diagonal_start(dim, "random", rng).matrix.copy()
+    if word == "imag -0.0":
+        m[2, 1] = complex(0.0, -0.0)
+    else:
+        m[0, 1] = 1e-300
+    drive = DriveFn.none()
+    t = np.array([0.0, 0.02, 0.045])
+    ws = _Workspace(dim, P_BITWISE, driven=False)
+    ws.load(m)
+    assert ws._rho.size == dim * dim
+    n_sub = math.ceil(t[1] / default_dt(P_BITWISE) - 1e-9)
+    for _ in range(n_sub):
+        ws.step(t[1] / n_sub, None, None, None)
+    unrenormalized = _reference_states(m, t[:2], P_BITWISE, drive, 10 ** 9)
+    assert ws.rho.tobytes() == unrenormalized[-1].tobytes()
+    traj = evolve(DensityMatrix(matrix=m), t, P_BITWISE, drive,
+                  IntegratorOptions(renorm_every=3, snapshot_times=tuple(t)))
+    _assert_run_bitwise(traj, t,
+                        _reference_states(m, t, P_BITWISE, drive, 3))
+
+
+@pytest.mark.filterwarnings("ignore::lindosc.fock_core.TruncationWarning")
+@pytest.mark.parametrize("dim", [3, 64, 256])
+def test_diagonal_step_binds_the_diagonals_and_does_not_allocate(
+        dim, monkeypatch):
+    # evolve loads its start through _Workspace.load, which binds an
+    # undriven stepper to the diagonals; a driven one keeps the full step
+    loaded = []
+    load = _Workspace.load
+
+    def spy(ws, m):
+        load(ws, m)
+        loaded.append(ws._rho.size)
+
+    monkeypatch.setattr(_Workspace, "load", spy)
+    evolve(steady_state(P_BITWISE, dim), np.array([0.0, 0.01]), P_BITWISE,
+           DriveFn.cosine())
+    evolve(steady_state(P_BITWISE, dim), np.array([0.0, 0.01]), P_BITWISE)
+    assert loaded == [dim * dim, dim]
+    monkeypatch.undo()
+    start = steady_state(P_BITWISE, dim).matrix
+    driven = _Workspace(dim, P_BITWISE, driven=True)
+    driven.load(start)
+    assert driven._rho.size == dim * dim
+    ws = _Workspace(dim, P_BITWISE, driven=False)
+    ws.load(start)
+    assert ws.rho.shape == (dim, dim)
+    assert ws.rho.tobytes() == start.tobytes()
+    for bound in (ws._rho_k1, ws._y_k2, ws._y_k3):
+        (terms, drive), = bound
+        assert drive is None
+        assert max(v.size for v in terms) == dim
+    h = default_dt(P_BITWISE)
+    ws.step(h, None, None, None)
+    tracemalloc.start()
+    try:
+        ws.step(h, None, None, None)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1024
+
+
+def test_vacuum_entropy_follows_the_gaussian_width():
+    # vacuum relaxes through thermal states of width u(t) from u(0) = 0
+    p = LindbladParams(omega=1.1, mu=0.6, nu=0.4)
+    t = np.linspace(0.0, 30.0, 61)
+    traj = evolve(DensityMatrix.pure(coherent_state(0.0, 64)), t, p)
+    closed = [gaussian_class.entropy(u) for u in gaussian_class.solve_u(t, 0.0, p)]
+    assert np.max(np.abs(traj.entropy - closed)) < 1e-8
 
 
 @pytest.mark.parametrize("drive", sorted(BITWISE_DRIVES))

@@ -1,12 +1,13 @@
 """Print the sha256 of every file the lindosc CLI writes for fixed configs.
 
 Runs evolve (cosine, Fourier and undriven drives, a limit-cycle start, a
-density matrix from a file and a cosine drive at dim 256), husimi (a
-driven limit cycle and a thermal state), scan (undriven and driven),
-steady-state and validate on configs defined below, plus five configs
-that must fail (exit 2 or 3), each into its own directory under a
-temporary root. It prints one ``sha256  relpath`` line per output file,
-sorted by path within each run, one
+density matrix from a file, a cosine drive at dim 256, and undriven runs
+from a thermal start and from vacuum at dim 256, which step only the
+populations), husimi (a driven limit cycle and a thermal state), scan
+(undriven and driven), steady-state and validate on configs defined
+below, plus five configs that must fail (exit 2 or 3), each into its own
+directory under a temporary root. It prints one ``sha256  relpath`` line
+per output file, sorted by path within each run, one
 ``sha256  run/(stdout)`` line per run for what the command printed, and one
 ``sha256  run/(exit)`` line per run for its exit code, what it printed to
 stderr and the categories of the warnings it raised (categories only, so
@@ -34,6 +35,7 @@ import tempfile
 import warnings
 
 import numpy as np
+from fresh_import import import_lindosc
 
 _PARAMS = "[params]\nomega = 1.1\nmu = 0.6\nnu = 0.4\n"
 _GRID = "[grid]\nt_max = 4\nn_times = 41\n[integrator]\ndim = 40\n"
@@ -71,6 +73,12 @@ RUNS = (
      _PARAMS + _RESONANT
      + "[grid]\nt_max = 0.5\nn_times = 5\n[integrator]\ndim = 256\n"
      + "[initial]\nkind = coherent\nalpha0 = 1.25\n"),
+    # undriven from a Fock-diagonal start: evolve steps the diagonal only
+    ("evolve-thermal-undriven", "evolve",
+     _PARAMS + _GRID + "[initial]\nkind = thermal\nnbar0 = 0.8\n"),
+    ("evolve-vacuum-dim256", "evolve",
+     _PARAMS + "[grid]\nt_max = 4\nn_times = 9\n[integrator]\ndim = 256\n"
+     + "[initial]\nkind = vacuum\n"),
     ("scan", "scan", _PARAMS + "[scan]\nsamples = 120\n"),
     ("scan-driven", "scan",
      _PARAMS + "f0 = 1.4\nOmega = 1.2\n[scan]\nsamples = 150\n"),
@@ -89,18 +97,9 @@ RUNS = (
 )
 
 
-def _import_cli(src: str):
-    src = os.path.abspath(src)
-    sys.path.insert(0, src)
-    import lindosc.cli as cli
-    if not os.path.abspath(cli.__file__).startswith(src + os.sep):
-        raise SystemExit(f"lindosc imported from {cli.__file__}, not {src}")
-    return cli
-
-
 def digests(src: str) -> list[tuple[str, str]]:
     """(sha256, relpath) of every output file, sorted by relpath."""
-    cli = _import_cli(src)
+    cli, = import_lindosc(src, "cli")
     out = []
     cwd = os.getcwd()
     with tempfile.TemporaryDirectory() as root:

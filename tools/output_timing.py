@@ -27,7 +27,6 @@ lindosc itself needs).
 from __future__ import annotations
 
 import argparse
-import importlib
 import inspect
 import os
 import shutil
@@ -37,6 +36,7 @@ import tempfile
 import time
 
 import numpy as np
+from fresh_import import import_lindosc
 
 RESOLUTION = 201
 SCAN_SAMPLES = 4000
@@ -45,38 +45,17 @@ LAYERS = (("write husimi 201x201", "ns/value"),
           ("resonance_scan 4000", "ms/call"))
 
 
-def _import_lindosc(src: str) -> dict:
-    """lindosc's cli, observables, gaussian_class and lindblad_engine from
-    the tree at src, imported afresh."""
-    src = os.path.abspath(src)
-    for k in [k for k in sys.modules
-              if k == "lindosc" or k.startswith("lindosc.")]:
-        del sys.modules[k]
-    sys.path.insert(0, src)
-    try:
-        mods = {name: importlib.import_module(f"lindosc.{name}")
-                for name in ("cli", "observables", "gaussian_class",
-                             "lindblad_engine")}
-    finally:
-        sys.path.remove(src)
-    path = os.path.abspath(mods["cli"].__file__)
-    if not path.startswith(src + os.sep):
-        raise SystemExit(f"lindosc imported from {path}, not {src}")
-    return mods
-
-
 class _Tree:
     """One tree's inputs and the output of its latest sample per layer."""
 
     def __init__(self, src: str, out_dir: str):
-        m = _import_lindosc(src)
-        self.cli, self.obs = m["cli"], m["observables"]
+        self.cli, self.obs, gc, eng = import_lindosc(
+            src, "cli", "observables", "gaussian_class", "lindblad_engine")
         self.out_dir = out_dir
         self.cfg = self.cli.resolve_config(None, None)
-        self.params = m["lindblad_engine"].LindbladParams(
+        self.params = eng.LindbladParams(
             omega=1.1, mu=0.6, nu=0.4, f0=0.3, Omega=1.2)
-        drive = m["lindblad_engine"].DriveFn.cosine()
-        gc = m["gaussian_class"]
+        drive = eng.DriveFn.cosine()
         g = gc.limit_cycle_state(0.0, self.params, drive)
         window = self.cli._auto_window([g], self.params.omega)
         self.grid = gc.husimi_grid(g, window, (RESOLUTION, RESOLUTION),

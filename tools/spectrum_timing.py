@@ -26,34 +26,15 @@ from __future__ import annotations
 
 import argparse
 import cmath
-import importlib
-import os
 import statistics
 import sys
 import time
 
 import numpy as np
+from fresh_import import import_lindosc
 
 DIMS = (32, 64, 256)
 STATES = ("coherent", "gaussian", "envelope")
-
-
-def _import_lindosc(src: str):
-    """(fock_core, gaussian_class) of lindosc from the tree at src,
-    imported afresh."""
-    src = os.path.abspath(src)
-    for k in [k for k in sys.modules
-              if k == "lindosc" or k.startswith("lindosc.")]:
-        del sys.modules[k]
-    sys.path.insert(0, src)
-    try:
-        fc = importlib.import_module("lindosc.fock_core")
-        gc = importlib.import_module("lindosc.gaussian_class")
-    finally:
-        sys.path.remove(src)
-    if not os.path.abspath(fc.__file__).startswith(src + os.sep):
-        raise SystemExit(f"lindosc imported from {fc.__file__}, not {src}")
-    return fc, gc
 
 
 def _state(fc, gc, dim: int, kind: str) -> np.ndarray:
@@ -85,7 +66,8 @@ def main(argv=None) -> int:
     ap.add_argument("--samples", type=int, default=21,
                     help="samples per cell (default 21)")
     args = ap.parse_args(argv)
-    trees = [_import_lindosc(src) for src in args.src]
+    trees = [import_lindosc(src, "fock_core", "gaussian_class")
+             for src in args.src]
     fc, gc = trees[0]
     floor = fc._SPECTRUM_FLOOR
     fns = [np.linalg.eigvalsh] + [t[0]._eigvalsh for t in trees]

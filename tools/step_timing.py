@@ -1,12 +1,14 @@
 """Time one RK4 step of lindosc's stepper, ``_Workspace.step``.
 
-Prints the microseconds per step at dim 32, 64, 128, 256 and 384,
-undriven and under the cosine drive, on a fixed random Hermitian start.
+Prints the microseconds per step at dim 32, 64, 128, 256 and 384 for
+three runs: undriven (``none``) and under the cosine drive (``cosine``)
+on a fixed random Hermitian start, and undriven from the Fock-diagonal
+``steady_state`` (``thermal``), where ``evolve`` steps the diagonal only.
 Dims 128 and 384 sit on either side of the size where the stepper starts
 to evaluate the generator in more than one row block. Each sample
 times a run of steps from a fresh copy of the start on a freshly built
 stepper, so a cell's median does not carry one stepper's heap placement,
-and the samples of every (tree, dim, drive) cell are interleaved, so slow
+and the samples of every (tree, dim, run) cell are interleaved, so slow
 drift of the machine spreads over all cells alike; the table shows each
 cell's median.
 Given two or more source trees, it times them in one process, in the
@@ -16,58 +18,46 @@ saying whether every tree's final state is bitwise the same:
     python tools/step_timing.py --src src
     python tools/step_timing.py --src base/src --src src
 
-Each stepper is built as ``evolve`` builds it (undriven when the drive is
-off), outside the timed runs, so the table reads the per-step cost that
-``evolve`` pays, not the construction.
+Each stepper is built and loaded as ``evolve`` builds and loads it
+(undriven when the drive is off, the start through ``_Workspace.load``,
+or copied into ``rho`` on a tree whose stepper has no ``load``), outside
+the timed runs, so the table reads the per-step cost that ``evolve``
+pays, not the construction.
 Needs only the standard library and numpy (which lindosc itself needs).
 """
 
 from __future__ import annotations
 
 import argparse
-import importlib
-import os
 import statistics
 import sys
 import time
 
 import numpy as np
+from fresh_import import import_lindosc
 
 DIMS = (32, 64, 128, 256, 384)
-DRIVES = ("none", "cosine")
+RUNS = ("none", "cosine", "thermal")
 STEPS = {32: 40, 64: 20, 128: 5, 256: 2, 384: 1}  # about 2-20 ms a sample
-
-
-def _import_engine(src: str):
-    """lindosc.lindblad_engine from the tree at src, imported afresh."""
-    src = os.path.abspath(src)
-    for k in [k for k in sys.modules
-              if k == "lindosc" or k.startswith("lindosc.")]:
-        del sys.modules[k]
-    sys.path.insert(0, src)
-    try:
-        eng = importlib.import_module("lindosc.lindblad_engine")
-    finally:
-        sys.path.remove(src)
-    if not os.path.abspath(eng.__file__).startswith(src + os.sep):
-        raise SystemExit(f"lindosc imported from {eng.__file__}, not {src}")
-    return eng
 
 
 class _Cell:
     """The stepper's inputs, its start state and the drive values of its
     steps; ``ws`` is the stepper of the latest sample."""
 
-    def __init__(self, eng, dim: int, drive: str):
+    def __init__(self, eng, dim: int, run: str):
         self.eng, self.dim = eng, dim
         self.params = eng.LindbladParams(omega=1.1, mu=0.6, nu=0.4, f0=0.3,
                                          Omega=1.3)
-        fn = eng.DriveFn.cosine() if drive == "cosine" else eng.DriveFn.none()
+        fn = eng.DriveFn.cosine() if run == "cosine" else eng.DriveFn.none()
         self.driven = fn.is_active(self.params)
         self.h = eng.default_dt(self.params, fn)
-        rng = np.random.default_rng(dim)
-        m = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-        self.start = (m + m.conj().T) / (2.0 * dim)
+        if run == "thermal":
+            self.start = eng.steady_state(self.params, dim).matrix
+        else:
+            rng = np.random.default_rng(dim)
+            m = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+            self.start = (m + m.conj().T) / (2.0 * dim)
         self.ws = None
         self.fs = []
         for j in range(STEPS[dim]):
@@ -82,7 +72,10 @@ class _Cell:
         self.ws = ws = self.eng._Workspace(self.dim, self.params,
                                            driven=self.driven)
         h, fs = self.h, self.fs
-        ws.rho[...] = self.start
+        if hasattr(ws, "load"):
+            ws.load(self.start)
+        else:
+            ws.rho[...] = self.start
         t0 = time.perf_counter()
         for f0, f_mid, f1 in fs:
             ws.step(h, f0, f_mid, f1)
@@ -99,26 +92,26 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     cells = {}
     for src in args.src:
-        eng = _import_engine(src)
+        eng, = import_lindosc(src, "lindblad_engine")
         for dim in DIMS:
-            for drive in DRIVES:
-                cells[(src, dim, drive)] = _Cell(eng, dim, drive)
+            for run in RUNS:
+                cells[(src, dim, run)] = _Cell(eng, dim, run)
     times = {key: [] for key in cells}
     for _ in range(args.samples + 1):      # the first round warms up
         for key, cell in cells.items():
             times[key].append(cell.sample())
     compare = len(args.src) > 1
-    print("dim\tdrive\t" + "\t".join(f"us/step {s}" for s in args.src)
+    print("dim\trun\t" + "\t".join(f"us/step {s}" for s in args.src)
           + ("\tbitwise" if compare else ""))
     for dim in DIMS:
-        for drive in DRIVES:
-            row = [f"{statistics.median(times[(s, dim, drive)][1:]):.1f}"
+        for run in RUNS:
+            row = [f"{statistics.median(times[(s, dim, run)][1:]):.1f}"
                    for s in args.src]
             if compare:   # every sample ends on the same steps' state
-                states = {cells[(s, dim, drive)].ws.rho.tobytes()
+                states = {cells[(s, dim, run)].ws.rho.tobytes()
                           for s in args.src}
                 row.append("yes" if len(states) == 1 else "NO")
-            print(f"{dim}\t{drive}\t" + "\t".join(row))
+            print(f"{dim}\t{run}\t" + "\t".join(row))
     return 0
 
 
