@@ -84,7 +84,7 @@ _KNOWN_KEYS = {
     "drive": {"kind", "harmonics", "coefficients"},
     "initial": {"kind", "alpha0", "nbar0", "u0", "path"},
     "grid": {"t_max", "n_times"},
-    "integrator": {"dim", "dt", "renorm_every"},
+    "integrator": {"dim", "dt"},
     "husimi": {"times", "resolution", "window"},
     "scan": {"Omega_min", "Omega_max", "samples"},
     "run": {"seed"},
@@ -155,7 +155,6 @@ class RunConfig:
     t_max: float
     n_times: int
     dt: float | None
-    renorm_every: int
     husimi_times: tuple | None
     resolution: tuple
     window: tuple | None
@@ -191,7 +190,6 @@ class RunConfig:
         lines += [
             ("integrator.dim", str(self.dim)),
             ("integrator.dt", "auto" if self.dt is None else _fmt(self.dt)),
-            ("integrator.renorm_every", str(self.renorm_every)),
             ("grid.t_max", _fmt(self.t_max)),
             ("grid.n_times", str(self.n_times)),
         ]
@@ -271,9 +269,6 @@ def resolve_config(path: str | None, dim_override: int | None) -> RunConfig:
     dt = cfg.get("integrator", "dt", float, None)
     if dt is not None and not dt > 0:
         raise ConfigError(f"[integrator] dt = {dt}: must be > 0")
-    renorm_every = cfg.get("integrator", "renorm_every", int, 100)
-    if renorm_every < 0:
-        raise ConfigError("[integrator] renorm_every must be >= 0")
 
     t_max = cfg.get("grid", "t_max", float, 10.0)
     n_times = cfg.get("grid", "n_times", int, 101)
@@ -315,10 +310,9 @@ def resolve_config(path: str | None, dim_override: int | None) -> RunConfig:
     return RunConfig(params=params, drive=drive, initial_kind=ikind,
                      initial_given=initial_given, alpha0=alpha0, nbar0=nbar0,
                      u0=u0, initial_path=ipath, dim=dim, t_max=t_max,
-                     n_times=n_times, dt=dt, renorm_every=renorm_every,
-                     husimi_times=husimi_times, resolution=resolution,
-                     window=window, scan_range=(lo, hi),
-                     scan_samples=samples, seed=seed)
+                     n_times=n_times, dt=dt, husimi_times=husimi_times,
+                     resolution=resolution, window=window,
+                     scan_range=(lo, hi), scan_samples=samples, seed=seed)
 
 
 # ---------------------------------------------------------------------------
@@ -445,7 +439,7 @@ def cmd_evolve(cfg: RunConfig, out_dir: str, quiet: bool) -> int:
     g0 = _gaussian_initial(cfg)
     _ensure_adequate(cfg, g0)
     t = np.linspace(0.0, cfg.t_max, cfg.n_times)
-    opts = IntegratorOptions(dt=cfg.dt, renorm_every=cfg.renorm_every)
+    opts = IntegratorOptions(dt=cfg.dt)
     # unbound, so evolve can free the start state once it has copied it
     traj = evolve(_initial_density(cfg, g0), t, cfg.params, cfg.drive, opts)
 

@@ -68,16 +68,20 @@ def efg(t, params: LindbladParams):
     return E, F, G
 
 
-def fujii_density(rho0: DensityMatrix, t: float, params: LindbladParams,
-                  renormalize: bool = True):
-    """Propagate rho0 by the exact force-free double operator sum.
+def fujii_density(rho0: DensityMatrix, t: float,
+                  params: LindbladParams) -> DensityMatrix:
+    """Propagate rho0 by the exact force-free double operator sum, as a
+    validated DensityMatrix (see ``_fujii_raw``)."""
+    return DensityMatrix.from_matrix(_fujii_raw(rho0, t, params))
+
+
+def _fujii_raw(rho0, t: float, params: LindbladParams) -> np.ndarray:
+    """The double operator sum as a raw matrix, whose trace deficit
+    measures the truncation loss.
 
     Each sum runs over the powers k = 1 .. dim-1, the only ones with a
     nonzero term (from k = dim on the shifted band has left the basis),
-    and stops early once a term's trace falls below 1e-14. With
-    renormalize=True (default) the result is validated and returned as a
-    DensityMatrix; renormalize=False returns the raw matrix, whose trace
-    deficit measures the truncation loss.
+    and stops early once a term's trace falls below 1e-14.
     """
     m0 = _as_matrix(rho0)
     dim = m0.shape[0]
@@ -111,10 +115,7 @@ def fujii_density(rho0: DensityMatrix, t: float, params: LindbladParams,
     phase = np.exp(-np.arange(dim) * (1j * params.omega * t + logF))
     mid = (phase[:, None] * inner) * phase.conj()[None, :]
     outer = _series(mid, _grow, G)
-    raw = (1.0 - G) * outer
-    if not renormalize:
-        return raw
-    return DensityMatrix.from_matrix(raw)
+    return (1.0 - G) * outer
 
 
 def thermal_from_ground(t: float, params: LindbladParams,

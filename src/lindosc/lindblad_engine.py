@@ -240,12 +240,10 @@ class DriveFn:
 
 @dataclass(frozen=True)
 class IntegratorOptions:
-    """dt=None picks the default step; renorm_every=0 disables the periodic
-    re-Hermitization + trace renormalization (useful for convergence tests);
-    snapshot_times must be a subset of the evolve time grid."""
+    """dt=None picks the default step; snapshot_times must be a subset of
+    the evolve time grid."""
 
     dt: float | None = None
-    renorm_every: int = 100
     snapshot_times: tuple = ()
 
 
@@ -537,14 +535,16 @@ def evolve(rho0, t_grid, params: LindbladParams,
     """Integrate the master equation, recording observables on t_grid.
 
     t_grid must be finite, start at 0 and increase strictly, and
-    t_grid[-1] / dt must be at most _MAX_STEPS (2**53). Every
-    opts.renorm_every steps the state is re-Hermitized and
-    trace-renormalized. A minimum eigenvalue below -1e-6 at any recorded
-    time aborts with IntegrationDivergedError.
+    t_grid[-1] / dt must be at most _MAX_STEPS (2**53). The state is
+    never re-Hermitized or renormalized: the truncated generator has zero
+    trace on every input and maps Hermitian matrices to Hermitian ones,
+    and RK4 keeps both, so trace_err is the rounding the whole run has
+    built up. A minimum eigenvalue below -1e-6 at any recorded time
+    aborts with IntegrationDivergedError.
     Without an active drive, from a start whose every off-diagonal entry
     is +0.0+0.0j bit for bit, each step advances the diagonal only (see
-    ``_Workspace``); the records, renormalization and snapshots read the
-    whole state, and every output is bitwise that of the full step.
+    ``_Workspace``); the records and snapshots read the whole state, and
+    every output is bitwise that of the full step.
     Each opts.snapshot_times entry must lie within 1e-12 of a grid time;
     its snapshot is keyed by the time asked for, not by the grid time it
     matched.
@@ -571,9 +571,6 @@ def evolve(rho0, t_grid, params: LindbladParams,
         snap_index.setdefault(int(hits[0]), []).append(float(ts))
     if opts.dt is not None and not 0 < opts.dt < math.inf:
         raise ValueError(f"dt must be positive and finite, got {opts.dt!r}")
-    if not (float(opts.renorm_every).is_integer() and opts.renorm_every >= 0):
-        raise ValueError(f"renorm_every must be an integer >= 0, "
-                         f"got {opts.renorm_every!r}")
 
     dt = opts.dt if opts.dt is not None else default_dt(params, drive)
     t_end = t_grid[-1].item()
@@ -602,7 +599,6 @@ def evolve(rho0, t_grid, params: LindbladParams,
         (6, t_grid.size))
     snapshots: dict = {}
     warned = False
-    steps = 0
     for i, t1 in enumerate(t_grid.tolist()):
         if i > 0:
             t0 = t_grid[i - 1].item()
@@ -612,13 +608,6 @@ def evolve(rho0, t_grid, params: LindbladParams,
             for j in range(n_sub):
                 t = t0 + j * h
                 st.step(h, fval(t), fval(t + 0.5 * h), fval(t + h))
-                steps += 1
-                if opts.renorm_every and steps % opts.renorm_every == 0:
-                    # rho = 0.5 * (rho + rho^+), then rho /= tr rho
-                    np.conjugate(rho.T, herm)
-                    np.add(rho, herm, rho)
-                    np.multiply(0.5, rho, rho)
-                    rho /= rho.trace().real
 
         if not np.all(np.isfinite(rho)):
             raise IntegrationDivergedError(

@@ -354,15 +354,14 @@ def check_nonhermitian() -> list[CheckResult]:
 def check_integrator_order() -> list[CheckResult]:
     """Global convergence order of the stepper, estimated from vacuum
     relaxation against the exact thermalization matrix at two step sizes
-    (4x refinement, no periodic renormalization)."""
+    (4x refinement)."""
     p, dim = BENCH_FREE, 64
     times = (0.5, 1.0, 2.0, 4.0)
     t_grid = np.array((0.0,) + times)
 
     def run(h: float) -> float:
         traj = evolve(_vacuum(dim), t_grid, p,
-                      opts=IntegratorOptions(dt=h, renorm_every=0,
-                                             snapshot_times=times))
+                      opts=IntegratorOptions(dt=h, snapshot_times=times))
         worst = 0.0
         for ts in times:
             exact = thermal_from_ground(ts, p, dim).matrix

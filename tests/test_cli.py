@@ -130,7 +130,8 @@ def test_gaussian_start_echoes_u0_and_seed(tmp_path):
     ("[initial]\nkind = thermal\nnbar0 = -1\n", "nbar0 = -1.0: must be >= 0"),
     ("[integrator]\ndim = 1\n", "dim = 1: must be >= 2"),
     ("[integrator]\ndt = 0\n", "dt = 0.0: must be > 0"),
-    ("[integrator]\nrenorm_every = -1\n", "renorm_every must be >= 0"),
+    ("[integrator]\nrenorm_every = -1\n",
+     "[integrator] unknown key 'renorm_every'"),
     ("[grid]\nt_max = 0\n", "t_max = 0.0: must be > 0"),
     ("[grid]\nn_times = 0\n", "empty time grid"),
     ("[husimi]\ntimes =\n", "[husimi] times: empty list"),

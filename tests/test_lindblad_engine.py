@@ -143,12 +143,26 @@ def test_vacuum_relaxation_matches_closed_form():
 
 
 def test_trace_preserved_without_renormalization():
+    # The truncated generator has zero trace on every input and keeps
+    # Hermiticity, and RK4 keeps both, so only rounding moves them.
     dim = 40
     t = np.linspace(0.0, 5.0, 6)
-    opts = IntegratorOptions(renorm_every=0)
-    traj = evolve(DensityMatrix.pure(coherent_state(0.0, dim)), t, P_FREE,
-                  opts=opts)
+    traj = evolve(DensityMatrix.pure(coherent_state(0.0, dim)), t, P_FREE)
     assert np.max(traj.trace_err) < 1e-12
+    # An undriven vacuum steps the diagonal only; a driven coherent start
+    # steps the whole matrix, here for 10^4 steps on resonance.
+    p = LindbladParams(omega=1.1, mu=0.6, nu=0.4, f0=0.3,
+                       Omega=math.sqrt(1.2))
+    drive = DriveFn.cosine()
+    ws = _Workspace(32, p)
+    ws.load(DensityMatrix.pure(coherent_state(1.0, 32)).matrix)
+    h = default_dt(p, drive)
+    for j in range(10 ** 4):
+        t0 = j * h
+        ws.step(h, drive.value(t0, p), drive.value(t0 + 0.5 * h, p),
+                drive.value(t0 + h, p))
+    assert np.max(np.abs(ws.rho - ws.rho.conj().T)) <= 1e-12
+    assert abs(ws.rho.trace() - 1.0) <= 1e-12
 
 
 def test_coherent_state_stays_pure_without_gain():
@@ -250,14 +264,6 @@ def test_uncountable_step_count_raises():
         evolve(rho0, np.array([0.0, 1e300]), P_FREE)
 
 
-@pytest.mark.parametrize("renorm_every", [-1, 2.5])
-def test_renorm_every_validation(renorm_every):
-    rho0 = DensityMatrix.pure(coherent_state(0.0, 8))
-    with pytest.raises(ValueError, match="renorm_every must be an integer"):
-        evolve(rho0, np.array([0.0, 1.0]), P_FREE,
-               opts=IntegratorOptions(renorm_every=renorm_every))
-
-
 def test_input_shapes():
     rho0 = DensityMatrix.pure(coherent_state(0.3, 16))
     t = np.array([0.0, 0.5])
@@ -288,7 +294,7 @@ def test_non_finite_state_raises():
         with pytest.raises(IntegrationDivergedError,
                            match="state became non-finite by t=300"):
             evolve(rho0, np.array([0.0, 300.0]), P_FREE,
-                   opts=IntegratorOptions(dt=3.0, renorm_every=0))
+                   opts=IntegratorOptions(dt=3.0))
 
 
 def test_top_level_population_warns():
@@ -297,17 +303,6 @@ def test_top_level_population_warns():
     rho0 = DensityMatrix.pure(top)
     with pytest.warns(TruncationWarning):
         evolve(rho0, np.array([0.0, 0.1]), P_FREE)
-
-
-def test_renormalization_cadence_is_benign():
-    dim = 40
-    t = np.linspace(0.0, 3.0, 4)
-    rho0 = DensityMatrix.pure(coherent_state(0.5, dim))
-    n_every = evolve(rho0, t, P_FREE,
-                     opts=IntegratorOptions(renorm_every=1)).mean_n
-    n_never = evolve(rho0, t, P_FREE,
-                     opts=IntegratorOptions(renorm_every=0)).mean_n
-    assert np.max(np.abs(n_every - n_never)) < 1e-10
 
 
 def test_steady_state_is_fixed_point():
@@ -360,7 +355,7 @@ class _AllocatingWorkspace:
         return out
 
 
-def _reference_states(rho0, t_grid, params, drive, renorm_every):
+def _reference_states(rho0, t_grid, params, drive):
     """The state at every grid time from the allocating RK4 loop."""
     ws = _AllocatingWorkspace(rho0.shape[0], params)
     active = drive.is_active(params)
@@ -371,7 +366,6 @@ def _reference_states(rho0, t_grid, params, drive, renorm_every):
     dt = default_dt(params, drive)
     rho = rho0.copy()
     states = [rho.copy()]
-    steps = 0
     for t0, t1 in zip(t_grid.tolist(), t_grid[1:].tolist()):
         n_sub = max(1, math.ceil((t1 - t0) / dt - 1e-9))
         h = (t1 - t0) / n_sub
@@ -383,10 +377,6 @@ def _reference_states(rho0, t_grid, params, drive, renorm_every):
             k3 = ws.apply(rho + (0.5 * h) * k2, f_mid)
             k4 = ws.apply(rho + h * k3, fval(t + h))
             rho += (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
-            steps += 1
-            if steps % renorm_every == 0:
-                rho = 0.5 * (rho + rho.conj().T)
-                rho /= rho.trace().real
         states.append(rho.copy())
     return states
 
@@ -412,12 +402,12 @@ def _bitwise_start(dim, rng):
 def test_evolve_bitwise_equals_allocating_rk4(dim, drive, rng):
     drive = BITWISE_DRIVES[drive]
     rho0 = _bitwise_start(dim, rng)
-    # 4 + 5 substeps at the default step: renormalized after steps 3, 6, 9
+    # 4 + 5 substeps at the default step
     t = np.array([0.0, 0.02, 0.045])
     traj = evolve(rho0, t, P_BITWISE, drive,
-                  IntegratorOptions(renorm_every=3, snapshot_times=tuple(t)))
+                  IntegratorOptions(snapshot_times=tuple(t)))
     _assert_run_bitwise(traj, t,
-                        _reference_states(rho0.matrix, t, P_BITWISE, drive, 3))
+                        _reference_states(rho0.matrix, t, P_BITWISE, drive))
 
 
 def _assert_run_bitwise(traj, t, ref):
@@ -458,21 +448,20 @@ def _diagonal_start(dim, kind, rng):
 
 
 # Undriven from a Fock-diagonal start, evolve steps the diagonals only.
-# 4 + 5 + 98 substeps: renormalized every 3 steps, or once after step 100.
+# 4 + 5 substeps, then n_last more in the last grid interval.
 @pytest.mark.filterwarnings("ignore::lindosc.fock_core.TruncationWarning")
-@pytest.mark.parametrize("renorm_every", [3, 100])
+@pytest.mark.parametrize("n_last", [3, 100])
 @pytest.mark.parametrize("start", ["vacuum", "steady_state", "random"])
 @pytest.mark.parametrize("dim", [2, 3, 33, 256])
-def test_diagonal_evolve_bitwise_equals_allocating_rk4(dim, start,
-                                                       renorm_every, rng):
+def test_diagonal_evolve_bitwise_equals_allocating_rk4(dim, start, n_last,
+                                                       rng):
     rho0 = _diagonal_start(dim, start, rng)
-    t = np.array([0.0, 0.02, 0.045, 0.6])
+    t = np.array([0.0, 0.02, 0.045, 0.045 + n_last * default_dt(P_BITWISE)])
     drive = DriveFn.none()
     traj = evolve(rho0, t, P_BITWISE, drive,
-                  IntegratorOptions(renorm_every=renorm_every,
-                                    snapshot_times=tuple(t)))
-    _assert_run_bitwise(traj, t, _reference_states(
-        rho0.matrix, t, P_BITWISE, drive, renorm_every))
+                  IntegratorOptions(snapshot_times=tuple(t)))
+    _assert_run_bitwise(traj, t,
+                        _reference_states(rho0.matrix, t, P_BITWISE, drive))
 
 
 @pytest.mark.filterwarnings("ignore::lindosc.fock_core.TruncationWarning")
@@ -480,9 +469,8 @@ def test_diagonal_evolve_bitwise_equals_allocating_rk4(dim, start,
 @pytest.mark.parametrize("dim", [3, 33])
 def test_one_off_diagonal_word_keeps_the_full_step(dim, word, rng):
     # The start check reads bits: -0.0 == 0, yet the full step turns it
-    # into +0.0 (the renormalization would too, so only the unrenormalized
-    # state shows it), and it decays a 1e-300 entry that a check on
-    # magnitudes might drop.
+    # into +0.0, and it decays a 1e-300 entry that a check on magnitudes
+    # might drop.
     m = _diagonal_start(dim, "random", rng).matrix.copy()
     if word == "imag -0.0":
         m[2, 1] = complex(0.0, -0.0)
@@ -496,12 +484,11 @@ def test_one_off_diagonal_word_keeps_the_full_step(dim, word, rng):
     n_sub = math.ceil(t[1] / default_dt(P_BITWISE) - 1e-9)
     for _ in range(n_sub):
         ws.step(t[1] / n_sub, None, None, None)
-    unrenormalized = _reference_states(m, t[:2], P_BITWISE, drive, 10 ** 9)
-    assert ws.rho.tobytes() == unrenormalized[-1].tobytes()
+    ref = _reference_states(m, t, P_BITWISE, drive)
+    assert ws.rho.tobytes() == ref[1].tobytes()
     traj = evolve(DensityMatrix(matrix=m), t, P_BITWISE, drive,
-                  IntegratorOptions(renorm_every=3, snapshot_times=tuple(t)))
-    _assert_run_bitwise(traj, t,
-                        _reference_states(m, t, P_BITWISE, drive, 3))
+                  IntegratorOptions(snapshot_times=tuple(t)))
+    _assert_run_bitwise(traj, t, ref)
 
 
 @pytest.mark.filterwarnings("ignore::lindosc.fock_core.TruncationWarning")
@@ -700,8 +687,8 @@ def test_blocked_apply_bitwise_equals_allocating_rk4(dim, rows, drive, rng,
     rho0 = _bitwise_start(dim, rng)
     t = np.array([0.0, 0.02, 0.045])
     traj = evolve(rho0, t, P_BITWISE, drive,
-                  IntegratorOptions(renorm_every=3, snapshot_times=tuple(t)))
-    ref = _reference_states(rho0.matrix, t, P_BITWISE, drive, 3)
+                  IntegratorOptions(snapshot_times=tuple(t)))
+    ref = _reference_states(rho0.matrix, t, P_BITWISE, drive)
     for ti, rho in zip(t, ref):
         snap = DensityMatrix.from_matrix(
             rho, herm_tol=HERM_TOL_EVOLVED, positivity_tol=1e-6)
@@ -726,7 +713,7 @@ def test_evolve_state_buffer_does_not_alias(rng):
     before = m0.tobytes()
     rho0 = DensityMatrix(matrix=m0)  # writable on purpose
     t = np.linspace(0.0, 0.6, 4)
-    opts = IntegratorOptions(renorm_every=7, snapshot_times=(t[2],))
+    opts = IntegratorOptions(snapshot_times=(t[2],))
     full = evolve(rho0, t, P_BITWISE, DriveFn.cosine(), opts)
     short = evolve(rho0, t[:3], P_BITWISE, DriveFn.cosine(), opts)
     assert (full.snapshots[t[2]].matrix.tobytes()

@@ -18,16 +18,12 @@ scan rows, for ``resonance_scan``):
     python tools/output_timing.py --src src
     python tools/output_timing.py --src base/src --src src
 
-A tree whose ``_write_table`` takes ``rows`` rather than a 2-d ``table``
-(the writer that formatted one cell per call) is handed the row lists
-its own CLI passed. Needs only the standard library and numpy (which
-lindosc itself needs).
+Needs only the standard library and numpy (which lindosc itself needs).
 """
 
 from __future__ import annotations
 
 import argparse
-import inspect
 import os
 import shutil
 import statistics
@@ -62,15 +58,12 @@ class _Tree:
                                    self.params.omega).values
         self.scan = self.obs.resonance_scan(self.params, (0.5, 1.7),
                                             SCAN_SAMPLES)
-        self.by_rows = "table" not in inspect.signature(
-            self.cli._write_table).parameters
         self.last = {}
 
     def _write(self, layer: str, table: np.ndarray, sep: str) -> float:
-        rows = (row.tolist() for row in table) if self.by_rows else table
         t0 = time.perf_counter()
         path = self.cli._write_table(self.out_dir, "table.txt", "timing",
-                                     self.cfg, rows, sep=sep)
+                                     self.cfg, table, sep=sep)
         ns = (time.perf_counter() - t0) * 1e9 / table.size
         with open(path, "rb") as fh:
             self.last[layer] = fh.read()

@@ -19,10 +19,9 @@ saying whether every tree's final state is bitwise the same:
     python tools/step_timing.py --src base/src --src src
 
 Each stepper is built and loaded as ``evolve`` builds and loads it
-(undriven when the drive is off, the start through ``_Workspace.load``,
-or copied into ``rho`` on a tree whose stepper has no ``load``), outside
-the timed runs, so the table reads the per-step cost that ``evolve``
-pays, not the construction.
+(undriven when the drive is off, the start through ``_Workspace.load``),
+outside the timed runs, so the table reads the per-step cost that
+``evolve`` pays, not the construction.
 Needs only the standard library and numpy (which lindosc itself needs).
 """
 
@@ -72,10 +71,7 @@ class _Cell:
         self.ws = ws = self.eng._Workspace(self.dim, self.params,
                                            driven=self.driven)
         h, fs = self.h, self.fs
-        if hasattr(ws, "load"):
-            ws.load(self.start)
-        else:
-            ws.rho[...] = self.start
+        ws.load(self.start)
         t0 = time.perf_counter()
         for f0, f_mid, f1 in fs:
             ws.step(h, f0, f_mid, f1)
