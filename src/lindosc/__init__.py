@@ -13,8 +13,6 @@ from .fock_core import (
     TruncationWarning,
     coherent_state,
     density_diagnostics,
-    expectation,
-    ladder_ops,
     required_dim,
     trace_distance,
 )
@@ -86,12 +84,10 @@ __all__ = [
     "entropy",
     "entropy_infinity",
     "evolve",
-    "expectation",
     "fujii_density",
     "gaussian_flow",
     "husimi_grid",
     "husimi_value",
-    "ladder_ops",
     "limit_cycle_alpha",
     "limit_cycle_state",
     "lindblad_rhs",

@@ -69,11 +69,9 @@ class ConfigError(Exception):
 
 
 def _fmt(x) -> str:
-    if isinstance(x, float):
-        return format(x, ".17g")
     if isinstance(x, complex):
         return f"{x.real:.17g}{x.imag:+.17g}j"
-    return str(x)
+    return format(x, ".17g")
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,9 @@
 """Truncated Fock-space linear algebra.
 
-Ladder operators, coherent states, expectation values and density-matrix
-plumbing for a single bosonic mode kept on the first ``dim`` number states
-|0>, ..., |dim-1>. Everything is dense complex128; ``DensityMatrix`` is a
-thin validated wrapper used at module boundaries while hot loops work on
-raw arrays.
+Coherent states and density-matrix plumbing for a single bosonic mode
+kept on the first ``dim`` number states |0>, ..., |dim-1>. Everything is
+dense complex128; ``DensityMatrix`` is a thin validated wrapper used at
+module boundaries while hot loops work on raw arrays.
 
 Every Hermitian spectrum in the package (the positivity check of
 ``DensityMatrix.from_matrix``, ``trace_distance``, ``density_diagnostics``
@@ -33,10 +32,8 @@ __all__ = [
     "TruncationError",
     "TruncationWarning",
     "required_dim",
-    "ladder_ops",
     "coherent_state",
     "DensityMatrix",
-    "expectation",
     "density_diagnostics",
     "DensityDiagnostics",
     "trace_distance",
@@ -87,21 +84,6 @@ def _phase_point(alpha, omega: float):
     alpha may be a scalar or an array."""
     return (math.sqrt(2.0 / omega) * alpha.real,
             math.sqrt(2.0 * omega) * alpha.imag)
-
-
-def ladder_ops(dim: int):
-    """Return (a, adag, n) as dense (dim, dim) complex matrices.
-
-    a[j-1, j] = sqrt(j); adag = a^dagger; n = diag(0, 1, ..., dim-1).
-    The truncated pair satisfies [a, adag] = 1 everywhere except the last
-    diagonal entry, which is -(dim-1).
-    """
-    dim = _require_dim(dim)
-    w = np.sqrt(np.arange(1.0, dim))
-    a = np.zeros((dim, dim), dtype=np.complex128)
-    a[np.arange(dim - 1), np.arange(1, dim)] = w
-    n = np.diag(np.arange(dim, dtype=np.float64)).astype(np.complex128)
-    return a, a.conj().T, n
 
 
 def coherent_state(alpha, dim: int) -> np.ndarray:
@@ -236,19 +218,6 @@ def _geometric_state(ratio: float, dim) -> DensityMatrix:
     p = ratio ** np.arange(dim)
     p /= p.sum()
     return DensityMatrix.from_matrix(np.diag(p).astype(np.complex128))
-
-
-def expectation(obs, rho) -> complex:
-    """trace(obs . rho) as a complex number.
-
-    The imaginary part is returned, not dropped; for Hermitian observables
-    on valid states it is rounding-level (<= 1e-10).
-    """
-    obs = _as_matrix(obs)
-    m = _as_matrix(rho)
-    if obs.shape != m.shape:
-        raise ValueError(f"dimension mismatch: obs {obs.shape} vs rho {m.shape}")
-    return complex(np.einsum("ij,ji->", obs, m))
 
 
 class DensityDiagnostics(NamedTuple):

@@ -12,10 +12,10 @@ the generator is linear and non-stiff at desk scale, and a fixed step keeps
 convergence-order measurements clean.
 
 One generator, ``_Generator``, evaluates L for ``lindblad_rhs``; the RK4
-stepper ``_Workspace`` extends it with the stage buffers that ``evolve``
-steps through. The generator allocates its bands, input and output
-buffers of dim*dim entries, a scratch and (driven) a drive buffer of one
-row block, and every view it takes once; the stepper adds three more
+stepper ``_Workspace`` extends it with the buffers ``evolve`` steps
+through. The generator owns only the operator: its bands, a scratch and
+(driven) a drive buffer of one row block, and its views of them; it reads
+and writes buffers it is given. The stepper owns the state and the stage
 buffers. The bands are complex, so a step allocates no array. Every stage
 is a ufunc with ``out=`` whose operands and order are those of the plain
 RK4 expressions, so its states are bitwise the ones those expressions
@@ -285,15 +285,16 @@ def _shift(s: slice, k: int) -> slice:
 
 
 class _Generator:
-    """The generator L for one (dim, params) pair: its bands, an input
-    buffer ``rho``, an output buffer ``_k1``, a scratch buffer ``_s`` and,
-    when built ``driven``, the drive's bands and buffer ``_g``; every view
-    that ``_apply`` takes is bound here, once. Only a generator built
-    ``driven`` can apply a drive value.
+    """The generator L for one (dim, params) pair. It owns only the
+    operator: its bands, a scratch buffer ``_s`` and, when built
+    ``driven``, the drive's bands and buffer ``_g``, with every view of
+    them that ``_apply`` takes bound once; ``_bind`` adds the views of an
+    input and an output buffer that it is given, and only a generator
+    built ``driven`` can apply a drive value.
 
-    Every buffer is flat: entry (i, j) sits at i*dim + j, and ``rho`` is
-    the (dim, dim) view of the input buffer; ``_s`` and ``_g`` hold one
-    row block, and a block's views of them start at their first entry.
+    Every buffer is flat: entry (i, j) sits at i*dim + j; ``_s`` and
+    ``_g`` hold one row block, and a block's views of them start at their
+    first entry.
 
     Every band product is one contiguous run at a fixed flat offset:
     mu a rho a+ reads rho at offset dim+1, nu a+ rho a writes at offset
@@ -321,10 +322,6 @@ class _Generator:
     column.
     """
 
-    # The flat buffers, allocated in this order: at small dims they share
-    # the heap, and the order sets how their holes are reused.
-    _BUFFERS = ("_rho", "_k1")
-
     def __init__(self, dim: int, params: LindbladParams,
                  driven: bool = True):
         m = np.arange(dim, dtype=np.float64)
@@ -346,10 +343,7 @@ class _Generator:
         self.muW2 = (params.mu * W2).astype(c)
         self.nuW2 = (params.nu * W2).astype(c)
         del W2            # a float temporary: not live beside the buffers
-        for name in self._BUFFERS:
-            setattr(self, name, np.empty(n, dtype=c))
         self._s = s = np.empty(nb, dtype=c)
-        self.rho = self._rho.reshape(dim, dim)
         if driven:
             self.wt = np.tile(wpad, dim)[:n - 1].astype(c)  # w_j at i*dim+j
             self.wr = np.repeat(w.astype(c), dim)           # w_i at i*dim+j
@@ -388,7 +382,6 @@ class _Generator:
                          self.wr[dn], g(dn),
                          self.wt[tm], *run(tm), g(_shift(tm, 1)))
             self._blocks.append((reads, writes, bands, drive))
-        self._rho_k1 = self._bind(self._rho, self._k1)
 
     def _bind(self, x: np.ndarray, o: np.ndarray) -> list:
         """Per block, every view that ``_apply`` takes to write L[x] to o:
@@ -442,13 +435,14 @@ class _Generator:
 
 
 class _Workspace(_Generator):
-    """The RK4 stepper for one (dim, params) pair: a ``_Generator`` whose
-    input buffer ``rho`` is the state that ``step`` advances in place,
-    plus the stage input ``_y`` and the stage slopes ``_k2`` and ``_k3``
-    (k4 reuses k3's buffer), with the views of each stage bound once.
-    Each stage's evaluation of L runs in row blocks, so at dim 256 its
-    working set stays in L2 and the one-block scratch and drive buffers
-    serve every stage; the RK4 combination stays whole-array.
+    """The RK4 stepper for one (dim, params) pair: a ``_Generator`` and
+    the buffers it steps, which the stepper owns: the state ``_rho``
+    (``rho`` is its (dim, dim) view) that ``step`` advances in place, the
+    stage input ``_y`` and the slopes ``_k1``, ``_k2`` and ``_k3`` (k4
+    reuses k3's buffer), with the views of each stage bound once. Each
+    stage's evaluation of L runs in row blocks, so at dim 256 its working
+    set stays in L2 and the one-block scratch and drive buffers serve
+    every stage; the RK4 combination stays whole-array.
 
     ``load`` copies a start into ``rho``. Undriven, from a start whose
     every off-diagonal entry is +0.0+0.0j bit for bit, it binds ``step``
@@ -467,6 +461,13 @@ class _Workspace(_Generator):
                  driven: bool = True):
         super().__init__(dim, params, driven)
         self._driven = driven
+        for name in self._BUFFERS:
+            setattr(self, name, np.empty(dim * dim, dtype=np.complex128))
+        self.rho = self._rho.reshape(dim, dim)
+        self._bind_stages()
+
+    def _bind_stages(self) -> None:
+        self._rho_k1 = self._bind(self._rho, self._k1)
         self._y_k2 = self._bind(self._y, self._k2)
         self._y_k3 = self._bind(self._y, self._k3)
 
@@ -487,9 +488,7 @@ class _Workspace(_Generator):
         bands = (self.K[::d], self.muW2[::d], s, no_wrap,
                  self.nuW2[::d], s, no_wrap)
         self._blocks = [((x, hi, lo), (x, lo, hi), bands, None)]
-        self._rho_k1 = self._bind(self._rho, self._k1)
-        self._y_k2 = self._bind(self._y, self._k2)
-        self._y_k3 = self._bind(self._y, self._k3)
+        self._bind_stages()
 
     def step(self, h: float, f0, f_mid, f1) -> None:
         """One RK4 step of length h on rho, drive values at its start,
@@ -524,9 +523,9 @@ def lindblad_rhs(rho, t: float, params: LindbladParams,
     drive = drive if drive is not None else DriveFn.none()
     f = drive.value(t, params) if drive.is_active(params) else None
     gen = _Generator(m.shape[0], params, driven=f is not None)
-    gen.rho[...] = m
-    gen._apply(gen._rho_k1, f)
-    return gen._k1.reshape(m.shape)
+    out = np.empty(m.size, dtype=np.complex128)
+    gen._apply(gen._bind(np.ascontiguousarray(m).ravel(), out), f)
+    return out.reshape(m.shape)
 
 
 def evolve(rho0, t_grid, params: LindbladParams,

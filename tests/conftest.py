@@ -3,12 +3,34 @@ import math
 import numpy as np
 import pytest
 
-from lindosc.fock_core import DensityMatrix
+from lindosc.fock_core import DensityMatrix, _as_matrix
 
 
 @pytest.fixture
 def rng():
     return np.random.default_rng(20260816)
+
+
+def ladder_ops(dim: int):
+    """Return (a, adag, n) as dense (dim, dim) complex matrices.
+
+    a[j-1, j] = sqrt(j); adag = a^dagger; n = diag(0, 1, ..., dim-1).
+    The truncated pair satisfies [a, adag] = 1 everywhere except the last
+    diagonal entry, which is -(dim-1).
+    """
+    w = np.sqrt(np.arange(1.0, dim))
+    a = np.zeros((dim, dim), dtype=np.complex128)
+    a[np.arange(dim - 1), np.arange(1, dim)] = w
+    n = np.diag(np.arange(dim, dtype=np.float64)).astype(np.complex128)
+    return a, a.conj().T, n
+
+
+def expectation(obs, rho) -> complex:
+    """trace(obs . rho) as a complex number, its imaginary part kept."""
+    m = _as_matrix(rho)
+    if obs.shape != m.shape:
+        raise ValueError(f"dimension mismatch: obs {obs.shape} vs rho {m.shape}")
+    return complex(np.einsum("ij,ji->", obs, m))
 
 
 def enveloped_density(dim: int, rng, ratio: float = 0.4) -> DensityMatrix:

@@ -10,8 +10,6 @@ from lindosc.fock_core import (
     _eigvalsh,
     coherent_state,
     density_diagnostics,
-    expectation,
-    ladder_ops,
     log_factorial,
     required_dim,
     trace_distance,
@@ -19,7 +17,7 @@ from lindosc.fock_core import (
 from lindosc.gaussian_class import GaussianState, materialize
 from lindosc.lindblad_engine import IntegratorOptions, LindbladParams, evolve
 
-from conftest import enveloped_density
+from conftest import enveloped_density, expectation, ladder_ops
 
 
 def test_ladder_action():
@@ -43,18 +41,10 @@ def test_ladder_commutator_truncation():
     assert np.max(np.abs(c - np.diag(np.diagonal(c)))) == 0.0
 
 
-def test_ladder_ops_validation():
-    with pytest.raises(ValueError):
-        ladder_ops(1)
-    with pytest.raises(ValueError):
-        ladder_ops(2.5)
-
-
-@pytest.mark.parametrize("dim", [math.inf, -math.inf, math.nan])
+@pytest.mark.parametrize("dim", [math.inf, -math.inf, math.nan, 1, 2.5])
 def test_dim_rejects_non_finite(dim):
-    # a ValueError naming dim, not the OverflowError of int(inf)
-    with pytest.raises(ValueError, match="dim must be an integer"):
-        ladder_ops(dim)
+    # a ValueError naming dim, not the OverflowError of int(inf), for a
+    # dim that is not finite, not an integer or below 2
     with pytest.raises(ValueError, match="dim must be an integer"):
         coherent_state(0.5, dim)
 

@@ -4,8 +4,6 @@ import pytest
 from lindosc.fock_core import (
     DensityMatrix,
     coherent_state,
-    expectation,
-    ladder_ops,
     trace_distance,
 )
 from lindosc.freeform_solutions import (
@@ -23,7 +21,7 @@ from lindosc.lindblad_engine import (
     steady_state,
 )
 
-from conftest import enveloped_density
+from conftest import enveloped_density, expectation, ladder_ops
 
 P = LindbladParams(omega=1.1, mu=0.6, nu=0.4)
 

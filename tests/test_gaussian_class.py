@@ -10,8 +10,6 @@ from lindosc.fock_core import (
     TruncationWarning,
     _phase_point,
     coherent_state,
-    expectation,
-    ladder_ops,
     log_factorial,
     trace_distance,
 )
@@ -36,6 +34,8 @@ from lindosc.lindblad_engine import (
     evolve,
 )
 from lindosc.observables import limit_cycle_alpha
+
+from conftest import expectation, ladder_ops
 
 P = LindbladParams(omega=1.1, mu=0.6, nu=0.4)
 P_DRIVEN = LindbladParams(omega=1.1, mu=0.6, nu=0.4, f0=1.4,

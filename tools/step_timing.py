@@ -1,33 +1,49 @@
-"""Time one RK4 step of lindosc's stepper, ``_Workspace.step``.
+"""Time the two layers of lindosc's integrator: one RK4 step of the
+stepper ``_Workspace.step`` and the floored Hermitian spectrum
+``fock_core._eigvalsh`` behind the per-record entropy and positivity check.
 
-Prints the microseconds per step at dim 32, 64, 128, 256 and 384 for
-three runs: undriven (``none``) and under the cosine drive (``cosine``)
-on a fixed random Hermitian start, and undriven from the Fock-diagonal
-``steady_state`` (``thermal``), where ``evolve`` steps the diagonal only.
-Dims 128 and 384 sit on either side of the size where the stepper starts
-to evaluate the generator in more than one row block. Each sample
-times a run of steps from a fresh copy of the start on a freshly built
-stepper, so a cell's median does not carry one stepper's heap placement,
-and the samples of every (tree, dim, run) cell are interleaved, so slow
-drift of the machine spreads over all cells alike; the table shows each
-cell's median.
-Given two or more source trees, it times them in one process, in the
-same interleaved order, with one column per tree and a last column
-saying whether every tree's final state is bitwise the same:
+The ``step`` rows give the microseconds per step at dim 32, 64, 128, 256
+and 384 for three runs: undriven (``none``) and under the cosine drive
+(``cosine``) on a fixed random Hermitian start, and undriven from the
+Fock-diagonal ``steady_state`` (``thermal``), where ``evolve`` steps the
+diagonal only. Dims 128 and 384 sit on either side of the size where the
+stepper starts to evaluate the generator in more than one row block.
+Each sample times a run of steps from a fresh copy of the start on a
+freshly built stepper, built and loaded as ``evolve`` builds and loads it
+(undriven when the drive is off, the start through ``_Workspace.load``)
+outside the timed run, so a cell reads the per-step cost that ``evolve``
+pays and not one stepper's heap placement.
+
+The ``spectrum`` rows give the milliseconds of one ``_eigvalsh`` call on
+a fresh copy of a density matrix (it zeroes every part below
+``_SPECTRUM_FLOOR`` and hands LAPACK the live levels only, the rows that
+keep a part; both passes are timed) at dim 32, 64 and 256, for three
+starts: a coherent state (|alpha| = 1.25), a Gaussian (u = 0.2,
+|alpha| = 1.25) and a seeded random state with a thermal-like Fock
+envelope (ratio 0.4). Every tree times the same matrices, built by the
+first tree. A second table gives, per matrix, the milliseconds of raw
+``np.linalg.eigvalsh``, the number of live levels (out of dim), the
+number of real and imaginary parts the floor zeroes (out of 2 * dim**2)
+and the largest |delta lambda| between the raw spectrum and any tree's.
+
+The samples of every cell are interleaved in one loop, whose first round
+warms up, so slow drift of the machine spreads over all cells alike, and
+each cell shows its median. Given two or more source trees, it times
+them in one process, one column per tree, with a last column saying
+whether every tree ends the cell on the same bytes (the whole state
+matrix for ``step``, so a tree that steps the diagonal only is compared
+with one that steps every entry; the eigenvalues for ``spectrum``):
 
     python tools/step_timing.py --src src
     python tools/step_timing.py --src base/src --src src
 
-Each stepper is built and loaded as ``evolve`` builds and loads it
-(undriven when the drive is off, the start through ``_Workspace.load``),
-outside the timed runs, so the table reads the per-step cost that
-``evolve`` pays, not the construction.
 Needs only the standard library and numpy (which lindosc itself needs).
 """
 
 from __future__ import annotations
 
 import argparse
+import cmath
 import statistics
 import sys
 import time
@@ -35,12 +51,15 @@ import time
 import numpy as np
 from fresh_import import import_lindosc
 
-DIMS = (32, 64, 128, 256, 384)
+STEP_DIMS = (32, 64, 128, 256, 384)
 RUNS = ("none", "cosine", "thermal")
 STEPS = {32: 40, 64: 20, 128: 5, 256: 2, 384: 1}  # about 2-20 ms a sample
+SPECTRUM_DIMS = (32, 64, 256)
+STATES = ("coherent", "gaussian", "envelope")
+UNITS = {"step": ("us/step", 1), "spectrum": ("ms/call", 2)}
 
 
-class _Cell:
+class _Step:
     """The stepper's inputs, its start state and the drive values of its
     steps; ``ws`` is the stepper of the latest sample."""
 
@@ -77,6 +96,39 @@ class _Cell:
             ws.step(h, f0, f_mid, f1)
         return (time.perf_counter() - t0) * 1e6 / len(fs)
 
+    @property
+    def last(self) -> np.ndarray:
+        return self.ws.rho
+
+
+class _Spectrum:
+    """One spectrum function on one matrix; ``last`` is the spectrum of
+    the latest sample."""
+
+    def __init__(self, fn, m: np.ndarray):
+        self.fn, self.m, self.last = fn, m, None
+
+    def sample(self) -> float:
+        """Milliseconds of one call on a fresh copy of the matrix."""
+        h = self.m.copy()
+        t0 = time.perf_counter()
+        self.last = self.fn(h)
+        return (time.perf_counter() - t0) * 1e3
+
+
+def _state(fc, gc, dim: int, kind: str) -> np.ndarray:
+    alpha = cmath.rect(1.25, 0.7)
+    if kind == "coherent":
+        return fc.DensityMatrix.pure(fc.coherent_state(alpha, dim)).matrix
+    if kind == "gaussian":
+        u = 0.2
+        return gc.materialize(gc.GaussianState(u=u, beta=alpha * (1 - u)),
+                              dim).matrix
+    rng = np.random.default_rng(dim)
+    a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    m = (0.4 ** (np.arange(dim) / 2.0))[:, None] * a
+    return fc.DensityMatrix.from_matrix(m @ m.conj().T).matrix
+
 
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
@@ -86,28 +138,53 @@ def main(argv=None) -> int:
     ap.add_argument("--samples", type=int, default=21,
                     help="samples per cell (default 21)")
     args = ap.parse_args(argv)
-    cells = {}
-    for src in args.src:
-        eng, = import_lindosc(src, "lindblad_engine")
-        for dim in DIMS:
-            for run in RUNS:
-                cells[(src, dim, run)] = _Cell(eng, dim, run)
+    trees = [import_lindosc(src, "lindblad_engine", "fock_core",
+                            "gaussian_class") for src in args.src]
+    _, fc, gc = trees[0]
+    mats = {(dim, kind): _state(fc, gc, dim, kind)
+            for dim in SPECTRUM_DIMS for kind in STATES}
+    rows = ([("step", dim, run) for dim in STEP_DIMS for run in RUNS]
+            + [("spectrum", dim, kind) for dim, kind in mats])
+    cells = {}         # (row, tree index or "raw") -> cell
+    for row in rows:
+        layer, dim, case = row
+        for i, (eng, fc_i, _) in enumerate(trees):
+            cells[(row, i)] = (_Step(eng, dim, case) if layer == "step"
+                               else _Spectrum(fc_i._eigvalsh,
+                                              mats[(dim, case)]))
+        if layer == "spectrum":
+            cells[(row, "raw")] = _Spectrum(np.linalg.eigvalsh,
+                                            mats[(dim, case)])
     times = {key: [] for key in cells}
     for _ in range(args.samples + 1):      # the first round warms up
         for key, cell in cells.items():
             times[key].append(cell.sample())
-    compare = len(args.src) > 1
-    print("dim\trun\t" + "\t".join(f"us/step {s}" for s in args.src)
+    median = {key: statistics.median(t[1:]) for key, t in times.items()}
+
+    ids = range(len(trees))
+    compare = len(trees) > 1
+    print("layer\tdim\tcase\tunit\t" + "\t".join(args.src)
           + ("\tbitwise" if compare else ""))
-    for dim in DIMS:
-        for run in RUNS:
-            row = [f"{statistics.median(times[(s, dim, run)][1:]):.1f}"
-                   for s in args.src]
-            if compare:   # every sample ends on the same steps' state
-                states = {cells[(s, dim, run)].ws.rho.tobytes()
-                          for s in args.src}
-                row.append("yes" if len(states) == 1 else "NO")
-            print(f"{dim}\t{run}\t" + "\t".join(row))
+    for row in rows:
+        unit, digits = UNITS[row[0]]
+        line = [*map(str, row), unit]
+        line += [f"{median[(row, i)]:.{digits}f}" for i in ids]
+        if compare:   # every sample ends on the same bytes
+            outs = {cells[(row, i)].last.tobytes() for i in ids}
+            line.append("yes" if len(outs) == 1 else "NO")
+        print("\t".join(line))
+
+    floor = fc._SPECTRUM_FLOOR
+    print("\ndim\tcase\tms raw\tlive levels\tfloored parts\tmax |dlambda|")
+    for (dim, kind), m in mats.items():
+        row = ("spectrum", dim, kind)
+        a = np.abs(m.view(np.float64))
+        live = np.count_nonzero(np.any(a >= floor, axis=1))
+        zeroed = np.count_nonzero((a != 0) & (a < floor))
+        raw = cells[(row, "raw")].last
+        delta = max(np.max(np.abs(raw - cells[(row, i)].last)) for i in ids)
+        print(f"{dim}\t{kind}\t{median[(row, 'raw')]:.2f}\t{live}\t{zeroed}"
+              f"\t{delta:.1e}")
     return 0
 
 
