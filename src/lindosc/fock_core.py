@@ -13,8 +13,8 @@ before LAPACK sees them, so that tiny Fock-tail entries cannot drive the
 reduction into subnormal arithmetic; it moves no eigenvalue by more than
 about 1e-100. LAPACK then reduces only the live levels, the rows that
 keep a part, and each dead level adds an exact eigenvalue 0. That is
-exact because every caller passes an exactly Hermitian matrix, built as
-(X + X^+)/2, so a zero row is also a zero column.
+exact because every caller passes an exactly Hermitian matrix, (X + X^+)/2
+or evolve's state, so a zero row is also a zero column.
 
 Units: hbar = 1, unit mass. Phase-space coordinates relate to the mode
 amplitude through alpha = (omega*x + i*p) / sqrt(2*omega).
@@ -161,6 +161,12 @@ class DensityMatrix:
     def pure(cls, psi) -> "DensityMatrix":
         psi = np.asarray(psi, dtype=np.complex128)
         m = np.outer(psi, psi.conj())
+        # a fused multiply-add rounds psi_i psi_j* and psi_j psi_i* apart:
+        # mirror the upper triangle (zero parts +0.0) and keep a real
+        # diagonal, so that m is exactly Hermitian in value
+        lower = np.tri(psi.size, k=-1, dtype=bool)
+        np.copyto(m, m.T.conj() + 0.0, where=lower)
+        np.fill_diagonal(m.imag, 0.0)
         m /= float(np.vdot(psi, psi).real)
         m.setflags(write=False)
         return cls(matrix=m)

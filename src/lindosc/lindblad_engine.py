@@ -11,53 +11,34 @@ costs O(dim^2). Time stepping is classic fixed-step 4th-order Runge-Kutta:
 the generator is linear and non-stiff at desk scale, and a fixed step keeps
 convergence-order measurements clean.
 
-One generator, ``_Generator``, evaluates L for ``lindblad_rhs``; the RK4
-stepper ``_Workspace`` extends it with the buffers ``evolve`` steps
-through. The generator owns only the operator: its bands, a scratch and
-(driven) a drive buffer of one row block, and its views of them; it reads
-and writes buffers it is given. The stepper owns the state and the stage
-buffers. The bands are complex, so a step allocates no array. Every stage
-is a ufunc with ``out=`` whose operands and order are those of the plain
-RK4 expressions, so its states are bitwise the ones those expressions
-give (the tests keep the allocating form as reference). On the flat
-layout every band product is one contiguous run at offset dim+1, dim or
-1; the row ends that a run at offset dim+1 or 1 crosses are set to the
-exact identity of the add or subtract that follows (-0-0j or +0+0j), so
-they leave every entry, signed zeros included, as the 2-d slices of the
-plain expression would.
+One generator, ``_Generator``, evaluates L for ``lindblad_rhs`` on the
+row-major layout; the RK4 stepper ``_Workspace`` extends it, on a layout
+that holds half of a Hermitian state, with the buffers ``evolve`` steps
+through. Every operation is a ufunc with ``out=`` whose operands and
+order are those of the plain expressions (the tests keep the allocating
+form as reference), so a step allocates no array and its stored words
+are bitwise those of the plain RK4 loop.
 
-L is evaluated in row blocks of max(1, _BLOCK_ENTRIES // dim) rows, about
-256 KiB of each operand, and every ufunc pass over one block runs before
-the next block starts. At dim 256 an operand is 1 MiB, and one evaluation
-makes 7 passes (21 driven) over six operands (nine driven): more than a
-core's 2 MiB L2 holds, so whole-array passes go out to L3 and back, while
-a block's slices stay in L2. Blocks are independent (the input is only
-read, each block writes its own rows of the output, and the scratch and
-the drive buffer are used up within the block), so every entry sees the
-same operations in the same order and the result is bitwise that of
-whole-array passes. At dim <= 128 there is one block. The RK4 combination
-of the stages stays whole-array.
+Half storage is exact. L maps a Hermitian rho to an exactly Hermitian
+L[rho] in value: the undriven terms do so entry by entry, and the two
+drive terms are summed before they meet the rest, the second being the
+conjugate transpose of the first. So RK4 keeps rho exactly Hermitian,
+and its other half is the conjugate of the stored one.
 
-Without a drive, a state whose off-diagonal entries are all +0.0+0.0j
-stays so, and its populations follow a closed rate equation: every
-undriven term (omega a+a, a rho a+, a+ rho a and the anticommutators)
-keeps m - n, so a diagonal entry of L reads diagonal entries only. From
-such a start ``evolve`` binds the stepper to the diagonals of its
-buffers and bands (``_Workspace.load``) and steps dim entries instead of
-dim*dim, with the same operations in the same order; the off-diagonal
-entries stay +0.0, which is what the full step leaves there, so the
-states are bitwise those of the full step.
+L is evaluated in row blocks of max(1, _BLOCK_ENTRIES // dim) rows (about
+256 KiB of each operand), every pass over one block before the next block
+starts, so that at dim 256 the operands stay in L2. Blocks are
+independent (each writes its own rows of the output and uses its scratch
+up), so the result is bitwise that of whole-array passes. The RK4
+combination stays whole-array.
 
-The records of ``evolve`` use the stepper's buffers that are free between
-steps. Their entropy and minimum eigenvalue come from the spectrum of
-(rho + rho^+)/2, taken by ``fock_core._eigvalsh``, which first zeroes the
-parts below ``_SPECTRUM_FLOOR`` (about 2.8e-103) of that copy; the state
-itself is never floored, so the stepper's states keep every bit. LAPACK
-then sees only the live levels, those whose row of the copy keeps a
-part, and each dead level adds the exact eigenvalue 0: the copy is
-exactly Hermitian (rho[i, j] + conj(rho[j, i]) is the conjugate of
-rho[j, i] + conj(rho[i, j]) bit for bit), so a zero row is a zero
-column and the spectrum is that of the live block plus the zeros.
+The records of ``evolve`` read a row-major copy of the state that
+``_Workspace.rho`` rebuilds. Their entropy and minimum eigenvalue come
+from its spectrum, taken by ``fock_core._eigvalsh``, which first zeroes
+its parts below ``_SPECTRUM_FLOOR`` (about 2.8e-103) in place; the
+state itself is never floored. LAPACK then sees only the live levels,
+and each dead level adds the exact eigenvalue 0: the copy is exactly
+Hermitian, so a zero row is a zero column.
 
 This module is the numerical oracle for every closed-form solver in the
 package; conversely those solvers pin down this integrator in the tests.
@@ -274,119 +255,151 @@ _NEG_ZERO = complex(-0.0, -0.0)  # x + (-0-0j) is x bitwise, signed zeros too
 _BLOCK_ENTRIES = 1 << 14  # about this many entries per row block (256 KiB)
 
 
-def _cut(start: int, stop: int, lo: int, hi: int) -> slice:
-    """[start, stop) meet [lo, hi), as a slice that may be empty."""
-    start, stop = max(start, lo), min(stop, hi)
-    return slice(start, max(start, stop))
+def _every(first: int, stride: int, last: int, lo: int, hi: int) -> slice:
+    """The entries first, first+stride, ... up to last that lie in
+    [lo, hi), as a slice counted from lo."""
+    start = first + max(0, -((first - lo) // stride)) * stride
+    return slice(start - lo, max(start, min(hi, last + 1)) - lo, stride)
 
 
-def _shift(s: slice, k: int) -> slice:
-    return slice(s.start + k, s.stop + k)
+def _at(r: range, k: int) -> slice:
+    return slice(r.start + k, r.stop + k)
 
 
 class _Generator:
     """The generator L for one (dim, params) pair. It owns only the
-    operator: its bands, a scratch buffer ``_s`` and, when built
-    ``driven``, the drive's bands and buffer ``_g``, with every view of
-    them that ``_apply`` takes bound once; ``_bind`` adds the views of an
-    input and an output buffer that it is given, and only a generator
-    built ``driven`` can apply a drive value.
+    operator: its bands, a scratch ``_s`` and (``driven``) the drive
+    buffers ``_g`` and ``_g2``, each of one row block; ``_bind`` takes
+    the views of the input and output buffers it is given.
 
-    Every buffer is flat: entry (i, j) sits at i*dim + j; ``_s`` and
-    ``_g`` hold one row block, and a block's views of them start at their
-    first entry.
+    Row-major layout (``lindblad_rhs``): entry (i, j) at i*dim + j. Half
+    layout (``half``, the stepper): rho[i, (i+k) % dim] at k*dim + i for
+    rows k = 0..dim//2, diagonal k joined at i = dim-k to diagonal k-dim;
+    its inputs carry a halo row before row 0 and one after the last.
 
-    Every band product is one contiguous run at a fixed flat offset:
-    mu a rho a+ reads rho at offset dim+1, nu a+ rho a writes at offset
-    dim+1, a rho reads and a+ rho writes at offset dim, and rho a+ and
-    rho a use offset 1. ``muW2``, ``nuW2`` and the tiled ``wt`` sit on
-    the same grid with a pad column j = dim-1; the row band ``wr`` (w_i
-    at i*dim + j) needs none, as a shift by dim crosses no row end. A run
-    at offset dim+1 or 1 crosses the row ends that the 2-d slice skipped;
-    after each product those wrap slots (the scratch entries whose band
-    index is in the pad column) are set to the exact identity of the
-    ufunc that follows, -0-0j before an add and +0+0j before a subtract,
-    so that the entry they meet keeps its bits. Every operation is a
-    ufunc with ``out`` whose operands come in the order of the plain
-    expression quoted beside it, so the results are bitwise those of
-    that expression, signed zeros included. The bands hold real values
-    stored complex, so that no product casts.
-
-    ``_apply`` runs in row blocks (see the module docstring). Per block,
-    ``__init__`` binds the views of the bands, scratch and drive buffer
-    once, and ``_bind`` those of an input and an output buffer: the
-    block's whole rows for K, and each run cut to the band entries whose
-    output falls in the block, which read up to one row beyond it on
-    either side. A run's scratch starts at the scratch buffer's start, so
-    its wrap slots start where the run's band index first meets the pad
-    column.
+    Every band product is one flat run at a fixed offset (``_runs``). A
+    run also meets the wrap slots that the 2-d slices of the plain
+    expression skip (row ends, junctions, a first or last row); after
+    each product they are set to the exact identity of the ufunc that
+    follows (-0-0j before an add, +0+0j before a subtract) or to the
+    reference's zero fill, so every entry keeps the bits of the plain
+    expression quoted beside its ufunc, signed zeros included. The bands
+    hold real values stored complex, so that no product casts.
     """
 
     def __init__(self, dim: int, params: LindbladParams,
-                 driven: bool = True):
+                 driven: bool = True, half: bool = False):
         m = np.arange(dim, dtype=np.float64)
         # a a+ truncated is diagonal (1, 2, ..., dim-1, 0)
         aad = np.concatenate((np.arange(1.0, dim), [0.0]))
-        self.K = (
+        K = (
             -1j * params.omega * (m[:, None] - m[None, :])
             - 0.5 * params.mu * (m[:, None] + m[None, :])
             - 0.5 * params.nu * (aad[:, None] + aad[None, :])
         ).astype(np.complex128).ravel()
         w = np.sqrt(np.arange(1.0, dim))
         self.w = w
-        n = dim * dim
-        band = n - dim - 1                   # length of an offset dim+1 run
-        nb = min(max(1, _BLOCK_ENTRIES // dim) * dim, n)  # one row block
         wpad = np.append(w, 0.0)             # w_j with the pad column
-        W2 = np.outer(w, wpad).ravel()[:band]
         c = np.complex128
+        self.dim, self.half, self._driven = dim, half, driven
+        if half:
+            k, i = np.divmod(np.arange((dim // 2 + 1) * dim), dim)
+            j = (i + k) % dim
+            self._at = i * dim + j           # row-major index of each entry
+            self.K = K[self._at]
+            W2 = wpad[i] * wpad[j]
+            if driven:                       # sqrt(i+1), sqrt(j+1) at (i, j)
+                self.wr = wpad[i].astype(c)  # the second from row -1 on
+                self.wt = np.append(np.roll(wpad, 1), wpad[j]).astype(c)
+        else:
+            self.K = K
+            W2 = np.outer(w, wpad).ravel()[:dim * dim - dim - 1]
+            if driven:
+                self.wt = np.tile(wpad, dim)[:-1].astype(c)
+                self.wr = np.repeat(w.astype(c), dim)
         self.muW2 = (params.mu * W2).astype(c)
         self.nuW2 = (params.nu * W2).astype(c)
-        del W2            # a float temporary: not live beside the buffers
-        self._s = s = np.empty(nb, dtype=c)
+        del K, W2         # temporaries: not live beside the buffers
+        nb = min(max(1, _BLOCK_ENTRIES // dim) * dim, self.K.size)
+        self._s = np.empty(nb, dtype=c)
         if driven:
-            self.wt = np.tile(wpad, dim)[:n - 1].astype(c)  # w_j at i*dim+j
-            self.wr = np.repeat(w.astype(c), dim)           # w_i at i*dim+j
             self._g = np.empty(nb, dtype=c)
-        d = dim + 1
+            self._g2 = np.empty(nb, dtype=c)
+        if not half:
+            self._blocks = self._plan(dim)
 
-        def run(b):   # the scratch of a run over band entries b, wrap slots
-            k = b.stop - b.start
-            return s[:k], s[(dim - 1 - b.start) % dim:k:dim]
+    def _runs(self, rows: int) -> tuple:
+        """Per term over the first ``rows`` rows (K rho, mu, nu, a+ rho,
+        rho a+, a rho, rho a): its output entries [a, b), the offsets of
+        its band and its input, and its wrap slots (first, stride, last)."""
+        dim = self.dim
+        n = rows * dim
+        ends, none = (dim - 1, dim, n), (0, 1, -1)
+        if not self.half:
+            d = dim + 1
+            return ((0, n, 0, 0), (0, n - d, 0, d, ends, none),
+                    (d, n, -d, -d, (2 * dim, dim, n), none),
+                    (dim, n, -dim, -dim, (0, 1, dim - 1)),
+                    (0, n - 1, 0, 1, ends),
+                    (0, n - dim, 0, dim, (n - dim, 1, n)),
+                    (1, n, -1, -1, (dim, dim, n)))
+        # Input offsets +1, -1, dim-1, dim, 1-dim and -dim, plus dim for
+        # the halo row; junction k sits at (k+1)*(dim-1). Row 0's rho a
+        # slot reads the halo's first word, which stays +0 (no halo copy
+        # writes it), times a zero band entry: +0+0j, the identity.
+        e = rows * (dim - 1)
+        joins = (dim - 1, dim - 1, e)
+        return ((0, n, 0, dim), (0, n - 1, 0, dim + 1, ends, joins),
+                (1, n, -1, dim - 1, (dim, dim, n), (dim, dim - 1, e + 1)),
+                (1, n, -1, 2 * dim - 1, (0, dim, n)),
+                (0, n, dim, 2 * dim, joins), (0, n, 0, 1, ends),
+                (0, n, 0, 0, (2 * dim - 1, dim - 1, e + 1)))
 
-        # Per block: the slices of the input its terms read and of the
-        # output they write, and its views of the bands, scratch and drive
-        # buffer. Runs are cut by output index (mu, rho a+, a rho) or by
-        # input index (nu, a+ rho, rho a).
-        self._blocks = []
-        for lo in range(0, n, nb):
-            hi = min(lo + nb, n)
-            e = slice(lo, hi)
-            mu = _cut(lo, hi, 0, band)
-            nu = _shift(_cut(lo, hi, d, n), -d)
-            reads, writes = (e, _shift(mu, d), nu), (e, mu, _shift(nu, d))
-            bands = (self.K[e], self.muW2[mu], *run(mu),
-                     self.nuW2[nu], *run(nu))
+    def _plan(self, rows: int) -> list:
+        """Per row block of the first ``rows`` rows: the input slices its
+        runs read, the output slices its undriven terms write, and its
+        views of the bands, scratch and drive buffers."""
+        s, n = self._s, rows * self.dim
+        blocks = []
+        for lo in range(0, n, s.size):
+            hi = min(lo + s.size, n)
+            cut = []
+            for a, b, bs, xs, *slots in self._runs(rows):
+                a = max(a, lo)
+                cut.append((range(a, max(a, min(b, hi))), bs, xs,
+                            [_every(*w, lo, hi) for w in slots]))
+            (e, _, _, _), (mu, _, _, wm), (nu, bn, _, wn) = cut[:3]
+            bands = (self.K[_at(e, 0)], self.muW2[_at(mu, 0)],
+                     s[_at(mu, -lo)], s[wm[0]], s[wm[1]],
+                     self.nuW2[_at(nu, bn)], s[_at(nu, -lo)], s[wn[0]],
+                     s[wn[1]])
             drive = None
-            if driven:
-                def g(b):   # the drive buffer at output entries b
-                    return self._g[_shift(b, -lo)]
-                up = _shift(_cut(lo, hi, dim, n), -dim)
-                dn = _cut(lo, hi, 0, n - dim)
-                tp, tm = _cut(lo, hi, 0, n - 1), _shift(_cut(lo, hi, 1, n), -1)
-                reads += (up, _shift(tp, 1), _shift(dn, dim), tm)
-                drive = (self._g[:hi - lo], g(_cut(lo, hi, 0, dim)),
-                         self.wr[up], g(_shift(up, dim)),
-                         self.wt[tp], *run(tp), g(tp),
-                         g(_cut(lo, hi, n - dim, n)),
-                         self.wr[dn], g(dn),
-                         self.wt[tm], *run(tm), g(_shift(tm, 1)))
-            self._blocks.append((reads, writes, bands, drive))
+            if self._driven:
+                g, g2 = self._g[:hi - lo], self._g2[:hi - lo]
+                drive = [g, g2]
+                # a+ rho and a rho go straight into g and g2; rho a+ and
+                # rho a into the scratch, then are subtracted from them
+                for (r, bs, _, (v,)), band, to, sub in zip(
+                        cut[3:], (self.wr, self.wt) * 2, (g, s, g2, s),
+                        ((), (g,), (), (g2,))):
+                    drive += [band[_at(r, bs)], to[_at(r, -lo)], to[v],
+                              *(x[_at(r, -lo)] for x in sub)]
+            blocks.append(([_at(r, xs) for r, _, xs, _ in cut],
+                           (_at(e, 0), _at(mu, 0), _at(nu, 0)), bands, drive))
+        return blocks
 
-    def _bind(self, x: np.ndarray, o: np.ndarray) -> list:
-        """Per block, every view that ``_apply`` takes to write L[x] to o:
-        a tuple for the undriven terms and one for the drive term (None
-        unless driven)."""
+    def _bind(self, x: np.ndarray, o: np.ndarray) -> tuple:
+        """Every view ``_apply`` takes to write L[x] to o: (stored, halo)
+        row pairs of x (driven half layout only) and, per block, the
+        undriven terms' views and the drive's (None unless driven)."""
+        halo = ()
+        if self.half and self._driven:   # row k of the input is X[k+1]
+            X, t = x.reshape(-1, self.dim), self.K.size // self.dim
+            # rho[i, i-1] = conj(rho[i-1, i]); row t conjugates row dim-t
+            # rotated by t
+            r, d = X[self.dim - t + 1], self.dim - t
+            halo = ((X[2, :-1], X[0, 1:]), (r[t:], X[t + 1, :d]),
+                    (r[:t], X[t + 1, d:]))
         bound = []
         for reads, writes, bands, drive in self._blocks:
             xs = [x[r] for r in reads]
@@ -394,108 +407,132 @@ class _Generator:
             if drive is not None:
                 drive = (*xs[3:], *drive)
             bound.append((terms, drive))
-        return bound
+        return halo, bound
 
-    def _apply(self, blocks: list, f) -> None:
+    def _apply(self, bound: tuple, f) -> None:
         """Write L[x] at drive value f (None: no drive term) to o, block by
-        block, on the views of (x, o) that ``_bind`` returned."""
+        block, on the views ``_bind`` returned. The two drive terms are
+        summed before they meet out, which keeps L[rho] exactly
+        Hermitian (see the module docstring)."""
+        halo, blocks = bound
         if f is not None:
             # Complex scalars go first, as in c * g: the in-place g *= c
             # runs the operands the other way round and differs in the
             # last bit.
             cfc, cf = 1j * np.conj(f), 1j * f
+            for src, dst in halo:
+                np.conjugate(src, dst)
         for ((x, x_shift, x_band, out, out_band, out_shift,
-              K, muW2, sm, wm, nuW2, sn, wn), drive) in blocks:
+              K, muW2, sm, wm, wm2, nuW2, sn, wn, wn2), drive) in blocks:
             np.multiply(K, x, out)               # out = K * rho
             np.multiply(muW2, x_shift, sm)       # mu * a rho a+
             wm.fill(_NEG_ZERO)
+            wm2.fill(_NEG_ZERO)
             np.add(out_band, sm, out_band)
             np.multiply(nuW2, x_band, sn)        # nu * a+ rho a
             wn.fill(_NEG_ZERO)
+            wn2.fill(_NEG_ZERO)
             np.add(out_shift, sn, out_shift)
             if f is None:
                 continue
-            (x_up, x_tail, x_down, x_head, g, g_first, wr_up, g_down,
-             wt_tail, st, wrap_t, g_head, g_last, wr_dn, g_up, wt_head,
-             sh, wrap_h, g_tail) = drive
-            g_first.fill(0)
-            np.multiply(wr_up, x_up, g_down)     # a+ rho
-            np.multiply(x_tail, wt_tail, st)     # - rho a+
-            wrap_t.fill(0)
-            np.subtract(g_head, st, g_head)
-            np.multiply(cfc, g, g)
-            np.add(out, g, out)
-            g_last.fill(0)
-            np.multiply(wr_dn, x_down, g_up)     # a rho
-            np.multiply(x_head, wt_head, sh)     # - rho a
-            wrap_h.fill(0)
-            np.subtract(g_tail, sh, g_tail)
-            np.multiply(cf, g, g)
+            (x_up, x_next, x_down, x_prev, g, g2,
+             wr_up, g_up, wrap_up, wt_next, s_next, wrap_next, g_next,
+             wr_dn, g_dn, wrap_dn, wt_prev, s_prev, wrap_prev, g_prev) = drive
+            np.multiply(wr_up, x_up, g_up)       # g = a+ rho
+            wrap_up.fill(0)
+            np.multiply(x_next, wt_next, s_next)  # - rho a+
+            wrap_next.fill(0)
+            np.subtract(g_next, s_next, g_next)
+            np.multiply(wr_dn, x_down, g_dn)     # g2 = a rho
+            wrap_dn.fill(0)
+            np.multiply(x_prev, wt_prev, s_prev)  # - rho a
+            wrap_prev.fill(0)
+            np.subtract(g_prev, s_prev, g_prev)
+            np.multiply(cfc, g, g)               # out += cfc*g + cf*g2
+            np.multiply(cf, g2, g2)
+            np.add(g, g2, g)
             np.add(out, g, out)
 
 
 class _Workspace(_Generator):
-    """The RK4 stepper for one (dim, params) pair: a ``_Generator`` and
-    the buffers it steps, which the stepper owns: the state ``_rho``
-    (``rho`` is its (dim, dim) view) that ``step`` advances in place, the
-    stage input ``_y`` and the slopes ``_k1``, ``_k2`` and ``_k3`` (k4
-    reuses k3's buffer), with the views of each stage bound once. Each
-    stage's evaluation of L runs in row blocks, so at dim 256 its working
-    set stays in L2 and the one-block scratch and drive buffers serve
-    every stage; the RK4 combination stays whole-array.
+    """The RK4 stepper for one (dim, params) pair: a half-layout
+    ``_Generator`` and the buffers it steps: the stored half ``_rho`` of
+    the state, the stage input ``_y`` (both with halo rows, in ``_xy``)
+    and the slopes ``_k1``, ``_k2`` and ``_k3`` (k4 reuses k3's buffer),
+    with the views of each stage bound once. ``load`` copies the stored
+    half of a start and binds ``step``; ``rho`` rebuilds the matrix.
 
-    ``load`` copies a start into ``rho``. Undriven, from a start whose
-    every off-diagonal entry is +0.0+0.0j bit for bit, it binds ``step``
-    to the diagonals (flat stride dim+1) of the state, the stage buffers
-    and the bands: one block of dim entries. This is exact: every
-    undriven term keeps m - n, so a diagonal entry of L reads only
-    diagonal entries, through the same operations in the same order, and
-    its band products stop at level dim-2, short of the pad column, so
-    the diagonal holds no wrap slot. Off the diagonal the full step reads
-    zeros only, so it adds a signed zero to each +0.0 part, which leaves
-    +0.0: the restricted step leaves there what the full step does."""
-
-    _BUFFERS = ("_rho", "_y", "_k1", "_k2", "_k3")
+    Undriven, the rows are independent (every undriven term keeps i - j),
+    and a row of +0.0 words stays so (the step adds signed zeros to
+    +0.0). So ``load`` binds an undriven ``step`` to rows 0..kmax, the
+    last row with a nonzero word: the populations alone from a
+    Fock-diagonal start, bitwise as in the full step."""
 
     def __init__(self, dim: int, params: LindbladParams,
                  driven: bool = True):
-        super().__init__(dim, params, driven)
-        self._driven = driven
-        for name in self._BUFFERS:
-            setattr(self, name, np.empty(dim * dim, dtype=np.complex128))
-        self.rho = self._rho.reshape(dim, dim)
-        self._bind_stages()
+        # rho[i, j] is stored in row (j-i) % dim up to dim//2, else
+        # ``rho`` conjugates it into y: row dim-1-(j-i) % dim, column j
+        n = (dim // 2 + 1) * dim
+        ext = n + 2 * dim
+        i, j = np.ogrid[:dim, :dim]
+        d = (j - i) % dim
+        self._src = np.where(d <= dim // 2, dim + d * dim + i,
+                             ext + dim + (dim - 1 - d) * dim + j)
+        del i, j, d
+        super().__init__(dim, params, driven, half=True)
+        self._xy = np.zeros(2 * ext, dtype=np.complex128)
+        self._rho = self._xy[dim:dim + n]
+        self._y = self._xy[ext + dim:ext + dim + n]
+        self._k1, self._k2, self._k3 = np.empty((3, n), dtype=np.complex128)
+        self._full = np.empty((dim, dim), dtype=np.complex128)
 
-    def _bind_stages(self) -> None:
-        self._rho_k1 = self._bind(self._rho, self._k1)
-        self._y_k2 = self._bind(self._y, self._k2)
-        self._y_k3 = self._bind(self._y, self._k3)
+    def _bind_stages(self, rows: int) -> None:
+        n = rows * self.dim
+        self._blocks = self._plan(rows)
+        self._stage = [b[:n] for b in (self._rho, self._y, self._k1,
+                                       self._k2, self._k3)]
+        ext = self._xy.size // 2
+        x, y = self._xy[:ext], self._xy[ext:]
+        self._rho_k1 = self._bind(x, self._k1)
+        self._y_k2 = self._bind(y, self._k2)
+        self._y_k3 = self._bind(y, self._k3)
 
     def load(self, m) -> None:
-        """Copy the start m into rho and, undriven from a start with
-        every off-diagonal word zero, bind ``step`` to the diagonals.
-        Called once, on a fresh stepper."""
-        self.rho[...] = m
-        dim = self.rho.shape[0]
-        d = dim + 1
-        off = self._rho[1:].reshape(dim - 1, d)[:, :dim]  # off the diagonal
-        if self._driven or np.count_nonzero(off.view(np.uint64)):
-            return
-        for name in self._BUFFERS:
-            setattr(self, name, getattr(self, name)[::d])
-        x, lo, hi = slice(0, dim), slice(0, dim - 1), slice(1, dim)
-        s, no_wrap = self._s[:dim - 1], self._s[:0]
-        bands = (self.K[::d], self.muW2[::d], s, no_wrap,
-                 self.nuW2[::d], s, no_wrap)
-        self._blocks = [((x, hi, lo), (x, lo, hi), bands, None)]
-        self._bind_stages()
+        """Copy the stored half of the start m, which must be exactly
+        Hermitian in value, and bind ``step`` to its rows: all of them
+        when driven, else rows 0..kmax, kmax the last row that holds a
+        nonzero word (read as bits, so -0.0 counts). Called once, on a
+        fresh stepper."""
+        m = np.asarray(m, dtype=np.complex128)
+        if not np.array_equal(m, m.conj().T):
+            raise ValueError("the start must be exactly Hermitian")
+        np.take(m, self._at, out=self._rho)
+        rows = self.K.size // self.dim
+        if not self._driven:
+            live = self._rho.view(np.uint64).reshape(rows, -1).any(axis=1)
+            rows = 1 + int(np.flatnonzero(live)[-1]) if live.any() else 1
+        self._bind_stages(rows)
+
+    @property
+    def rho(self) -> np.ndarray:
+        """The state as a read-only (dim, dim) matrix, rebuilt into one
+        buffer on each read: stored words, and the conjugates of stored
+        words elsewhere, their zero parts +0.0."""
+        dim = self.dim
+        c = self._y[:dim * dim - self.K.size]
+        np.conjugate(self._rho[dim:dim + c.size], c)
+        np.add(c, 0.0, c)
+        np.take(self._xy, self._src, out=self._full, mode="clip")
+        view = self._full.view()
+        view.flags.writeable = False
+        return view
 
     def step(self, h: float, f0, f_mid, f1) -> None:
         """One RK4 step of length h on rho, drive values at its start,
         midpoint and end; bitwise
         rho += (h/6) * (k1 + 2*(k2 + k3) + k4) with k2 = L[rho + (h/2) k1]
         and so on."""
-        rho, y, k1, k2, k3 = self._rho, self._y, self._k1, self._k2, self._k3
+        rho, y, k1, k2, k3 = self._stage
         self._apply(self._rho_k1, f0)
         np.multiply(0.5 * h, k1, y)            # y = rho + (0.5*h) * k1
         np.add(rho, y, y)
@@ -534,16 +571,15 @@ def evolve(rho0, t_grid, params: LindbladParams,
     """Integrate the master equation, recording observables on t_grid.
 
     t_grid must be finite, start at 0 and increase strictly, and
-    t_grid[-1] / dt must be at most _MAX_STEPS (2**53). The state is
-    never re-Hermitized or renormalized: the truncated generator has zero
-    trace on every input and maps Hermitian matrices to Hermitian ones,
-    and RK4 keeps both, so trace_err is the rounding the whole run has
-    built up. A minimum eigenvalue below -1e-6 at any recorded time
-    aborts with IntegrationDivergedError.
-    Without an active drive, from a start whose every off-diagonal entry
-    is +0.0+0.0j bit for bit, each step advances the diagonal only (see
-    ``_Workspace``); the records and snapshots read the whole state, and
-    every output is bitwise that of the full step.
+    t_grid[-1] / dt must be at most _MAX_STEPS (2**53). A DensityMatrix
+    start must be exactly Hermitian, as ``from_matrix`` and ``pure`` make
+    it. The state is never re-Hermitized or renormalized: L keeps the
+    trace and exact Hermiticity, so the stepper stores half of the state
+    (see ``_Workspace``) and trace_err is the rounding of the whole run.
+    A minimum eigenvalue below -1e-6 at any recorded time aborts with
+    IntegrationDivergedError. Undriven, a step advances only the stored
+    rows up to the last nonzero one: from a Fock-diagonal start, the
+    populations.
     Each opts.snapshot_times entry must lie within 1e-12 of a grid time;
     its snapshot is keyed by the time asked for, not by the grid time it
     matched.
@@ -584,14 +620,12 @@ def evolve(rho0, t_grid, params: LindbladParams,
     def fval(t):
         return drive.value(t, params) if active else None
 
-    # k1 and y are free between steps: the records build |rho|^2 and herm
-    # in k1, and the spectrum floor takes |herm|'s parts in y
-    absq = st._k1.view(np.float64)[:dim * dim].reshape(dim, dim)
-    herm = st._k1.reshape(dim, dim)
-    herm_abs = st._y.view(np.float64).reshape(dim, 2 * dim)
-    rho = st.rho
     st.load(rho0.matrix)
     del rho0          # the stepper holds the state now; free the start
+    # the spectrum floor takes the record matrix's parts in herm_abs, and
+    # purity's |rho|^2 its first dim*dim words
+    herm_abs = np.empty((dim, 2 * dim))
+    absq = herm_abs.reshape(-1)[:dim * dim].reshape(dim, dim)
     n_diag = np.arange(dim, dtype=float)
     mean_a = np.empty(t_grid.size, dtype=np.complex128)
     mean_n, purity, entropy, trace_err, min_eig, top_pop = np.empty(
@@ -608,25 +642,24 @@ def evolve(rho0, t_grid, params: LindbladParams,
                 t = t0 + j * h
                 st.step(h, fval(t), fval(t + 0.5 * h), fval(t + h))
 
-        if not np.all(np.isfinite(rho)):
+        if not np.all(np.isfinite(st._rho)):
             raise IntegrationDivergedError(
                 f"state became non-finite by t={t1:g}; "
                 "reduce dt or increase dim")
+        rho = st.rho          # exactly Hermitian; floored in place below
         diag = np.diagonal(rho).real
         mean_a[i] = np.sum(st.w * np.diagonal(rho, -1))
         mean_n[i] = np.dot(n_diag, diag)
+        top_pop[i] = diag[-1] + diag[-2]
         np.abs(rho, absq)                      # sum(np.abs(rho) ** 2)
         np.square(absq, absq)
         purity[i] = np.sum(absq)
         trace_err[i] = abs(complex(rho.trace()) - 1.0)
-        np.conjugate(rho.T, herm)              # (rho + rho^+) / 2.0
-        np.add(rho, herm, herm)
-        np.divide(herm, 2.0, herm)
-        eigs = _eigvalsh(herm, herm_abs)
+        snap = rho.copy() if i in snap_index else None
+        eigs = _eigvalsh(st._full, herm_abs)
         min_eig[i] = eigs[0]
         pos = eigs[eigs > 1e-300]
         entropy[i] = -np.dot(pos, np.log(pos)) + 0.0
-        top_pop[i] = diag[-1] + diag[-2]
         if min_eig[i] < DIVERGENCE_EIG:
             raise IntegrationDivergedError(
                 f"positivity lost at t={t1:g} (min eigenvalue "
@@ -639,7 +672,7 @@ def evolve(rho0, t_grid, params: LindbladParams,
             warned = True
         for ts in snap_index.get(i, ()):
             snapshots[ts] = DensityMatrix.from_matrix(
-                rho, herm_tol=HERM_TOL_EVOLVED, positivity_tol=1e-6)
+                snap, herm_tol=HERM_TOL_EVOLVED, positivity_tol=1e-6)
 
     mean_x, mean_p = _phase_point(mean_a, params.omega)
     return Trajectory(mean_a=mean_a, mean_n=mean_n,

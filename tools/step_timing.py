@@ -11,8 +11,9 @@ stepper starts to evaluate the generator in more than one row block.
 Each sample times a run of steps from a fresh copy of the start on a
 freshly built stepper, built and loaded as ``evolve`` builds and loads it
 (undriven when the drive is off, the start through ``_Workspace.load``)
-outside the timed run, so a cell reads the per-step cost that ``evolve``
-pays and not one stepper's heap placement.
+and given one warm-up step, all outside the timed run, so a cell reads
+the per-step cost that ``evolve`` pays, not one stepper's heap placement
+or the first touch of its fresh pages.
 
 The ``spectrum`` rows give the milliseconds of one ``_eigvalsh`` call on
 a fresh copy of a density matrix (it zeroes every part below
@@ -30,9 +31,10 @@ The samples of every cell are interleaved in one loop, whose first round
 warms up, so slow drift of the machine spreads over all cells alike, and
 each cell shows its median. Given two or more source trees, it times
 them in one process, one column per tree, with a last column saying
-whether every tree ends the cell on the same bytes (the whole state
-matrix for ``step``, so a tree that steps the diagonal only is compared
-with one that steps every entry; the eigenvalues for ``spectrum``):
+whether every tree ends the cell on the same bytes (for ``step`` the
+whole state matrix, read through ``_Workspace.rho``, so trees that store
+or step different parts of the state are compared; the eigenvalues for
+``spectrum``):
 
     python tools/step_timing.py --src src
     python tools/step_timing.py --src base/src --src src
@@ -78,7 +80,7 @@ class _Step:
             self.start = (m + m.conj().T) / (2.0 * dim)
         self.ws = None
         self.fs = []
-        for j in range(STEPS[dim]):
+        for j in range(STEPS[dim] + 1):      # the first warms up
             t = j * self.h
             self.fs.append(
                 tuple(fn.value(s, self.params) if self.driven else None
@@ -91,10 +93,11 @@ class _Step:
                                            driven=self.driven)
         h, fs = self.h, self.fs
         ws.load(self.start)
+        ws.step(h, *fs[0])
         t0 = time.perf_counter()
-        for f0, f_mid, f1 in fs:
+        for f0, f_mid, f1 in fs[1:]:
             ws.step(h, f0, f_mid, f1)
-        return (time.perf_counter() - t0) * 1e6 / len(fs)
+        return (time.perf_counter() - t0) * 1e6 / (len(fs) - 1)
 
     @property
     def last(self) -> np.ndarray:
