@@ -11,13 +11,13 @@ costs O(dim^2). Time stepping is classic fixed-step 4th-order Runge-Kutta:
 the generator is linear and non-stiff at desk scale, and a fixed step keeps
 convergence-order measurements clean.
 
-One generator, ``_Generator``, evaluates L for ``lindblad_rhs`` on the
-row-major layout; the RK4 stepper ``_Workspace`` extends it, on a layout
-that holds half of a Hermitian state, with the buffers ``evolve`` steps
-through. Every operation is a ufunc with ``out=`` whose operands and
-order are those of the plain expressions (the tests keep the allocating
-form as reference), so a step allocates no array and its stored words
-are bitwise those of the plain RK4 loop.
+``lindblad_rhs`` evaluates L on any square matrix, term by term; the RK4
+stepper ``_Workspace`` evaluates it on a layout that holds half of a
+Hermitian state, with the buffers ``evolve`` steps through. The two
+share only K (``_diagonal_band``). Every operation is a ufunc with
+``out=`` whose operands and order are those of the plain expressions
+(the tests keep the allocating form as reference), so both match it
+bitwise and a step allocates no array.
 
 Half storage is exact. L maps a Hermitian rho to an exactly Hermitian
 L[rho] in value: the undriven terms do so entry by entry, and the two
@@ -25,12 +25,12 @@ drive terms are summed before they meet the rest, the second being the
 conjugate transpose of the first. So RK4 keeps rho exactly Hermitian,
 and its other half is the conjugate of the stored one.
 
-L is evaluated in row blocks of max(1, _BLOCK_ENTRIES // dim) rows (about
-256 KiB of each operand), every pass over one block before the next block
-starts, so that at dim 256 the operands stay in L2. Blocks are
-independent (each writes its own rows of the output and uses its scratch
-up), so the result is bitwise that of whole-array passes. The RK4
-combination stays whole-array.
+The stepper evaluates L in row blocks of max(1, _BLOCK_ENTRIES // dim)
+rows (about 256 KiB of each operand), every pass over one block before
+the next block starts, so that at dim 256 the operands stay in L2.
+Blocks are independent (each writes its own rows of the output and uses
+its scratch up), so the result is bitwise that of whole-array passes.
+The RK4 combination stays whole-array.
 
 The records of ``evolve`` read a row-major copy of the state that
 ``_Workspace.rho`` rebuilds. Their entropy and minimum eigenvalue come
@@ -266,16 +266,31 @@ def _at(r: range, k: int) -> slice:
     return slice(r.start + k, r.stop + k)
 
 
-class _Generator:
-    """The generator L for one (dim, params) pair. It owns only the
-    operator: its bands, a scratch ``_s`` and (``driven``) the drive
-    buffers ``_g`` and ``_g2``, each of one row block; ``_bind`` takes
-    the views of the input and output buffers it is given.
+def _diagonal_band(dim: int, params: LindbladParams) -> np.ndarray:
+    """K, the part of L that scales each entry: L[rho] = K * rho plus the
+    band products of mu, nu and the drive."""
+    m = np.arange(dim, dtype=np.float64)
+    # a a+ truncated is diagonal (1, 2, ..., dim-1, 0)
+    aad = np.concatenate((np.arange(1.0, dim), [0.0]))
+    return (-1j * params.omega * (m[:, None] - m[None, :])
+            - 0.5 * params.mu * (m[:, None] + m[None, :])
+            - 0.5 * params.nu * (aad[:, None] + aad[None, :]))
 
-    Row-major layout (``lindblad_rhs``): entry (i, j) at i*dim + j. Half
-    layout (``half``, the stepper): rho[i, (i+k) % dim] at k*dim + i for
-    rows k = 0..dim//2, diagonal k joined at i = dim-k to diagonal k-dim;
-    its inputs carry a halo row before row 0 and one after the last.
+
+class _Workspace:
+    """The RK4 stepper for one (dim, params) pair. It holds the bands of
+    L, a scratch ``_s`` and (``driven``) the drive buffers ``_g`` and
+    ``_g2`` of one row block each, and the buffers it steps: the stored
+    half ``_rho`` of the state, the stage input ``_y`` (both with halo
+    rows, in ``_xy``) and the slopes ``_k1``, ``_k2`` and ``_k3`` (k4
+    reuses k3's buffer), with the views of each stage bound once.
+    ``load`` copies the stored half of a start and binds ``step``;
+    ``rho`` rebuilds the matrix.
+
+    One layout holds every band and buffer: rho[i, (i+k) % dim] at
+    k*dim + i for rows k = 0..dim//2, diagonal k joined at i = dim-k to
+    diagonal k-dim; the stage inputs carry a halo row before row 0 and
+    one after the last.
 
     Every band product is one flat run at a fixed offset (``_runs``). A
     run also meets the wrap slots that the 2-d slices of the plain
@@ -285,69 +300,61 @@ class _Generator:
     reference's zero fill, so every entry keeps the bits of the plain
     expression quoted beside its ufunc, signed zeros included. The bands
     hold real values stored complex, so that no product casts.
-    """
+
+    Undriven, the rows are independent (every undriven term keeps i - j),
+    and a row of +0.0 words stays so (the step adds signed zeros to
+    +0.0). So ``load`` binds an undriven ``step`` to rows 0..kmax, the
+    last row with a nonzero word: the populations alone from a
+    Fock-diagonal start, bitwise as in the full step."""
 
     def __init__(self, dim: int, params: LindbladParams,
-                 driven: bool = True, half: bool = False):
-        m = np.arange(dim, dtype=np.float64)
-        # a a+ truncated is diagonal (1, 2, ..., dim-1, 0)
-        aad = np.concatenate((np.arange(1.0, dim), [0.0]))
-        K = (
-            -1j * params.omega * (m[:, None] - m[None, :])
-            - 0.5 * params.mu * (m[:, None] + m[None, :])
-            - 0.5 * params.nu * (aad[:, None] + aad[None, :])
-        ).astype(np.complex128).ravel()
-        w = np.sqrt(np.arange(1.0, dim))
-        self.w = w
-        wpad = np.append(w, 0.0)             # w_j with the pad column
+                 driven: bool = True):
+        # rho[i, j] is stored in row (j-i) % dim up to dim//2, else
+        # ``rho`` conjugates it into y: row dim-1-(j-i) % dim, column j
+        n = (dim // 2 + 1) * dim
+        ext = n + 2 * dim
+        i, j = np.ogrid[:dim, :dim]
+        d = (j - i) % dim
+        self._src = np.where(d <= dim // 2, dim + d * dim + i,
+                             ext + dim + (dim - 1 - d) * dim + j)
+        del i, j, d
+        self.w = np.sqrt(np.arange(1.0, dim))
+        wpad = np.append(self.w, 0.0)        # w_j with the pad column
         c = np.complex128
-        self.dim, self.half, self._driven = dim, half, driven
-        if half:
-            k, i = np.divmod(np.arange((dim // 2 + 1) * dim), dim)
-            j = (i + k) % dim
-            self._at = i * dim + j           # row-major index of each entry
-            self.K = K[self._at]
-            W2 = wpad[i] * wpad[j]
-            if driven:                       # sqrt(i+1), sqrt(j+1) at (i, j)
-                self.wr = wpad[i].astype(c)  # the second from row -1 on
-                self.wt = np.append(np.roll(wpad, 1), wpad[j]).astype(c)
-        else:
-            self.K = K
-            W2 = np.outer(w, wpad).ravel()[:dim * dim - dim - 1]
-            if driven:
-                self.wt = np.tile(wpad, dim)[:-1].astype(c)
-                self.wr = np.repeat(w.astype(c), dim)
+        self.dim, self._driven = dim, driven
+        k, i = np.divmod(np.arange(n), dim)
+        j = (i + k) % dim
+        self._at = i * dim + j               # row-major index of each entry
+        self.K = _diagonal_band(dim, params).ravel()[self._at]
+        W2 = wpad[i] * wpad[j]
+        if driven:                           # sqrt(i+1), sqrt(j+1) at (i, j)
+            self.wr = wpad[i].astype(c)      # the second from row -1 on
+            self.wt = np.append(np.roll(wpad, 1), wpad[j]).astype(c)
         self.muW2 = (params.mu * W2).astype(c)
         self.nuW2 = (params.nu * W2).astype(c)
-        del K, W2         # temporaries: not live beside the buffers
-        nb = min(max(1, _BLOCK_ENTRIES // dim) * dim, self.K.size)
+        del k, i, j, W2   # temporaries: not live beside the buffers
+        nb = min(max(1, _BLOCK_ENTRIES // dim) * dim, n)
         self._s = np.empty(nb, dtype=c)
         if driven:
             self._g = np.empty(nb, dtype=c)
             self._g2 = np.empty(nb, dtype=c)
-        if not half:
-            self._blocks = self._plan(dim)
+        self._xy = np.zeros(2 * ext, dtype=c)
+        self._rho = self._xy[dim:dim + n]
+        self._y = self._xy[ext + dim:ext + dim + n]
+        self._k1, self._k2, self._k3 = np.empty((3, n), dtype=c)
+        self._full = np.empty((dim, dim), dtype=c)
 
     def _runs(self, rows: int) -> tuple:
         """Per term over the first ``rows`` rows (K rho, mu, nu, a+ rho,
         rho a+, a rho, rho a): its output entries [a, b), the offsets of
         its band and its input, and its wrap slots (first, stride, last)."""
-        dim = self.dim
-        n = rows * dim
-        ends, none = (dim - 1, dim, n), (0, 1, -1)
-        if not self.half:
-            d = dim + 1
-            return ((0, n, 0, 0), (0, n - d, 0, d, ends, none),
-                    (d, n, -d, -d, (2 * dim, dim, n), none),
-                    (dim, n, -dim, -dim, (0, 1, dim - 1)),
-                    (0, n - 1, 0, 1, ends),
-                    (0, n - dim, 0, dim, (n - dim, 1, n)),
-                    (1, n, -1, -1, (dim, dim, n)))
         # Input offsets +1, -1, dim-1, dim, 1-dim and -dim, plus dim for
         # the halo row; junction k sits at (k+1)*(dim-1). Row 0's rho a
         # slot reads the halo's first word, which stays +0 (no halo copy
         # writes it), times a zero band entry: +0+0j, the identity.
-        e = rows * (dim - 1)
+        dim = self.dim
+        n, e = rows * dim, rows * (dim - 1)
+        ends = (dim - 1, dim, n)
         joins = (dim - 1, dim - 1, e)
         return ((0, n, 0, dim), (0, n - 1, 0, dim + 1, ends, joins),
                 (1, n, -1, dim - 1, (dim, dim, n), (dim, dim - 1, e + 1)),
@@ -390,10 +397,10 @@ class _Generator:
 
     def _bind(self, x: np.ndarray, o: np.ndarray) -> tuple:
         """Every view ``_apply`` takes to write L[x] to o: (stored, halo)
-        row pairs of x (driven half layout only) and, per block, the
-        undriven terms' views and the drive's (None unless driven)."""
+        row pairs of x (driven only) and, per block, the undriven terms'
+        views and the drive's (None unless driven)."""
         halo = ()
-        if self.half and self._driven:   # row k of the input is X[k+1]
+        if self._driven:                 # row k of the input is X[k+1]
             X, t = x.reshape(-1, self.dim), self.K.size // self.dim
             # rho[i, i-1] = conj(rho[i-1, i]); row t conjugates row dim-t
             # rotated by t
@@ -453,38 +460,6 @@ class _Generator:
             np.add(g, g2, g)
             np.add(out, g, out)
 
-
-class _Workspace(_Generator):
-    """The RK4 stepper for one (dim, params) pair: a half-layout
-    ``_Generator`` and the buffers it steps: the stored half ``_rho`` of
-    the state, the stage input ``_y`` (both with halo rows, in ``_xy``)
-    and the slopes ``_k1``, ``_k2`` and ``_k3`` (k4 reuses k3's buffer),
-    with the views of each stage bound once. ``load`` copies the stored
-    half of a start and binds ``step``; ``rho`` rebuilds the matrix.
-
-    Undriven, the rows are independent (every undriven term keeps i - j),
-    and a row of +0.0 words stays so (the step adds signed zeros to
-    +0.0). So ``load`` binds an undriven ``step`` to rows 0..kmax, the
-    last row with a nonzero word: the populations alone from a
-    Fock-diagonal start, bitwise as in the full step."""
-
-    def __init__(self, dim: int, params: LindbladParams,
-                 driven: bool = True):
-        # rho[i, j] is stored in row (j-i) % dim up to dim//2, else
-        # ``rho`` conjugates it into y: row dim-1-(j-i) % dim, column j
-        n = (dim // 2 + 1) * dim
-        ext = n + 2 * dim
-        i, j = np.ogrid[:dim, :dim]
-        d = (j - i) % dim
-        self._src = np.where(d <= dim // 2, dim + d * dim + i,
-                             ext + dim + (dim - 1 - d) * dim + j)
-        del i, j, d
-        super().__init__(dim, params, driven, half=True)
-        self._xy = np.zeros(2 * ext, dtype=np.complex128)
-        self._rho = self._xy[dim:dim + n]
-        self._y = self._xy[ext + dim:ext + dim + n]
-        self._k1, self._k2, self._k3 = np.empty((3, n), dtype=np.complex128)
-        self._full = np.empty((dim, dim), dtype=np.complex128)
 
     def _bind_stages(self, rows: int) -> None:
         n = rows * self.dim
@@ -555,14 +530,36 @@ def lindblad_rhs(rho, t: float, params: LindbladParams,
                  drive: DriveFn | None = None) -> np.ndarray:
     """Right-hand side of the master equation at time t (dense matrix)."""
     m = _as_matrix(rho)
-    if m.shape[0] < 2:
+    dim = m.shape[0]
+    if dim < 2:
         raise ValueError("need dim >= 2")
     drive = drive if drive is not None else DriveFn.none()
-    f = drive.value(t, params) if drive.is_active(params) else None
-    gen = _Generator(m.shape[0], params, driven=f is not None)
-    out = np.empty(m.size, dtype=np.complex128)
-    gen._apply(gen._bind(np.ascontiguousarray(m).ravel(), out), f)
-    return out.reshape(m.shape)
+    w = np.sqrt(np.arange(1.0, dim)).astype(np.complex128)
+    W2 = np.outer(w.real, w.real)
+    s = np.empty(dim * dim, dtype=np.complex128)
+    sm = s[:W2.size].reshape(W2.shape)
+    out = _diagonal_band(dim, params)
+    np.multiply(out, m, out)                     # out = K * rho
+    up, dn = slice(1, None), slice(None, -1)
+    for c, a, b in ((params.mu, dn, up), (params.nu, up, dn)):
+        np.multiply(c, W2, sm)                   # mu a rho a+, nu a+ rho a
+        np.multiply(sm, m[b, b], sm)
+        np.add(out[a, a], sm, out[a, a])
+    del W2
+    if not drive.is_active(params):
+        return out
+    f = drive.value(t, params)
+    s = s[:dim * (dim - 1)].reshape(dim, dim - 1)
+    g, g2 = np.zeros((2, dim, dim), dtype=np.complex128)
+    for gk, a, b in ((g, up, dn), (g2, dn, up)):
+        np.multiply(w[:, None], m[b], gk[a])     # g = a+ rho - rho a+,
+        np.multiply(m[:, a], w, s)               # g2 = a rho - rho a
+        np.subtract(gk[:, b], s, gk[:, b])
+    np.multiply(1j * np.conj(f), g, g)           # out += cfc*g + cf*g2
+    np.multiply(1j * f, g2, g2)
+    np.add(g, g2, g)
+    np.add(out, g, out)
+    return out
 
 
 def evolve(rho0, t_grid, params: LindbladParams,

@@ -17,7 +17,6 @@ from lindosc.lindblad_engine import (
     IntegrationDivergedError,
     IntegratorOptions,
     LindbladParams,
-    _Generator,
     _Workspace,
     default_dt,
     evolve,
@@ -634,8 +633,9 @@ def _signed_zeros(shape, rng):
 @pytest.mark.parametrize("drive", sorted(BITWISE_DRIVES))
 @pytest.mark.parametrize("dim", [2, 3, 5, 33])
 def test_rhs_wrap_slots_keep_signed_zeros(dim, drive, rng):
-    # The flat band products also hit the row ends, which hold the add or
-    # subtract identity; only a zero entry shows whether its sign is right.
+    # The band products skip the first or last row and column, where an
+    # entry keeps K rho or the drive's +0 fill plus fewer terms; only a
+    # zero entry shows whether its sign is right.
     drive = BITWISE_DRIVES[drive]
     ref = _AllocatingWorkspace(dim, P_BITWISE)
     for draw in range(200):
@@ -688,7 +688,7 @@ def test_stepper_wrap_slots_keep_signed_zeros(dim, drive, rows, rng,
 
 @pytest.mark.parametrize("drive", sorted(BITWISE_DRIVES))
 def test_rhs_copies_any_input_layout(drive, rng):
-    # the stepper copies its input into a flat buffer, whatever its layout
+    # a transposed, read-only or real input reads as its complex C copy
     drive = BITWISE_DRIVES[drive]
     base = rng.normal(size=(9, 9)) + 1j * rng.normal(size=(9, 9))
     frozen = base.copy()
@@ -761,12 +761,11 @@ def test_stepper_holds_one_block_of_scratch(driven):
 
 @pytest.mark.parametrize("drive", sorted(BITWISE_DRIVES))
 def test_rhs_allocates_only_the_generator(drive, rng):
-    # One evaluation holds the bands K, muW2 and nuW2 and its output, plus
-    # wt and wr when driven: 4 or 6 arrays of dim*dim entries, no copy of
-    # a C-contiguous complex input, none of the RK4 stage buffers, and one
-    # row block of scratch (three with the two drive buffers). At dim 256
-    # the peak reads 4,467,856 B undriven and 7,092,096 B under the cosine
-    # drive, within the bound of one more array.
+    # One evaluation holds its output (built as K), one scratch array and
+    # the real band W2 (half an array), plus g and g2 when driven: no copy
+    # of a C-contiguous complex input and none of the stepper's buffers.
+    # At dim 256 the peak reads 3,282,968 B undriven and 4,463,008 B under
+    # the cosine drive, within the bound of two more arrays.
     dim = 256
     drive = BITWISE_DRIVES[drive]
     m = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
@@ -789,10 +788,15 @@ def test_blocked_apply_bitwise_equals_allocating_rk4(dim, rows, drive, rng,
     # Blocks of 1-3 rows, most with a ragged last block, put every block
     # boundary, partial band run and wrap slot at a dim the suite runs
     # fast; by default only dims above 128 get more than one block.
-    assert len(_Generator(128, P_BITWISE, driven=False)._blocks) == 1
-    assert len(_Generator(256, P_BITWISE, driven=False)._blocks) > 1
+    def blocks(n):   # over all n // 2 + 1 stored rows
+        ws = _Workspace(n, P_BITWISE)
+        ws.load(np.full((n, n), 1.0 / n))
+        return len(ws._blocks)
+
+    assert blocks(128) == 1
+    assert blocks(256) > 1
     monkeypatch.setattr(lindblad_engine, "_BLOCK_ENTRIES", rows * dim)
-    assert len(_Generator(dim, P_BITWISE)._blocks) == -(-dim // rows)
+    assert blocks(dim) == -(-(dim // 2 + 1) // rows)
     drive = BITWISE_DRIVES[drive]
     rho0 = _bitwise_start(dim, rng)
     t = np.array([0.0, 0.02, 0.045])
