@@ -328,10 +328,7 @@ def _gaussian_initial(cfg: RunConfig) -> GaussianState | None:
     if k == "gaussian":
         return GaussianState.from_alpha(cfg.u0, cfg.alpha0)
     if k == "limit-cycle":
-        try:
-            return limit_cycle_state(0.0, cfg.params, cfg.drive)
-        except ValueError as exc:
-            raise ConfigError(f"[initial] kind = limit-cycle: {exc}") from exc
+        return limit_cycle_state(0.0, cfg.params, cfg.drive)
     return None
 
 
@@ -487,7 +484,7 @@ def _auto_window(states: list[GaussianState], omega: float) -> tuple:
 
 def cmd_husimi(cfg: RunConfig, out_dir: str, quiet: bool) -> int:
     p, drive = cfg.params, cfg.drive
-    periodic = drive.kind == "cosine" and drive.is_active(p)
+    periodic = drive.is_active(p)
 
     period = 2.0 * math.pi / p.Omega if periodic else None
     times = cfg.husimi_times
@@ -499,8 +496,8 @@ def cmd_husimi(cfg: RunConfig, out_dir: str, quiet: bool) -> int:
     if any(ts < 0 for ts in times):
         raise ConfigError("[husimi] times must be >= 0")
 
-    # With no explicit [initial] section and an active cosine drive the
-    # natural subject is the asymptotic cycle itself.
+    # With no explicit [initial] section and an active drive the natural
+    # subject is the asymptotic cycle itself.
     kind = cfg.initial_kind
     if not cfg.initial_given and periodic:
         kind = "limit-cycle"
@@ -508,9 +505,6 @@ def cmd_husimi(cfg: RunConfig, out_dir: str, quiet: bool) -> int:
         raise ConfigError("[initial] kind = file: phase-space grids need a "
                           "Gaussian-representable initial state")
     if kind == "limit-cycle":
-        if not periodic:
-            raise ConfigError("[initial] kind = limit-cycle needs an active "
-                              "cosine drive")
         states = [limit_cycle_state(ts, p, drive) for ts in times]
     else:
         g0 = _gaussian_initial(cfg)
@@ -548,12 +542,12 @@ def cmd_husimi(cfg: RunConfig, out_dir: str, quiet: bool) -> int:
                     f"(t = {ts:g}, peak {float(grid.values.max()):.6g})")
 
     if periodic:
-        lc = obs.quantum_lc(p, drive)
         ts = np.linspace(0.0, period, 257)
-        rows = np.column_stack((ts, lc.mean_x(ts), lc.mean_p(ts)))
+        x, mp = _phase_point(obs.limit_cycle_alpha(ts, p, drive), p.omega)
+        rows = np.column_stack((ts, x, mp))
         path = _write_table(out_dir, "cycle_path.tsv", "husimi", cfg, rows,
                             extra, columns=("t", "x", "p"))
-        _say(quiet, f"wrote {path} (ellipse, {len(ts)} samples)")
+        _say(quiet, f"wrote {path} (cycle, {len(ts)} samples)")
     return 0
 
 

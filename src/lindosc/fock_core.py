@@ -40,7 +40,6 @@ __all__ = [
 ]
 
 HERM_TOL_CONSTRUCT = 1e-12   # input validation
-HERM_TOL_EVOLVED = 1e-9      # accumulated integration error
 POSITIVITY_TOL = 1e-9
 # Parts of a Hermitian matrix below this are zeroed before its spectrum is
 # taken: the cube root of the smallest normal double, about 2.8e-103.
@@ -138,13 +137,13 @@ class DensityMatrix:
         return self.matrix.shape[0]
 
     @classmethod
-    def from_matrix(cls, m, herm_tol: float = HERM_TOL_CONSTRUCT,
-                    positivity_tol: float = POSITIVITY_TOL) -> "DensityMatrix":
+    def from_matrix(cls, m, positivity_tol: float = POSITIVITY_TOL
+                    ) -> "DensityMatrix":
         m = _as_matrix(m)
         if m.shape[0] < 2:
             raise ValueError("density matrix needs dim >= 2")
         herm_err = float(np.max(np.abs(m - m.conj().T)))
-        if not herm_err <= herm_tol:
+        if not herm_err <= HERM_TOL_CONSTRUCT:
             raise ValueError(f"matrix is not Hermitian: max|rho - rho^+| = {herm_err:.3e}")
         m = (m + m.conj().T) / 2.0
         tr = float(m.trace().real)

@@ -29,7 +29,7 @@ from .fock_core import (
     log_factorial,
 )
 from .lindblad_engine import DriveFn, LindbladParams
-from .observables import _require_cosine, limit_cycle_alpha, mean_a
+from .observables import limit_cycle_alpha, mean_a
 
 __all__ = [
     "GaussianState",
@@ -267,12 +267,12 @@ def husimi_grid(g: GaussianState, window, resolution, omega: float) -> HusimiGri
 
 
 def limit_cycle_state(t, params: LindbladParams, drive: DriveFn) -> GaussianState:
-    """Asymptotic cyclic state under the cosine drive: u = nu/mu rigidly
-    transported along alpha_lc(t). f0 = 0 gives the thermal steady state;
-    nu = 0 gives a pure coherent limit cycle."""
-    _require_cosine(drive)
+    """Asymptotic cyclic state under any drive: u = nu/mu rigidly
+    transported along the limit cycle limit_cycle_alpha(t). A drive that is
+    not active gives the thermal steady state; nu = 0 gives a pure coherent
+    limit cycle."""
     u = params.nu / params.mu
-    return GaussianState.from_alpha(u, limit_cycle_alpha(t, params))
+    return GaussianState.from_alpha(u, limit_cycle_alpha(t, params, drive))
 
 
 def entropy(u: float) -> float:

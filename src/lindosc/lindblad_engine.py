@@ -58,7 +58,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fock_core import (
-    HERM_TOL_EVOLVED,
     DensityMatrix,
     TruncationWarning,
     _as_matrix,
@@ -669,7 +668,7 @@ def evolve(rho0, t_grid, params: LindbladParams,
             warned = True
         for ts in snap_index.get(i, ()):
             snapshots[ts] = DensityMatrix.from_matrix(
-                snap, herm_tol=HERM_TOL_EVOLVED, positivity_tol=1e-6)
+                snap, positivity_tol=-DIVERGENCE_EIG)
 
     mean_x, mean_p = _phase_point(mean_a, params.omega)
     return Trajectory(mean_a=mean_a, mean_n=mean_n,

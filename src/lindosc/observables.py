@@ -5,13 +5,20 @@ The first moment obeys a closed linear ODE,
     d<a>/dt = -(i*omega + gamma)*<a> + i*conj(f(t)),
 
 so <a>, <x>, <p> come out analytically for every drive
-f(t) = sum_k c_k e^{i k Omega t}. The occupation follows from <a> by the exact
-identity <n>_t = |<a>_t|^2 + nu/2gamma + (n0 - |a0|^2 - nu/2gamma) e^{-2 gamma t}:
+f(t) = sum_k c_k e^{i k Omega t}:
+
+    <a>_t = e^{-(i omega + gamma) t} (a0 - P(0)) + P(t),
+    P(t) = sum_k conj(c_k) e^{-i k Omega t} / ((omega - k Omega) - i gamma).
+
+P is the quantum limit cycle, the periodic <a> every start tends to;
+limit_cycle_alpha evaluates it for any drive. The occupation follows from
+<a> by the exact identity
+<n>_t = |<a>_t|^2 + nu/2gamma + (n0 - |a0|^2 - nu/2gamma) e^{-2 gamma t}:
 the drive moves <n> and |<a>|^2 alike. Under the cosine drive <x> obeys the
 classical oscillator x'' + 2*gamma*x' + omega0**2 * x = ftilde0*cos(Omega*t)
 with omega0**2 = omega**2 + gamma**2 and velocity <p> - gamma*<x>;
-quantum_lc is its steady response, the phase-space form of the limit cycle
-limit_cycle_alpha gives, and mean_n_limit_cycle the occupation along it.
+quantum_lc is its steady response, the one-harmonic ellipse form of P, and
+mean_n_limit_cycle the occupation along it.
 
 All time arguments accept scalars or 1-d arrays, through one code path: a
 scalar time gives a numpy scalar (np.float64 or np.complex128, subclasses of
@@ -30,9 +37,7 @@ from .lindblad_engine import DriveFn, LindbladParams
 __all__ = [
     "QuantumLC",
     "LimitCycleOccupation",
-    "limit_cycle_coefficients",
     "limit_cycle_alpha",
-    "drive_response",
     "mean_a",
     "quantum_lc",
     "mean_n",
@@ -47,16 +52,17 @@ __all__ = [
 # first moment <a>
 
 
-def drive_response(t, params: LindbladParams, drive: DriveFn):
-    """Particular part of <a>_t (zero initial amplitude response to f)."""
-    t = np.asarray(t, dtype=float)
+def _periodic_sum(t, params: LindbladParams, drive: DriveFn, transient):
+    """sum_k conj(c_k) (e^{-i k Omega t} - transient) / ((omega - k Omega)
+    - i gamma) over drive.terms: the periodic response P(t) for
+    transient = 0, the zero-amplitude response P(t) - e^{-(i omega + gamma) t}
+    P(0) for transient = e^{-(i omega + gamma) t}."""
     out = np.zeros(t.shape, dtype=np.complex128)
     if drive.is_active(params):
         drive.require_Omega(params)
         w, g, W = params.omega, params.gamma, params.Omega
-        ep = np.exp(-(1j * w + g) * t)
         for k, c in drive.terms(params):
-            out += np.conj(c) * (np.exp(-1j * k * W * t) - ep) \
+            out += np.conj(c) * (np.exp(-1j * k * W * t) - transient) \
                 / ((w - k * W) - 1j * g)
     return out[()]
 
@@ -66,21 +72,13 @@ def mean_a(t, a0: complex, params: LindbladParams,
     """<a>_t = exp(-(i omega + gamma) t) * a0 + driven response."""
     drive = drive if drive is not None else DriveFn.none()
     t = np.asarray(t, dtype=float)
-    return np.exp(-(1j * params.omega + params.gamma) * t) * complex(a0) \
-        + drive_response(t, params, drive)
+    ep = np.exp(-(1j * params.omega + params.gamma) * t)
+    return ep * complex(a0) + _periodic_sum(t, params, drive, ep)
 
 
-def limit_cycle_coefficients(params: LindbladParams) -> tuple[complex, complex]:
-    """(c_plus, c_minus) with alpha_lc(t) = c_plus e^{i Omega t} + c_minus e^{-i Omega t}."""
-    w, g, W, f0 = params.omega, params.gamma, params.Omega, params.f0
-    return (0.5 * f0 / (w + W - 1j * g), 0.5 * f0 / (w - W - 1j * g))
-
-
-def limit_cycle_alpha(t, params: LindbladParams):
-    """Asymptotic periodic <a> under the cosine drive."""
-    cp, cm = limit_cycle_coefficients(params)
-    t = np.asarray(t, dtype=float)
-    return cp * np.exp(1j * params.Omega * t) + cm * np.exp(-1j * params.Omega * t)
+def limit_cycle_alpha(t, params: LindbladParams, drive: DriveFn):
+    """Asymptotic periodic <a>, the limit cycle P(t) every <a>_t tends to."""
+    return _periodic_sum(np.asarray(t, dtype=float), params, drive, 0.0)
 
 
 # ---------------------------------------------------------------------------

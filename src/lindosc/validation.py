@@ -214,8 +214,10 @@ def check_limit_cycle_occupation(seed: int = 4127) -> list[CheckResult]:
     mean of |alpha|^2, at the benchmark point, at exact resonance (where
     the value is pinned), and over random admissible parameters."""
     def alpha_route(q: LindbladParams) -> float:
-        # nbar + |c+|^2 + |c-|^2: the cross terms of |alpha_lc|^2 average out
-        cp, cm = obs.limit_cycle_coefficients(q)
+        # nbar + |c+|^2 + |c-|^2 for alpha_lc = c+ e^{i Omega t} +
+        # c- e^{-i Omega t}: the cross terms of |alpha_lc|^2 average out
+        w, g, W, f0 = q.omega, q.gamma, q.Omega, q.f0
+        cp, cm = 0.5 * f0 / (w + W - 1j * g), 0.5 * f0 / (w - W - 1j * g)
         return q.nbar + (abs(cp) ** 2 + abs(cm) ** 2)
 
     occ = obs.mean_n_limit_cycle(BENCH, DriveFn.cosine())

@@ -42,6 +42,14 @@ def enveloped_density(dim: int, rng, ratio: float = 0.4) -> DensityMatrix:
     return DensityMatrix.from_matrix(m @ m.conj().T)
 
 
+def cosine_cycle_coefficients(p) -> tuple[complex, complex]:
+    """(c_plus, c_minus) with alpha_lc(t) = c_plus e^{i Omega t} +
+    c_minus e^{-i Omega t}, the limit cycle of the cosine drive
+    f0 cos(Omega t), written out by hand for the one-harmonic checks."""
+    w, g, W, f0 = p.omega, p.gamma, p.Omega, p.f0
+    return 0.5 * f0 / (w + W - 1j * g), 0.5 * f0 / (w - W - 1j * g)
+
+
 def classical_solution(x0: float, v0: float, t, omega0: float, gamma: float,
                        drive: tuple[float, float] | None = None):
     """Exact solution (x, xdot) of x'' + 2 gamma x' + omega0^2 x = ftilde(t).

@@ -141,8 +141,6 @@ def test_gaussian_start_echoes_u0_and_seed(tmp_path):
     ("[husimi]\nwindow = 1 -1 -1 1\n", "ranges must be increasing"),
     ("[scan]\nOmega_min = 2\n", "need 0 <= min < max"),
     ("[scan]\nsamples = 2\n", "need at least 3"),
-    ("[initial]\nkind = limit-cycle\n",
-     "kind = limit-cycle: cosine drive required"),
     ("[initial]\nkind = file\npath = no-such-dir/state.npy\n",
      "[initial] path = 'no-such-dir/state.npy'"),
     ("[params]\nf0 = 0.3\nOmega = 1.0\n[grid]\nt_max = inf\n",
@@ -230,7 +228,6 @@ dim = 32
     ("[husimi]\ntimes = 0 -1\n", "times must be >= 0"),
     ("[initial]\nkind = file\npath = state.npy\n",
      "phase-space grids need"),
-    ("[initial]\nkind = limit-cycle\n", "needs an active cosine drive"),
     ("[husimi]\nwindow = 0 inf -1 1\n",
      "[husimi] window = '0 inf -1 1': must be finite"),
     ("[husimi]\ntimes = 0 inf\n", "[husimi] times = '0 inf': must be finite"),
@@ -463,6 +460,59 @@ def test_husimi_grids_and_cycle_path(tmp_path):
 
     _, path_rows = read_rows(out / "cycle_path.tsv")
     assert len(path_rows) == 257
+    first = [float(v) for v in path_rows[0].split("\t")]
+    last = [float(v) for v in path_rows[-1].split("\t")]
+    assert abs(first[1] - last[1]) < 1e-9  # one full period closes the loop
+    assert abs(first[2] - last[2]) < 1e-9
+
+
+FOURIER_LIMIT_CYCLE = f"""
+[params]
+omega = 1.1
+mu = 0.6
+nu = 0.4
+Omega = 1.3
+
+[drive]
+kind = fourier
+harmonics = 1 -2
+coefficients = 0.2+0.1j 0.15-0.05j
+
+[grid]
+t_max = {2.0 * math.pi / 1.3!r}
+n_times = 11
+
+[integrator]
+dim = 64
+
+[initial]
+kind = limit-cycle
+
+[husimi]
+resolution = 21
+"""
+
+
+def test_fourier_limit_cycle_start(tmp_path):
+    # the integrator stays on the two-harmonic cycle for one period, and
+    # husimi draws that cycle
+    cfg = write_ini(tmp_path, FOURIER_LIMIT_CYCLE)
+    out = tmp_path / "evolve"
+    assert main(["evolve", "--config", cfg, "--out", str(out),
+                 "--quiet"]) == 0
+    header, rows = read_rows(out / "trajectory.tsv")
+    assert len(rows) == 11
+    checks = [h for h in header if h.startswith("# check:")]
+    assert len(checks) == 5
+    assert all(h.endswith("-> OK") for h in checks)
+
+    out = tmp_path / "husimi"
+    assert main(["husimi", "--config", cfg, "--out", str(out),
+                 "--quiet"]) == 0
+    files = sorted(f.name for f in out.iterdir())
+    assert files == ["cycle_path.tsv"] \
+        + [f"husimi_{i:02d}.txt" for i in range(6)]
+    _, path_rows = read_rows(out / "cycle_path.tsv")
     first = [float(v) for v in path_rows[0].split("\t")]
     last = [float(v) for v in path_rows[-1].split("\t")]
     assert abs(first[1] - last[1]) < 1e-9  # one full period closes the loop

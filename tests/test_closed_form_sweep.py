@@ -7,12 +7,11 @@ import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import classical_solution
+from conftest import classical_solution, cosine_cycle_coefficients
 from lindosc.fock_core import _phase_point
 from lindosc.lindblad_engine import DriveFn, LindbladParams
 from lindosc.observables import (
     limit_cycle_alpha,
-    limit_cycle_coefficients,
     mean_a,
     mean_n_limit_cycle,
     quantum_lc,
@@ -57,11 +56,11 @@ def test_limit_cycle_closed_forms_agree(p, a0):
     # the worst error over 20000 random draws and the corners of the box
     # was 1.3 eps * _condition(p) of the scale; 16 leaves a 12x margin
     tol = 16.0 * EPS * _condition(p)
-    cp, cm = limit_cycle_coefficients(p)
+    cp, cm = cosine_cycle_coefficients(p)
 
     # quantum_lc is the phase-space form of the alpha route's cycle
     lc = quantum_lc(p, COS)
-    x, mp = _phase_point(limit_cycle_alpha(T, p), p.omega)
+    x, mp = _phase_point(limit_cycle_alpha(T, p, COS), p.omega)
     assert np.max(np.abs(lc.mean_x(T) - x)) <= tol * lc.A_q
     assert np.max(np.abs(lc.mean_p(T) - mp)) \
         <= tol * lc.A_q * math.hypot(p.gamma, p.Omega)
@@ -83,3 +82,18 @@ def test_limit_cycle_closed_forms_agree(p, a0):
     assert np.max(np.abs(xc - mx)) <= tol * scale_x
     assert np.max(np.abs(vc - (mp - p.gamma * mx))) \
         <= tol * (math.sqrt(2.0 * p.omega) * reach + p.gamma * scale_x)
+
+
+def test_fourier_limit_cycle_is_periodic_and_attracting():
+    # two harmonics, so the cycle is not an ellipse; measured 4.2e-15 for
+    # the period return and 3.6e-16 for mean_a against a cycle of size 1.04,
+    # so 1e-13 and 1e-14 leave about a 25x margin
+    p = LindbladParams(omega=1.1, mu=0.6, nu=0.4, Omega=1.3)
+    drive = DriveFn.fourier((1, -2), (0.2 + 0.1j, 0.15 - 0.05j))
+    cycle = limit_cycle_alpha(T, p, drive)
+    period = 2.0 * math.pi / p.Omega
+    assert np.max(np.abs(limit_cycle_alpha(T + period, p, drive) - cycle)) \
+        <= 1e-13
+    # started on the cycle, <a> has no transient and stays on it
+    a0 = limit_cycle_alpha(0.0, p, drive)
+    assert np.max(np.abs(mean_a(T, a0, p, drive) - cycle)) <= 1e-14

@@ -306,10 +306,11 @@ def test_husimi_grid_validation():
 def test_limit_cycle_state():
     g = limit_cycle_state(0.7, P_DRIVEN, DriveFn.cosine())
     assert g.u == pytest.approx(0.4 / 0.6, abs=1e-15)
-    assert g.alpha == pytest.approx(limit_cycle_alpha(0.7, P_DRIVEN),
-                                    abs=1e-15)
-    with pytest.raises(ValueError):
-        limit_cycle_state(0.0, P_DRIVEN, DriveFn.none())
+    assert g.alpha == pytest.approx(
+        limit_cycle_alpha(0.7, P_DRIVEN, DriveFn.cosine()), abs=1e-15)
+    # no active drive: the cycle is the thermal steady state
+    g = limit_cycle_state(0.7, P_DRIVEN, DriveFn.none())
+    assert (g.u, g.beta) == (0.4 / 0.6, 0j)
 
 
 def test_entropy_values():

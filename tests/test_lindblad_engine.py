@@ -6,7 +6,6 @@ import pytest
 
 from lindosc import gaussian_class, lindblad_engine
 from lindosc.fock_core import (
-    HERM_TOL_EVOLVED,
     _SPECTRUM_FLOOR,
     DensityMatrix,
     TruncationWarning,
@@ -482,8 +481,7 @@ def _assert_run_bitwise(traj, t, ref):
     dim = ref[0].shape[0]
     w = np.sqrt(np.arange(1.0, dim))
     for i, rho in enumerate(ref):
-        snap = DensityMatrix.from_matrix(
-            rho, herm_tol=HERM_TOL_EVOLVED, positivity_tol=1e-6)
+        snap = DensityMatrix.from_matrix(rho, positivity_tol=1e-6)
         assert traj.snapshots[t[i]].matrix.tobytes() == snap.matrix.tobytes()
         assert traj.mean_a[i].tobytes() == np.sum(
             w * np.diagonal(rho, -1)).tobytes()
@@ -804,8 +802,7 @@ def test_blocked_apply_bitwise_equals_allocating_rk4(dim, rows, drive, rng,
                   IntegratorOptions(snapshot_times=tuple(t)))
     ref = _reference_states(rho0.matrix, t, P_BITWISE, drive)
     for ti, rho in zip(t, ref):
-        snap = DensityMatrix.from_matrix(
-            rho, herm_tol=HERM_TOL_EVOLVED, positivity_tol=1e-6)
+        snap = DensityMatrix.from_matrix(rho, positivity_tol=1e-6)
         assert traj.snapshots[ti].matrix.tobytes() == snap.matrix.tobytes()
     _assert_stepper_bitwise(rho0.matrix, t, P_BITWISE, drive, ref)
     apply = _AllocatingWorkspace(dim, P_BITWISE).apply

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import classical_solution
+from conftest import classical_solution, cosine_cycle_coefficients
 from lindosc.fock_core import DensityMatrix, _phase_point, coherent_state
 from lindosc.lindblad_engine import (
     DriveFn,
@@ -13,7 +13,6 @@ from lindosc.lindblad_engine import (
 )
 from lindosc.observables import (
     limit_cycle_alpha,
-    limit_cycle_coefficients,
     mean_a,
     mean_n,
     mean_n_limit_cycle,
@@ -27,6 +26,9 @@ P = LindbladParams(omega=1.1, mu=0.6, nu=0.4)
 P_DRIVEN = LindbladParams(omega=1.1, mu=0.6, nu=0.4, f0=1.4,
                           Omega=1.0954451150103324)
 COS = DriveFn.cosine()
+# two harmonics, so the cycle is not an ellipse
+P_FOURIER = LindbladParams(omega=1.1, mu=0.6, nu=0.4, Omega=1.3)
+FOURIER = DriveFn.fourier((1, -2), (0.2 + 0.1j, 0.15 - 0.05j))
 
 
 def _ode_residual_classical(x0, v0, omega0, gamma, drive):
@@ -139,16 +141,18 @@ def test_mean_a_driven_matches_integrator():
     assert np.max(np.abs(traj.mean_a - mean_a(t, 0.6, p, COS))) < 1e-7
 
 
-def test_limit_cycle_alpha():
+@pytest.mark.parametrize("p,drive", [(P_DRIVEN, COS), (P_FOURIER, FOURIER)],
+                         ids=["cosine", "fourier"])
+def test_limit_cycle_alpha(p, drive):
     # the cycle is the particular solution: residual of the <a> ODE is zero
     h = 1e-5
     for t in (0.0, 1.3, 4.1):
-        am = limit_cycle_alpha(t - h, P_DRIVEN)
-        ap = limit_cycle_alpha(t + h, P_DRIVEN)
-        a = limit_cycle_alpha(t, P_DRIVEN)
-        f = complex(COS.value(t, P_DRIVEN))
+        am = limit_cycle_alpha(t - h, p, drive)
+        ap = limit_cycle_alpha(t + h, p, drive)
+        a = limit_cycle_alpha(t, p, drive)
+        f = complex(drive.value(t, p))
         resid = (ap - am) / (2 * h) \
-            + (1j * P_DRIVEN.omega + P_DRIVEN.gamma) * a - 1j * f.conjugate()
+            + (1j * p.omega + p.gamma) * a - 1j * f.conjugate()
         assert abs(resid) < 1e-7
 
 
@@ -205,7 +209,7 @@ def test_quantum_lc_is_alpha_cycle():
     for Omega in (0.0, 0.7, P_DRIVEN.Omega, 2.9):
         p = replace(P_DRIVEN, Omega=Omega)
         lc = quantum_lc(p, COS)
-        x, mp = _phase_point(limit_cycle_alpha(t, p), p.omega)
+        x, mp = _phase_point(limit_cycle_alpha(t, p, COS), p.omega)
         assert np.max(np.abs(lc.mean_x(t) - x)) <= 1e-13 * lc.A_q
         assert np.max(np.abs(lc.mean_p(t) - mp)) \
             <= 1e-13 * lc.A_q * math.hypot(p.gamma, Omega)
@@ -224,8 +228,8 @@ def test_quantum_lc_underflowing_denominator():
 
 @pytest.mark.parametrize("Omega", [0.0, 0.7, P_DRIVEN.Omega, 2.9])
 def test_quantum_lc_array_bitwise_equals_scalar(Omega):
-    # husimi's cycle_path.tsv takes one array call; each row must carry
-    # the bits of a call at that time alone
+    # one array call traces a whole path; each row must carry the bits
+    # of a call at that time alone
     from dataclasses import replace
     lc = quantum_lc(replace(P_DRIVEN, Omega=Omega), COS)
     t = np.concatenate((np.linspace(0.0, 2.0 * math.pi / P_DRIVEN.Omega,
@@ -306,7 +310,7 @@ def test_mean_n_time_validation():
 
 def test_mean_n_limit_cycle_forms_agree():
     occ = mean_n_limit_cycle(P_DRIVEN, COS)
-    cp, cm = limit_cycle_coefficients(P_DRIVEN)
+    cp, cm = cosine_cycle_coefficients(P_DRIVEN)
     # the period mean of |alpha_lc|^2 on top of the thermal floor
     assert occ.nbar == pytest.approx(
         P_DRIVEN.nbar + abs(cp) ** 2 + abs(cm) ** 2, abs=1e-10)

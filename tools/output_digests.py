@@ -1,20 +1,21 @@
 """Print the sha256 of every file the lindosc CLI writes for fixed configs.
 
-Runs evolve (cosine, Fourier and undriven drives, a limit-cycle start, a
-density matrix from a file, a cosine drive at dim 256, and undriven runs
-from a thermal start and from vacuum at dim 256, which step only the
-populations), husimi (a driven limit cycle and a thermal state), scan
-(undriven and driven), steady-state and validate on configs defined
-below, plus five configs that must fail (exit 2 or 3), each into its own
-directory under a temporary root. It prints one ``sha256  relpath`` line
-per output file, sorted by path within each run, one
-``sha256  run/(stdout)`` line per run for what the command printed, and one
-``sha256  run/(exit)`` line per run for its exit code, what it printed to
-stderr and the categories of the warnings it raised (categories only, so
-that a warning's source line does not enter the digest). The temporary
-root is replaced by a fixed placeholder throughout. Running it against two
-source trees and diffing the two listings checks that a change keeps every
-CLI output, exit code and error message byte-identical:
+Runs evolve (cosine, Fourier and undriven drives, cosine and Fourier
+limit-cycle starts, a density matrix from a file, a cosine drive at dim
+256, and undriven runs from a thermal start and from vacuum at dim 256,
+which step only the populations), husimi (cosine and Fourier limit cycles
+and a thermal state), scan (undriven and driven), steady-state and
+validate on configs defined below, plus five configs that must fail (exit
+2 or 3), each into its own directory under a temporary root. It prints
+one ``sha256  relpath`` line per output file, sorted by path within each
+run, one ``sha256  run/(stdout)`` line per run for what the command
+printed, and one ``sha256  run/(exit)`` line per run for its exit code,
+what it printed to stderr and the categories of the warnings it raised
+(categories only, so that a warning's source line does not enter the
+digest). The temporary root is replaced by a fixed placeholder throughout.
+Running it against two source trees and diffing the two listings checks
+that a change keeps every CLI output, exit code and error message
+byte-identical:
 
     python tools/output_digests.py --src base/src > base.txt
     python tools/output_digests.py --src src > head.txt
@@ -40,6 +41,8 @@ from fresh_import import import_lindosc
 _PARAMS = "[params]\nomega = 1.1\nmu = 0.6\nnu = 0.4\n"
 _GRID = "[grid]\nt_max = 4\nn_times = 41\n[integrator]\ndim = 40\n"
 _RESONANT = "f0 = 0.3\nOmega = 1.0954451150103321\n"
+_FOURIER = ("Omega = 1.3\n[drive]\nkind = fourier\nharmonics = 1 -2\n"
+            "coefficients = 0.2+0.1j 0.15-0.05j\n")
 
 # (name, subcommand, config text)
 RUNS = (
@@ -47,9 +50,7 @@ RUNS = (
      _PARAMS + _RESONANT + _GRID
      + "[initial]\nkind = coherent\nalpha0 = 0.5+0.2j\n"),
     ("evolve-fourier", "evolve",
-     _PARAMS + "Omega = 1.3\n" + _GRID
-     + "[drive]\nkind = fourier\nharmonics = 1 -2\n"
-       "coefficients = 0.2+0.1j 0.15-0.05j\n"
+     _PARAMS + _FOURIER + _GRID
      + "[initial]\nkind = gaussian\nalpha0 = 0.5+0.2j\nu0 = 0.3\n"),
     ("evolve-undriven", "evolve",
      _PARAMS + _GRID
@@ -62,6 +63,14 @@ RUNS = (
     ("evolve-limit-cycle", "evolve",
      _PARAMS + _RESONANT
      + "[grid]\nt_max = 2\nn_times = 11\n[integrator]\ndim = 80\n"
+     + "[initial]\nkind = limit-cycle\n"),
+    # a two-harmonic cycle, which is not an ellipse: one period at dim 64
+    ("husimi-fourier", "husimi",
+     _PARAMS + _FOURIER + _GRID + "[husimi]\nresolution = 41\n"),
+    ("evolve-limit-cycle-fourier", "evolve",
+     _PARAMS + _FOURIER
+     + "[grid]\nt_max = 4.83321946706122\nn_times = 11\n"
+       "[integrator]\ndim = 64\n"
      + "[initial]\nkind = limit-cycle\n"),
     # relative path, resolved against the temporary root (the working
     # directory during the runs), so the header echo is root-independent
