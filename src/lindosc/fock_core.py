@@ -171,12 +171,10 @@ class DensityMatrix:
         return cls(matrix=m)
 
 
-def _eigvalsh(h: np.ndarray, scratch: np.ndarray | None = None) -> np.ndarray:
+def _eigvalsh(h: np.ndarray) -> np.ndarray:
     """Ascending eigenvalues of the exactly Hermitian, C-contiguous
     complex128 ``h``, after zeroing in place every real and imaginary part
-    of ``h`` whose magnitude is below ``_SPECTRUM_FLOOR``. ``scratch``, a
-    float64 array of ``h``'s shape with the last axis doubled, holds the
-    magnitudes; without it they take a temporary.
+    of ``h`` whose magnitude is below ``_SPECTRUM_FLOOR``.
 
     Why the floor: a density matrix's Fock tail holds entries that are
     normal but tiny (1e-300 to 1e-103 for a coherent state at dim 256).
@@ -204,7 +202,7 @@ def _eigvalsh(h: np.ndarray, scratch: np.ndarray | None = None) -> np.ndarray:
     |alpha| = 1.25 live.)
     """
     v = h.view(np.float64)
-    small = np.abs(v, out=scratch) < _SPECTRUM_FLOOR
+    small = np.abs(v) < _SPECTRUM_FLOOR
     v[small] = 0.0
     live = ~small.all(axis=-1)
     if live.all():

@@ -32,7 +32,7 @@ Blocks are independent (each writes its own rows of the output and uses
 its scratch up), so the result is bitwise that of whole-array passes.
 The RK4 combination stays whole-array.
 
-The records of ``evolve`` read a row-major copy of the state that
+The records of ``evolve`` read a fresh row-major copy of the state that
 ``_Workspace.rho`` rebuilds. Their entropy and minimum eigenvalue come
 from its spectrum, taken by ``fock_core._eigvalsh``, which first zeroes
 its parts below ``_SPECTRUM_FLOOR`` (about 2.8e-103) in place; the
@@ -284,7 +284,7 @@ class _Workspace:
     rows, in ``_xy``) and the slopes ``_k1``, ``_k2`` and ``_k3`` (k4
     reuses k3's buffer), with the views of each stage bound once.
     ``load`` copies the stored half of a start and binds ``step``;
-    ``rho`` rebuilds the matrix.
+    ``rho`` rebuilds the matrix as a fresh copy.
 
     One layout holds every band and buffer: rho[i, (i+k) % dim] at
     k*dim + i for rows k = 0..dim//2, diagonal k joined at i = dim-k to
@@ -317,8 +317,7 @@ class _Workspace:
         self._src = np.where(d <= dim // 2, dim + d * dim + i,
                              ext + dim + (dim - 1 - d) * dim + j)
         del i, j, d
-        self.w = np.sqrt(np.arange(1.0, dim))
-        wpad = np.append(self.w, 0.0)        # w_j with the pad column
+        wpad = np.append(np.sqrt(np.arange(1.0, dim)), 0.0)  # w_j, pad 0
         c = np.complex128
         self.dim, self._driven = dim, driven
         k, i = np.divmod(np.arange(n), dim)
@@ -341,7 +340,6 @@ class _Workspace:
         self._rho = self._xy[dim:dim + n]
         self._y = self._xy[ext + dim:ext + dim + n]
         self._k1, self._k2, self._k3 = np.empty((3, n), dtype=c)
-        self._full = np.empty((dim, dim), dtype=c)
 
     def _runs(self, rows: int) -> tuple:
         """Per term over the first ``rows`` rows (K rho, mu, nu, a+ rho,
@@ -489,17 +487,14 @@ class _Workspace:
 
     @property
     def rho(self) -> np.ndarray:
-        """The state as a read-only (dim, dim) matrix, rebuilt into one
-        buffer on each read: stored words, and the conjugates of stored
-        words elsewhere, their zero parts +0.0."""
+        """The state as a fresh, writable (dim, dim) matrix on each read,
+        from one gather: stored words, and the conjugates of stored words
+        elsewhere, their zero parts +0.0."""
         dim = self.dim
         c = self._y[:dim * dim - self.K.size]
         np.conjugate(self._rho[dim:dim + c.size], c)
         np.add(c, 0.0, c)
-        np.take(self._xy, self._src, out=self._full, mode="clip")
-        view = self._full.view()
-        view.flags.writeable = False
-        return view
+        return np.take(self._xy, self._src, mode="clip")
 
     def step(self, h: float, f0, f_mid, f1) -> None:
         """One RK4 step of length h on rho, drive values at its start,
@@ -618,10 +613,7 @@ def evolve(rho0, t_grid, params: LindbladParams,
 
     st.load(rho0.matrix)
     del rho0          # the stepper holds the state now; free the start
-    # the spectrum floor takes the record matrix's parts in herm_abs, and
-    # purity's |rho|^2 its first dim*dim words
-    herm_abs = np.empty((dim, 2 * dim))
-    absq = herm_abs.reshape(-1)[:dim * dim].reshape(dim, dim)
+    w = np.sqrt(np.arange(1.0, dim))
     n_diag = np.arange(dim, dtype=float)
     mean_a = np.empty(t_grid.size, dtype=np.complex128)
     mean_n, purity, entropy, trace_err, min_eig, top_pop = np.empty(
@@ -638,21 +630,19 @@ def evolve(rho0, t_grid, params: LindbladParams,
                 t = t0 + j * h
                 st.step(h, fval(t), fval(t + 0.5 * h), fval(t + h))
 
-        if not np.all(np.isfinite(st._rho)):
+        rho = st.rho          # exactly Hermitian; floored in place below
+        if not np.all(np.isfinite(rho)):
             raise IntegrationDivergedError(
                 f"state became non-finite by t={t1:g}; "
                 "reduce dt or increase dim")
-        rho = st.rho          # exactly Hermitian; floored in place below
         diag = np.diagonal(rho).real
-        mean_a[i] = np.sum(st.w * np.diagonal(rho, -1))
+        mean_a[i] = np.sum(w * np.diagonal(rho, -1))
         mean_n[i] = np.dot(n_diag, diag)
         top_pop[i] = diag[-1] + diag[-2]
-        np.abs(rho, absq)                      # sum(np.abs(rho) ** 2)
-        np.square(absq, absq)
-        purity[i] = np.sum(absq)
+        purity[i] = np.sum(np.square(np.abs(rho)))
         trace_err[i] = abs(complex(rho.trace()) - 1.0)
         snap = rho.copy() if i in snap_index else None
-        eigs = _eigvalsh(st._full, herm_abs)
+        eigs = _eigvalsh(rho)
         min_eig[i] = eigs[0]
         pos = eigs[eigs > 1e-300]
         entropy[i] = -np.dot(pos, np.log(pos)) + 0.0

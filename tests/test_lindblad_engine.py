@@ -740,11 +740,11 @@ def test_driven_step_does_not_allocate(dim, drive, rng):
 @pytest.mark.parametrize("driven", [False, True])
 def test_stepper_holds_one_block_of_scratch(driven):
     # K, muW2, nuW2, the five stage buffers and, driven, wt and wr hold
-    # the stored half (dim//2 + 1 rows), the record matrix dim*dim words
-    # and its gather index half as many bytes; the scratch and the two
-    # drive buffers hold one row block each. At dim 256 the peak reads
-    # 6,348,952 B undriven and 7,932,416 B driven, within the bound of
-    # 8 or 10 dim*dim arrays and one or two blocks.
+    # the stored half (dim//2 + 1 rows) and the gather index of ``rho``
+    # dim*dim int64 words; the scratch and the two drive buffers hold one
+    # row block each. At dim 256 the peak reads 5,299,993 B undriven and
+    # 6,884,017 B driven, within the bound of 7 or 9 dim*dim arrays and
+    # one or two blocks.
     dim = 256
     block = 16 * (lindblad_engine._BLOCK_ENTRIES // dim) * dim
     tracemalloc.start()
@@ -753,7 +753,7 @@ def test_stepper_holds_one_block_of_scratch(driven):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    arrays, blocks = (10, 2) if driven else (8, 1)
+    arrays, blocks = (9, 2) if driven else (7, 1)
     assert peak < arrays * 16 * dim * dim + blocks * block + 64 * 1024
 
 
@@ -831,3 +831,26 @@ def test_evolve_state_buffer_does_not_alias(rng):
     assert (full.snapshots[t[2]].matrix.tobytes()
             == short.snapshots[t[2]].matrix.tobytes())
     assert m0.tobytes() == before
+
+
+@pytest.mark.parametrize("drive", sorted(BITWISE_DRIVES))
+def test_rho_reads_are_fresh_writable_copies(drive, rng):
+    # evolve floors its record matrix in place; that must move neither a
+    # later read nor the state the next step starts from
+    drive = BITWISE_DRIVES[drive]
+    start = enveloped_density(33, rng).matrix
+    ws, ref = (_Workspace(33, P_BITWISE, driven=drive.is_active(P_BITWISE))
+               for _ in range(2))
+    ws.load(start)
+    ref.load(start)
+    first, second = ws.rho, ws.rho
+    assert first.flags.writeable and second.flags.writeable
+    assert not np.shares_memory(first, second)
+    first.fill(np.nan)
+    assert ws.rho.tobytes() == second.tobytes() == ref.rho.tobytes()
+    (steps,) = _intervals(np.array([0.0, 0.01]), P_BITWISE, drive)
+    for step in steps:
+        ws.rho.fill(np.nan)
+        ws.step(*step)
+        ref.step(*step)
+    assert ws.rho.tobytes() == ref.rho.tobytes()

@@ -239,6 +239,30 @@ def test_quantum_lc_array_bitwise_equals_scalar(Omega):
         assert f(t).tobytes() == scalar.tobytes()
 
 
+@pytest.mark.parametrize("a0", [0.6, 0.6 - 0.3j])
+@pytest.mark.parametrize("p,drive", [(P_DRIVEN, COS), (P_FOURIER, FOURIER)],
+                         ids=["cosine", "fourier"])
+def test_periodic_response_array_matches_scalar(p, drive, a0):
+    # cycle_path.tsv takes P(t) from one array call, the husimi grid
+    # centres from scalar calls. A product of two complex factors (a
+    # Fourier coefficient, or a complex a0 times the transient) may round
+    # apart in numpy's vectorized loop and in its scalar math: up to
+    # 4.4e-16 at the default dispatch level with AVX-512, none on
+    # baseline kernels.
+    # With real coefficients and a real a0 every row keeps its bits.
+    t = np.concatenate((np.linspace(0.0, 2.0 * math.pi / p.Omega, 257),
+                        np.linspace(0.0, 500.0, 1001)))
+    for f, exact in ((lambda s: limit_cycle_alpha(s, p, drive),
+                      drive is COS),
+                     (lambda s: mean_a(s, a0, p, drive),
+                      drive is COS and isinstance(a0, float))):
+        scalar = np.array([f(s) for s in t.tolist()])
+        if exact:
+            assert f(t).tobytes() == scalar.tobytes()
+        else:
+            assert np.max(np.abs(f(t) - scalar)) <= 1e-15
+
+
 def test_mean_x_second_order_ode():
     # <x> obeys x'' + 2 gamma x' + (omega^2 + gamma^2) x = ftilde(t)
     p = P_DRIVEN
