@@ -8,13 +8,10 @@ module boundaries while hot loops work on raw arrays.
 Every Hermitian spectrum in the package (the positivity check of
 ``DensityMatrix.from_matrix``, ``trace_distance``, ``density_diagnostics``
 and the per-record entropy and minimum eigenvalue of ``evolve``) comes
-from ``_eigvalsh``, which zeroes the parts below ``_SPECTRUM_FLOOR``
-before LAPACK sees them, so that tiny Fock-tail entries cannot drive the
-reduction into subnormal arithmetic; it moves no eigenvalue by more than
-about 1e-100. LAPACK then reduces only the live levels, the rows that
-keep a part, and each dead level adds an exact eigenvalue 0. That is
-exact because every caller passes an exactly Hermitian matrix, (X + X^+)/2
-or evolve's state, so a zero row is also a zero column.
+from ``_eigvalsh``. It zeroes, in a copy, the parts below eps^2 times the
+largest finite part (never below ``_SPECTRUM_FLOOR``), far below LAPACK's
+own rounding, and LAPACK reduces only the live levels, the rows that keep
+a part; each dead level adds an exact eigenvalue 0.
 
 Units: hbar = 1, unit mass. Phase-space coordinates relate to the mode
 amplitude through alpha = (omega*x + i*p) / sqrt(2*omega).
@@ -41,9 +38,10 @@ __all__ = [
 
 HERM_TOL_CONSTRUCT = 1e-12   # input validation
 POSITIVITY_TOL = 1e-9
-# Parts of a Hermitian matrix below this are zeroed before its spectrum is
-# taken: the cube root of the smallest normal double, about 2.8e-103.
+# _eigvalsh zeroes the parts below _EPS2 times the largest finite part, but
+# never below the cube root of the smallest normal double, about 2.8e-103
 _SPECTRUM_FLOOR = np.finfo(np.float64).tiny ** (1.0 / 3.0)
+_EPS2 = np.finfo(np.float64).eps ** 2
 
 
 class TruncationError(ValueError):
@@ -150,7 +148,7 @@ class DensityMatrix:
         if not tr > 0:
             raise ValueError(f"trace must be positive, got {tr!r}")
         m = m / tr
-        min_eig = float(_eigvalsh(m.copy()).min())
+        min_eig = float(_eigvalsh(m).min())
         if not min_eig >= -positivity_tol:
             raise ValueError(f"matrix is not positive: min eigenvalue = {min_eig:.3e}")
         m.setflags(write=False)
@@ -173,43 +171,47 @@ class DensityMatrix:
 
 def _eigvalsh(h: np.ndarray) -> np.ndarray:
     """Ascending eigenvalues of the exactly Hermitian, C-contiguous
-    complex128 ``h``, after zeroing in place every real and imaginary part
-    of ``h`` whose magnitude is below ``_SPECTRUM_FLOOR``.
+    complex128 ``h`` after zeroing, in a copy, every real and imaginary
+    part below max(_SPECTRUM_FLOOR, _EPS2 * M), M the largest finite part.
 
-    Why the floor: a density matrix's Fock tail holds entries that are
-    normal but tiny (1e-300 to 1e-103 for a coherent state at dim 256).
-    The rank-2 updates of LAPACK's tridiagonal reduction (``zhetrd``)
-    multiply three input-scale factors (v, A, v), and such products fall
-    into the subnormal range, where every operation is many times slower.
-    When no kept part is below the cube root of the smallest normal
-    double, no such product is subnormal. (A floor at the square root
-    left a Gaussian's spectrum at dim 256 two to three times as slow.)
+    Why the floor: the Fock tail of a density matrix holds normal but tiny
+    parts (1e-300 to 1e-103 for a coherent state at dim 256), whose triple
+    products in LAPACK's tridiagonal reduction (``zhetrd``) are subnormal,
+    where every operation is many times slower; no kept part is below the
+    cube root of the smallest normal double. Above that the floor follows
+    the matrix's scale, so it drops only what LAPACK cannot resolve, and
+    the difference of two close states is not floored away.
 
-    Why it cannot hurt: the zeroed parts form a Hermitian perturbation E,
-    and by Weyl's inequality each eigenvalue moves by at most
-    ||E||_2 <= ||E||_F < sqrt(2) * dim * _SPECTRUM_FLOOR, about 1e-100 at
-    dim 256, far below LAPACK's own error of O(dim * eps * ||h||).
+    Why it cannot hurt: by Weyl each eigenvalue moves by at most
+    ||E||_F < sqrt(2) * dim * floor for the zeroed parts E; above
+    _SPECTRUM_FLOOR that is <= sqrt(2) * dim * eps * (eps * ||h||_2),
+    about 1e-13 of LAPACK's error unit eps * ||h||_2 at dim 256.
 
-    Live levels: LAPACK gets only the principal submatrix A of the levels
-    whose row keeps a part after the floor, and each dead level adds one
-    exact 0.0 to its eigenvalues. The caller must pass ``h`` exactly
-    Hermitian, as (X + X^+)/2 is: then a zero row is a zero column, ``h``
-    is permutation-similar to diag(A, 0) and its spectrum is spec(A) plus
-    the zeros. Only LAPACK's rounding inside A differs from a call on the
-    whole matrix, and a matrix without a dead level reaches LAPACK whole,
-    so its eigenvalues keep every bit. A row of NaNs stays live. (The
-    floor leaves 135 of the 256 levels of a coherent state with
-    |alpha| = 1.25 live.)
+    Live levels: LAPACK gets only the floored principal submatrix A of the
+    levels whose row keeps a part (55 of 256 for a coherent state with
+    |alpha| = 1.25), and each dead level adds one exact 0.0: a zero row of
+    a Hermitian matrix is a zero column, so the floored ``h`` is
+    permutation-similar to diag(A, 0); with no dead level A is all of it.
+    A row holding a NaN or an inf stays live.
     """
-    v = h.view(np.float64)
-    small = np.abs(v) < _SPECTRUM_FLOOR
-    v[small] = 0.0
+    mag = np.abs(h.view(np.float64))
+    top = mag.max()
+    if not top < np.inf:       # a NaN or inf part: scale by the finite ones
+        top = np.max(mag, where=mag < np.inf, initial=0.0)
+    floor = max(_SPECTRUM_FLOOR, _EPS2 * top)
+    small = mag < floor
     live = ~small.all(axis=-1)
-    if live.all():
-        return np.linalg.eigvalsh(h)
+    if live.all():             # mag turns into the floored copy of h
+        np.copyto(mag, h.view(np.float64))
+        mag[small] = 0.0
+        return np.linalg.eigvalsh(mag.view(np.complex128))
+    del mag, small             # freed before the live block is gathered
     if not live.any():
         return np.zeros(live.size)
-    w = np.linalg.eigvalsh(h[np.ix_(live, live)])
+    a = h[np.ix_(live, live)]
+    parts = a.view(np.float64)
+    parts[np.abs(parts) < floor] = 0.0
+    w = np.linalg.eigvalsh(a)
     k = np.searchsorted(w, 0.0)
     return np.concatenate((w[:k], np.zeros(live.size - w.size), w[k:]))
 

@@ -34,11 +34,9 @@ The RK4 combination stays whole-array.
 
 The records of ``evolve`` read a fresh row-major copy of the state that
 ``_Workspace.rho`` rebuilds. Their entropy and minimum eigenvalue come
-from its spectrum, taken by ``fock_core._eigvalsh``, which first zeroes
-its parts below ``_SPECTRUM_FLOOR`` (about 2.8e-103) in place; the
-state itself is never floored. LAPACK then sees only the live levels,
-and each dead level adds the exact eigenvalue 0: the copy is exactly
-Hermitian, so a zero row is a zero column.
+from its spectrum, taken by ``fock_core._eigvalsh`` on the live levels
+after zeroing the parts below eps^2 times its largest part; the state
+itself is never floored.
 
 This module is the numerical oracle for every closed-form solver in the
 package; conversely those solvers pin down this integrator in the tests.
@@ -630,7 +628,7 @@ def evolve(rho0, t_grid, params: LindbladParams,
                 t = t0 + j * h
                 st.step(h, fval(t), fval(t + 0.5 * h), fval(t + h))
 
-        rho = st.rho          # exactly Hermitian; floored in place below
+        rho = st.rho          # exactly Hermitian
         if not np.all(np.isfinite(rho)):
             raise IntegrationDivergedError(
                 f"state became non-finite by t={t1:g}; "

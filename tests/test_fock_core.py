@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from lindosc.fock_core import (
-    _SPECTRUM_FLOOR,
     DensityMatrix,
     TruncationError,
     _eigvalsh,
@@ -17,7 +16,12 @@ from lindosc.fock_core import (
 from lindosc.gaussian_class import GaussianState, materialize
 from lindosc.lindblad_engine import IntegratorOptions, LindbladParams, evolve
 
-from conftest import enveloped_density, ladder_ops
+from conftest import (
+    SPECTRUM_TOL,
+    enveloped_density,
+    floored,
+    ladder_ops,
+)
 
 
 @pytest.mark.parametrize("dim", [math.inf, -math.inf, math.nan, 1, 2.5])
@@ -159,19 +163,12 @@ def _entropy(eigs):
     return -np.dot(pos, np.log(pos)) + 0.0
 
 
-# Each of the two LAPACK runs errs by O(dim * eps * ||rho||), about 5.7e-14
-# at dim 256 for a density matrix, and the floor moves each exact
-# eigenvalue by at most sqrt(2) * dim * _SPECTRUM_FLOOR, about 1e-100
-# (Weyl); the entropy sum is held to the same tolerance.
-SPECTRUM_TOL = 1e-13
-
-
 # the small-dim Gaussians spill past their basis, which two spectra of the
 # same matrix do not mind
 @pytest.mark.filterwarnings("ignore::lindosc.fock_core.TruncationWarning")
 def test_floored_spectrum_matches_raw_eigvalsh():
     rng = np.random.default_rng(20261019)
-    floored = 0
+    zeroed = 0
     for dim in (8, 32, 64, 128, 256):
         reach = min(2.0, 0.9 * math.sqrt(dim / 4.0))
         for _ in range(2):
@@ -183,15 +180,14 @@ def test_floored_spectrum_matches_raw_eigvalsh():
                 enveloped_density(dim, rng, ratio=rng.uniform(0.02, 0.4)),
             )
             for rho in states:
-                h = rho.matrix.copy()
-                parts = h.view(np.float64)
-                floored += np.count_nonzero(
-                    (parts != 0) & (np.abs(parts) < _SPECTRUM_FLOOR))
-                raw = np.linalg.eigvalsh(rho.matrix)
+                h = rho.matrix
+                zeroed += np.count_nonzero(
+                    floored(h).view(np.float64) != h.view(np.float64))
+                raw = np.linalg.eigvalsh(h)
                 eigs = _eigvalsh(h)
                 assert np.max(np.abs(eigs - raw)) < SPECTRUM_TOL
                 assert abs(_entropy(eigs) - _entropy(raw)) < SPECTRUM_TOL
-    assert floored > 0   # the sweep reaches states the floor changes
+    assert zeroed > 0   # the sweep reaches states the floor changes
 
 
 def test_floor_never_reaches_caller_data():
@@ -213,7 +209,7 @@ def test_floor_never_reaches_caller_data():
 
 def _dead_levels(h):
     """Levels whose row of h is all zeros once the floor has run."""
-    return ~np.any(np.abs(h.view(np.float64)) >= _SPECTRUM_FLOOR, axis=1)
+    return ~np.any(floored(h) != 0, axis=1)
 
 
 def _support_density(dim, support, rng):
@@ -279,7 +275,7 @@ def test_all_dead_levels_skip_lapack(dim, monkeypatch):
 
 def test_lapack_sees_only_the_live_levels(monkeypatch):
     rho = DensityMatrix.pure(coherent_state(1.25, 256))
-    dead = _dead_levels(rho.matrix.copy())
+    dead = _dead_levels(rho.matrix)
     shapes = []
     eigvalsh = np.linalg.eigvalsh
 
@@ -288,26 +284,77 @@ def test_lapack_sees_only_the_live_levels(monkeypatch):
         return eigvalsh(h)
 
     monkeypatch.setattr(np.linalg, "eigvalsh", recording)
-    eigs = _eigvalsh(rho.matrix.copy())
+    eigs = _eigvalsh(rho.matrix)      # read-only: the floor writes a copy
     live = 256 - int(dead.sum())
     # every row of the pure state holds a nonzero part, so a level is
     # dead only because the floor emptied it
     assert np.all(np.any(rho.matrix != 0, axis=1))
-    assert shapes == [(live, live)] and live < 256
+    assert shapes == [(live, live)] and live == 55
     assert eigs.shape == (256,)
     assert np.max(np.abs(eigs - eigvalsh(rho.matrix))) < SPECTRUM_TOL
+
+
+def _lapack_inputs(monkeypatch):
+    """The list that every later np.linalg.eigvalsh call appends its input
+    to."""
+    seen = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def recording(a):
+        seen.append(a.copy())
+        return eigvalsh(a)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", recording)
+    return seen
+
+
+@pytest.mark.parametrize("c", [1e-30, 1.0, 1e30])
+@pytest.mark.parametrize("kind", ["coherent", "gaussian"])
+def test_floor_follows_the_matrix_scale(kind, c, monkeypatch):
+    # the floor is eps**2 times the largest part, so c * h keeps the parts
+    # of h that h keeps: LAPACK gets c times the same live submatrix, and
+    # the spectrum scales with c up to LAPACK's rounding
+    alpha = 1.25 * np.exp(0.7j)
+    h = (DensityMatrix.pure(coherent_state(alpha, 256)) if kind == "coherent"
+         else materialize(GaussianState.from_alpha(0.2, alpha), 256)).matrix
+    seen = _lapack_inputs(monkeypatch)
+    eigs = _eigvalsh(h)
+    scaled = _eigvalsh(c * h)
+    a, a_scaled = seen
+    assert a.shape[0] < 100
+    assert a_scaled.tobytes() == (c * a).tobytes()
+    assert np.max(np.abs(scaled - c * eigs)) < c * SPECTRUM_TOL
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_part_keeps_its_row_and_the_scale(bad, monkeypatch):
+    # a bare max over the parts would make the floor NaN or inf, and an
+    # inf floor zeroes every finite part; the floor comes from the finite
+    # parts, and the row of the non-finite part stays live
+    m = np.diag([0.5, 0.25, 0.125, 0.125, 0.0, 0.0]).astype(np.complex128)
+    m[0, 3] = 1e-20 - 3e-21j     # above eps**2 * 0.5, about 2.5e-32
+    m[1, 2] = 1e-40              # below it
+    m[4, 5] = bad
+    m += np.triu(m, 1).conj().T
+    seen = []          # LAPACK is not called: it may reject a NaN or inf
+    monkeypatch.setattr(np.linalg, "eigvalsh",
+                        lambda a: seen.append(a.copy()) or np.zeros(len(a)))
+    _eigvalsh(m)
+    a, = seen
+    assert a.shape == (6, 6)
+    assert a[0, 3] == m[0, 3] and a[1, 2] == 0.0
+    assert np.array_equal(a, floored(m), equal_nan=True)
 
 
 @pytest.mark.parametrize("dim", [2, 33, 256])
 def test_no_dead_level_spectrum_is_bitwise_the_floored_eigvalsh(dim, rng):
     # parts below the floor, but no row made of them only: LAPACK gets the
-    # whole floored matrix, as before live levels were split off
-    m = enveloped_density(dim, rng, ratio=0.2).matrix
-    h = m.copy()
-    assert not _dead_levels(h).any()
-    ref = m.copy()
-    parts = ref.view(np.float64)
-    parts[np.abs(parts) < _SPECTRUM_FLOOR] = 0.0
+    # whole floored matrix, as before live levels were split off. At dim
+    # 256 the rows fall to about 0.6**128 ~ 1e-28 of the top, above the
+    # floor of eps**2 ~ 5e-32 times it, and their far parts below it
+    m = enveloped_density(dim, rng, ratio=0.6).matrix
+    assert not _dead_levels(m).any()
+    ref = floored(m)
     if dim == 256:
         assert not np.array_equal(ref, m)   # the floor does zero parts
-    assert _eigvalsh(h).tobytes() == np.linalg.eigvalsh(ref).tobytes()
+    assert _eigvalsh(m).tobytes() == np.linalg.eigvalsh(ref).tobytes()

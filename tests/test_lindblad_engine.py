@@ -6,7 +6,6 @@ import pytest
 
 from lindosc import gaussian_class, lindblad_engine
 from lindosc.fock_core import (
-    _SPECTRUM_FLOOR,
     DensityMatrix,
     TruncationWarning,
     coherent_state,
@@ -23,7 +22,12 @@ from lindosc.lindblad_engine import (
     steady_state,
 )
 
-from conftest import enveloped_density, ladder_ops
+from conftest import (
+    SPECTRUM_TOL,
+    enveloped_density,
+    floored_spectrum,
+    ladder_ops,
+)
 
 P_FREE = LindbladParams(omega=1.1, mu=0.6, nu=0.4)
 
@@ -490,16 +494,34 @@ def _assert_run_bitwise(traj, t, ref):
             np.arange(dim, dtype=float), np.diagonal(rho).real).tobytes()
         assert traj.trace_err[i].tobytes() == np.float64(
             abs(complex(rho.trace()) - 1.0)).tobytes()
-        # the records read the spectrum with the parts of (rho + rho^+)/2
-        # below the floor zeroed
-        herm = (rho + rho.conj().T) / 2.0
-        parts = herm.view(np.float64)
-        parts[np.abs(parts) < _SPECTRUM_FLOOR] = 0.0
-        eigs = np.linalg.eigvalsh(herm)
+        # the records read the floored spectrum of (rho + rho^+)/2
+        eigs = floored_spectrum((rho + rho.conj().T) / 2.0)
         assert traj.min_eig[i].tobytes() == eigs[0].tobytes()
         pos = eigs[eigs > 1e-300]
         assert traj.entropy[i].tobytes() == (
             -np.dot(pos, np.log(pos)) + 0.0).tobytes()
+
+
+# The benchmark's two driven starts at dim 256, where the floor leaves
+# LAPACK 55 and 70 of the 256 levels: each record's entropy and minimum
+# eigenvalue against LAPACK on the whole record matrix (a snapshot, which
+# differs from it by the rounding of one division by its trace).
+@pytest.mark.parametrize("kind", ["coherent", "gaussian"])
+def test_record_spectrum_matches_raw_eigvalsh_at_dim_256(kind):
+    p = LindbladParams(omega=1.1, mu=0.6, nu=0.2, f0=0.4,
+                       Omega=1.0954451150103324)
+    alpha = 1.25 * np.exp(0.7j)
+    rho0 = (DensityMatrix.pure(coherent_state(alpha, 256))
+            if kind == "coherent" else gaussian_class.materialize(
+                gaussian_class.GaussianState.from_alpha(0.2, alpha), 256))
+    t = np.linspace(0.0, 0.02, 5)
+    traj = evolve(rho0, t, p, DriveFn.cosine(),
+                  IntegratorOptions(snapshot_times=tuple(t)))
+    for i, ti in enumerate(t):
+        raw = np.linalg.eigvalsh(traj.snapshots[ti].matrix)
+        pos = raw[raw > 1e-300]
+        assert abs(traj.min_eig[i] - raw[0]) < SPECTRUM_TOL
+        assert abs(traj.entropy[i] + np.dot(pos, np.log(pos))) < SPECTRUM_TOL
 
 
 def _diagonal_start(dim, kind, rng):

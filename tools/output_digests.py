@@ -21,6 +21,14 @@ byte-identical:
     python tools/output_digests.py --src src > head.txt
     diff base.txt head.txt
 
+With ``--cells BASE_SRC`` it runs the configs on both trees instead and,
+for every output whose bytes differ, prints where: per column of a table
+(named by its ``# columns:`` line), the number of cells that moved and
+their largest absolute and relative difference, and every other line
+that differs (header, footer, printed text) as it reads in each tree:
+
+    python tools/output_digests.py --src src --cells base/src
+
 Needs only the standard library and numpy (which lindosc itself needs).
 """
 
@@ -106,8 +114,8 @@ RUNS = (
 )
 
 
-def digests(src: str) -> list[tuple[str, str]]:
-    """(sha256, relpath) of every output file, sorted by relpath."""
+def outputs(src: str) -> list[tuple[str, bytes]]:
+    """(relpath, bytes) of every output, in the order of the listing."""
     cli, = import_lindosc(src, "cli")
     out = []
     cwd = os.getcwd()
@@ -133,27 +141,86 @@ def digests(src: str) -> list[tuple[str, str]]:
                           if os.path.isdir(run_dir) else [])
                 for fname in fnames:
                     with open(os.path.join(run_dir, fname), "rb") as fh:
-                        digest = hashlib.sha256(fh.read()).hexdigest()
-                    out.append((digest, f"{name}/{fname}"))
+                        out.append((f"{name}/{fname}", fh.read()))
                 exit_text = f"exit {rc}\n{err.getvalue()}" + "".join(
                     f"warning: {w.category.__name__}\n" for w in caught)
                 for label, text in (("(stdout)", buf.getvalue()),
                                     ("(exit)", exit_text)):
                     text = text.replace(root, "<root>")
-                    out.append((hashlib.sha256(text.encode()).hexdigest(),
-                                f"{name}/{label}"))
+                    out.append((f"{name}/{label}", text.encode()))
         finally:
             os.chdir(cwd)
     return out
+
+
+def _is_row(line: str) -> bool:
+    """Whether a line is a table row: not a comment, every cell a float."""
+    if line.startswith("#"):
+        return False
+    try:
+        for cell in line.split():
+            float(cell)
+    except ValueError:
+        return False
+    return True
+
+
+def cell_report(base: bytes, head: bytes) -> list[str]:
+    """Where two versions of one output differ: one line per table column
+    whose cells moved, then the other lines that differ."""
+    old, new = base.decode().splitlines(), head.decode().splitlines()
+    if len(old) != len(new):
+        return [f"{len(old)} lines in the base, {len(new)} here"]
+    names: list[str] = []
+    moved: dict[int, list[tuple[float, float]]] = {}   # by column index
+    text = []
+    for i, (a, b) in enumerate(zip(old, new)):
+        if b.startswith("# columns:"):
+            names = b.split()[2:]
+        if a == b:
+            continue
+        cells_a, cells_b = a.split(), b.split()
+        if not (_is_row(a) and _is_row(b)) or len(cells_a) != len(cells_b):
+            text += [f"line {i + 1} base: {a}", f"line {i + 1} here: {b}"]
+            continue
+        for k, (u, v) in enumerate(zip(cells_a, cells_b)):
+            if u != v:
+                moved.setdefault(k, []).append((float(u), float(v)))
+    out = []
+    for k, pairs in sorted(moved.items()):
+        name = names[k] if k < len(names) else f"column {k + 1}"
+        u, v = np.array(pairs).T
+        d = np.abs(v - u)
+        scale = np.maximum(np.abs(u), np.abs(v))
+        rel = np.max(np.divide(d, scale, out=np.zeros_like(d),
+                               where=scale > 0))
+        out.append(f"{name}: {d.size} cells, max |d| {np.max(d):.2g}, "
+                   f"max |d|/max(|base|, |here|) {rel:.2g}")
+    return out + text
 
 
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--src", required=True,
                     help="source directory that contains the lindosc package")
+    ap.add_argument("--cells", metavar="BASE_SRC",
+                    help="source directory of a base tree: print the cells "
+                         "of every output that differs from it, not digests")
     args = ap.parse_args(argv)
-    for digest, rel in digests(args.src):
-        print(f"{digest}  {rel}")
+    if args.cells is None:
+        for rel, data in outputs(args.src):
+            print(f"{hashlib.sha256(data).hexdigest()}  {rel}")
+        return 0
+    base, here = dict(outputs(args.cells)), outputs(args.src)
+    for rel, data in here:
+        if rel not in base:
+            print(f"{rel}: only here")
+        elif base[rel] != data:
+            print(f"{rel}:")
+            for line in cell_report(base[rel], data):
+                print(f"  {line}")
+    for rel in sorted(base.keys() - dict(here).keys()):
+        print(f"{rel}: only in the base")
     return 0
 
 

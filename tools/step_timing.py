@@ -16,16 +16,18 @@ the per-step cost that ``evolve`` pays, not one stepper's heap placement
 or the first touch of its fresh pages.
 
 The ``spectrum`` rows give the milliseconds of one ``_eigvalsh`` call on
-a fresh copy of a density matrix (it zeroes every part below
-``_SPECTRUM_FLOOR`` and hands LAPACK the live levels only, the rows that
-keep a part; both passes are timed) at dim 32, 64 and 256, for three
-starts: a coherent state (|alpha| = 1.25), a Gaussian (u = 0.2,
-|alpha| = 1.25) and a seeded random state with a thermal-like Fock
-envelope (ratio 0.4). Every tree times the same matrices, built by the
-first tree. A second table gives, per matrix, the milliseconds of raw
-``np.linalg.eigvalsh``, the number of live levels (out of dim), the
-number of real and imaginary parts the floor zeroes (out of 2 * dim**2)
-and the largest |delta lambda| between the raw spectrum and any tree's.
+a fresh copy of a density matrix (it zeroes the parts below its floor
+and hands LAPACK the live levels only, the rows that keep a part; both
+passes are timed) at dim 32, 64 and 256, for three starts: a coherent
+state (|alpha| = 1.25), a Gaussian (u = 0.2, |alpha| = 1.25) and a
+seeded random state with a thermal-like Fock envelope (ratio 0.4). Every
+tree times the same matrices, built by the first tree. A second table
+gives, per matrix, the milliseconds of raw ``np.linalg.eigvalsh``, then
+for each tree the live levels (the order of the matrix that its
+``_eigvalsh`` hands LAPACK, out of dim) and the real and imaginary parts
+its floor zeroes (the nonzero parts of the matrix that do not reach
+LAPACK, out of 2 * dim**2), both read from one untimed call, and last
+the largest |delta lambda| between the raw spectrum and any tree's.
 
 The samples of every cell are interleaved in one loop, whose first round
 warms up, so slow drift of the machine spreads over all cells alike, and
@@ -119,6 +121,25 @@ class _Spectrum:
         return (time.perf_counter() - t0) * 1e3
 
 
+def _lapack_input(fn, m: np.ndarray) -> np.ndarray:
+    """The matrix that the spectrum function ``fn`` hands
+    ``np.linalg.eigvalsh`` when called on a copy of ``m`` (an empty one
+    when it does not call it)."""
+    seen = [np.zeros((0, 0))]
+    eigvalsh = np.linalg.eigvalsh
+
+    def recording(a):
+        seen.append(a.copy())
+        return eigvalsh(a)
+
+    np.linalg.eigvalsh = recording
+    try:
+        fn(m.copy())
+    finally:
+        np.linalg.eigvalsh = eigvalsh
+    return seen[-1]
+
+
 def _state(fc, gc, dim: int, kind: str) -> np.ndarray:
     alpha = cmath.rect(1.25, 0.7)
     if kind == "coherent":
@@ -177,17 +198,21 @@ def main(argv=None) -> int:
             line.append("yes" if len(outs) == 1 else "NO")
         print("\t".join(line))
 
-    floor = fc._SPECTRUM_FLOOR
-    print("\ndim\tcase\tms raw\tlive levels\tfloored parts\tmax |dlambda|")
+    print("\ndim\tcase\tms raw\t"
+          + "".join(f"live levels {src}\t" for src in args.src)
+          + "".join(f"floored parts {src}\t" for src in args.src)
+          + "max |dlambda|")
     for (dim, kind), m in mats.items():
         row = ("spectrum", dim, kind)
-        a = np.abs(m.view(np.float64))
-        live = np.count_nonzero(np.any(a >= floor, axis=1))
-        zeroed = np.count_nonzero((a != 0) & (a < floor))
+        nonzero = np.count_nonzero(m.view(np.float64))
+        lapack = [_lapack_input(fc_i._eigvalsh, m) for _, fc_i, _ in trees]
         raw = cells[(row, "raw")].last
         delta = max(np.max(np.abs(raw - cells[(row, i)].last)) for i in ids)
-        print(f"{dim}\t{kind}\t{median[(row, 'raw')]:.2f}\t{live}\t{zeroed}"
-              f"\t{delta:.1e}")
+        print(f"{dim}\t{kind}\t{median[(row, 'raw')]:.2f}\t"
+              + "".join(f"{a.shape[0]}\t" for a in lapack)
+              + "".join(f"{nonzero - np.count_nonzero(a.view(np.float64))}\t"
+                        for a in lapack)
+              + f"{delta:.1e}")
     return 0
 
 
