@@ -11,13 +11,14 @@ costs O(dim^2). Time stepping is classic fixed-step 4th-order Runge-Kutta:
 the generator is linear and non-stiff at desk scale, and a fixed step keeps
 convergence-order measurements clean.
 
-``lindblad_rhs`` evaluates L on any square matrix, term by term; the RK4
-stepper ``_Workspace`` evaluates it on a layout that holds half of a
-Hermitian state, with the buffers ``evolve`` steps through. The two
-share only K (``_diagonal_band``). Every operation is a ufunc with
-``out=`` whose operands and order are those of the plain expressions
-(the tests keep the allocating form as reference), so both match it
-bitwise and a step allocates no array.
+``lindblad_rhs`` evaluates L on any square matrix as the plain
+allocating expression, term by term. The RK4 stepper ``_Workspace``
+evaluates it on a layout that holds half of a Hermitian state, with the
+buffers ``evolve`` steps through; the two share only K
+(``_diagonal_band``). Each of the stepper's operations is a ufunc with
+``out=`` whose operands and order are those of the plain expression
+(the tests keep it as reference), so it matches it bitwise and a step
+allocates no array.
 
 Half storage is exact. L maps a Hermitian rho to an exactly Hermitian
 L[rho] in value: the undriven terms do so entry by entry, and the two
@@ -357,57 +358,46 @@ class _Workspace:
                 (0, n, dim, 2 * dim, joins), (0, n, 0, 1, ends),
                 (0, n, 0, 0, (2 * dim - 1, dim - 1, e + 1)))
 
-    def _plan(self, rows: int) -> list:
-        """Per row block of the first ``rows`` rows: the input slices its
-        runs read, the output slices its undriven terms write, and its
-        views of the bands, scratch and drive buffers."""
-        s, n = self._s, rows * self.dim
-        blocks = []
-        for lo in range(0, n, s.size):
+    def _bind(self, x: np.ndarray, o: np.ndarray) -> tuple:
+        """Every view ``_apply`` takes to write L[x] to o on the bound
+        rows: (stored, halo) row pairs of x (driven only) and, per row
+        block, the undriven terms' views of x, o, the bands and the
+        scratch, and the drive's (None unless driven)."""
+        dim, s, n = self.dim, self._s, self._stage[0].size
+        halo = ()
+        if self._driven:                 # row k of the input is X[k+1]
+            X, t = x.reshape(-1, dim), self.K.size // dim
+            # rho[i, i-1] = conj(rho[i-1, i]); row t conjugates row dim-t
+            # rotated by t
+            r, d = X[dim - t + 1], dim - t
+            halo = ((X[2, :-1], X[0, 1:]), (r[t:], X[t + 1, :d]),
+                    (r[:t], X[t + 1, d:]))
+        bound = []
+        for lo in self._blocks:
             hi = min(lo + s.size, n)
             cut = []
-            for a, b, bs, xs, *slots in self._runs(rows):
+            for a, b, bs, xs, *slots in self._runs(n // dim):
                 a = max(a, lo)
-                cut.append((range(a, max(a, min(b, hi))), bs, xs,
+                r = range(a, max(a, min(b, hi)))
+                cut.append((r, bs, x[_at(r, xs)],
                             [_every(*w, lo, hi) for w in slots]))
-            (e, _, _, _), (mu, _, _, wm), (nu, bn, _, wn) = cut[:3]
-            bands = (self.K[_at(e, 0)], self.muW2[_at(mu, 0)],
+            (e, _, xe, _), (mu, _, xm, wm), (nu, bn, xn, wn) = cut[:3]
+            terms = (xe, xm, xn, o[_at(e, 0)], o[_at(mu, 0)], o[_at(nu, 0)],
+                     self.K[_at(e, 0)], self.muW2[_at(mu, 0)],
                      s[_at(mu, -lo)], s[wm[0]], s[wm[1]],
                      self.nuW2[_at(nu, bn)], s[_at(nu, -lo)], s[wn[0]],
                      s[wn[1]])
             drive = None
             if self._driven:
                 g, g2 = self._g[:hi - lo], self._g2[:hi - lo]
-                drive = [g, g2]
+                drive = [*(xr for _, _, xr, _ in cut[3:]), g, g2]
                 # a+ rho and a rho go straight into g and g2; rho a+ and
                 # rho a into the scratch, then are subtracted from them
                 for (r, bs, _, (v,)), band, to, sub in zip(
                         cut[3:], (self.wr, self.wt) * 2, (g, s, g2, s),
                         ((), (g,), (), (g2,))):
                     drive += [band[_at(r, bs)], to[_at(r, -lo)], to[v],
-                              *(x[_at(r, -lo)] for x in sub)]
-            blocks.append(([_at(r, xs) for r, _, xs, _ in cut],
-                           (_at(e, 0), _at(mu, 0), _at(nu, 0)), bands, drive))
-        return blocks
-
-    def _bind(self, x: np.ndarray, o: np.ndarray) -> tuple:
-        """Every view ``_apply`` takes to write L[x] to o: (stored, halo)
-        row pairs of x (driven only) and, per block, the undriven terms'
-        views and the drive's (None unless driven)."""
-        halo = ()
-        if self._driven:                 # row k of the input is X[k+1]
-            X, t = x.reshape(-1, self.dim), self.K.size // self.dim
-            # rho[i, i-1] = conj(rho[i-1, i]); row t conjugates row dim-t
-            # rotated by t
-            r, d = X[self.dim - t + 1], self.dim - t
-            halo = ((X[2, :-1], X[0, 1:]), (r[t:], X[t + 1, :d]),
-                    (r[:t], X[t + 1, d:]))
-        bound = []
-        for reads, writes, bands, drive in self._blocks:
-            xs = [x[r] for r in reads]
-            terms = (*xs[:3], *(o[w] for w in writes), *bands)
-            if drive is not None:
-                drive = (*xs[3:], *drive)
+                              *(acc[_at(r, -lo)] for acc in sub)]
             bound.append((terms, drive))
         return halo, bound
 
@@ -455,18 +445,6 @@ class _Workspace:
             np.add(g, g2, g)
             np.add(out, g, out)
 
-
-    def _bind_stages(self, rows: int) -> None:
-        n = rows * self.dim
-        self._blocks = self._plan(rows)
-        self._stage = [b[:n] for b in (self._rho, self._y, self._k1,
-                                       self._k2, self._k3)]
-        ext = self._xy.size // 2
-        x, y = self._xy[:ext], self._xy[ext:]
-        self._rho_k1 = self._bind(x, self._k1)
-        self._y_k2 = self._bind(y, self._k2)
-        self._y_k3 = self._bind(y, self._k3)
-
     def load(self, m) -> None:
         """Copy the stored half of the start m, which must be exactly
         Hermitian in value, and bind ``step`` to its rows: all of them
@@ -481,7 +459,15 @@ class _Workspace:
         if not self._driven:
             live = self._rho.view(np.uint64).reshape(rows, -1).any(axis=1)
             rows = 1 + int(np.flatnonzero(live)[-1]) if live.any() else 1
-        self._bind_stages(rows)
+        n = rows * self.dim
+        self._stage = [b[:n] for b in (self._rho, self._y, self._k1,
+                                       self._k2, self._k3)]
+        self._blocks = range(0, n, self._s.size)
+        ext = self._xy.size // 2
+        x, y = self._xy[:ext], self._xy[ext:]
+        self._rho_k1 = self._bind(x, self._k1)
+        self._y_k2 = self._bind(y, self._k2)
+        self._y_k3 = self._bind(y, self._k3)
 
     @property
     def rho(self) -> np.ndarray:
@@ -526,31 +512,20 @@ def lindblad_rhs(rho, t: float, params: LindbladParams,
     if dim < 2:
         raise ValueError("need dim >= 2")
     drive = drive if drive is not None else DriveFn.none()
-    w = np.sqrt(np.arange(1.0, dim)).astype(np.complex128)
-    W2 = np.outer(w.real, w.real)
-    s = np.empty(dim * dim, dtype=np.complex128)
-    sm = s[:W2.size].reshape(W2.shape)
-    out = _diagonal_band(dim, params)
-    np.multiply(out, m, out)                     # out = K * rho
-    up, dn = slice(1, None), slice(None, -1)
-    for c, a, b in ((params.mu, dn, up), (params.nu, up, dn)):
-        np.multiply(c, W2, sm)                   # mu a rho a+, nu a+ rho a
-        np.multiply(sm, m[b, b], sm)
-        np.add(out[a, a], sm, out[a, a])
-    del W2
+    w = np.sqrt(np.arange(1.0, dim))
+    W2 = np.outer(w, w)
+    out = _diagonal_band(dim, params) * m          # K rho
+    out[:-1, :-1] += (params.mu * W2) * m[1:, 1:]  # mu a rho a+
+    out[1:, 1:] += (params.nu * W2) * m[:-1, :-1]  # nu a+ rho a
     if not drive.is_active(params):
         return out
     f = drive.value(t, params)
-    s = s[:dim * (dim - 1)].reshape(dim, dim - 1)
     g, g2 = np.zeros((2, dim, dim), dtype=np.complex128)
-    for gk, a, b in ((g, up, dn), (g2, dn, up)):
-        np.multiply(w[:, None], m[b], gk[a])     # g = a+ rho - rho a+,
-        np.multiply(m[:, a], w, s)               # g2 = a rho - rho a
-        np.subtract(gk[:, b], s, gk[:, b])
-    np.multiply(1j * np.conj(f), g, g)           # out += cfc*g + cf*g2
-    np.multiply(1j * f, g2, g2)
-    np.add(g, g2, g)
-    np.add(out, g, out)
+    g[1:, :] = w[:, None] * m[:-1, :]              # g = a+ rho - rho a+
+    g[:, :-1] -= m[:, 1:] * w
+    g2[:-1, :] = w[:, None] * m[1:, :]             # g2 = a rho - rho a
+    g2[:, 1:] -= m[:, :-1] * w
+    out += (1j * np.conj(f)) * g + (1j * f) * g2
     return out
 
 
@@ -639,7 +614,6 @@ def evolve(rho0, t_grid, params: LindbladParams,
         top_pop[i] = diag[-1] + diag[-2]
         purity[i] = np.sum(np.square(np.abs(rho)))
         trace_err[i] = abs(complex(rho.trace()) - 1.0)
-        snap = rho.copy() if i in snap_index else None
         eigs = _eigvalsh(rho)
         min_eig[i] = eigs[0]
         pos = eigs[eigs > 1e-300]
@@ -654,9 +628,10 @@ def evolve(rho0, t_grid, params: LindbladParams,
                 f"at t={t1:g}; results may be corrupted by truncation",
                 TruncationWarning, stacklevel=2)
             warned = True
-        for ts in snap_index.get(i, ()):
-            snapshots[ts] = DensityMatrix.from_matrix(
-                snap, positivity_tol=-DIVERGENCE_EIG)
+        if i in snap_index:
+            snap = DensityMatrix.from_matrix(
+                rho, positivity_tol=-DIVERGENCE_EIG)
+            snapshots.update(dict.fromkeys(snap_index[i], snap))
 
     mean_x, mean_p = _phase_point(mean_a, params.omega)
     return Trajectory(mean_a=mean_a, mean_n=mean_n,

@@ -623,6 +623,45 @@ def test_diagonal_step_binds_the_diagonals_and_does_not_allocate(
     assert peak < 1024
 
 
+@pytest.mark.parametrize("rows", [None, 2])
+@pytest.mark.parametrize("driven", [False, True])
+def test_stage_bindings_alias_the_stepper_buffers(driven, rows, rng,
+                                                  monkeypatch):
+    # A band or input copied when load binds the stages would keep every
+    # bit of a step, so no bitwise test would see it: every bound view
+    # lies in exactly one of the stepper's own buffers, each stage's
+    # inputs in its half of _xy and its outputs in its own slope buffer.
+    # Empty views (the wrap slots of a block that has none) hold no bytes.
+    dim = 33
+    if rows is not None:   # blocks of two rows, a ragged last block
+        monkeypatch.setattr(lindblad_engine, "_BLOCK_ENTRIES", rows * dim)
+    ws = _Workspace(dim, P_BITWISE, driven=driven)
+    ws.load(enveloped_density(dim, rng).matrix)
+    assert len(ws._blocks) == (1 if rows is None else 9)
+    ext = ws._xy.size // 2
+    x, y = ws._xy[:ext], ws._xy[ext:]
+    buffers = [x, y, ws._k1, ws._k2, ws._k3, ws._s, ws.K, ws.muW2, ws.nuW2]
+    if driven:
+        buffers += [ws._g, ws._g2, ws.wr, ws.wt]
+    for (halo, blocks), src, slope in ((ws._rho_k1, x, ws._k1),
+                                       (ws._y_k2, y, ws._k2),
+                                       (ws._y_k3, y, ws._k3)):
+        assert (halo != ()) == driven
+        ins = [v for pair in halo for v in pair]
+        views, outs = list(ins), []
+        for terms, drive in blocks:
+            assert (drive is not None) == driven
+            drive = drive or []
+            ins += [*terms[:3], *drive[:4]]
+            outs += terms[3:6]
+            views += [*terms, *drive]
+        for v in views:
+            if v.size:
+                assert sum(np.shares_memory(v, b) for b in buffers) == 1
+        assert all(np.shares_memory(v, src) for v in ins if v.size)
+        assert all(np.shares_memory(v, slope) for v in outs if v.size)
+
+
 def test_vacuum_entropy_follows_the_gaussian_width():
     # vacuum relaxes through thermal states of width u(t) from u(0) = 0
     p = LindbladParams(omega=1.1, mu=0.6, nu=0.4)
@@ -781,11 +820,13 @@ def test_stepper_holds_one_block_of_scratch(driven):
 
 @pytest.mark.parametrize("drive", sorted(BITWISE_DRIVES))
 def test_rhs_allocates_only_the_generator(drive, rng):
-    # One evaluation holds its output (built as K), one scratch array and
-    # the real band W2 (half an array), plus g and g2 when driven: no copy
-    # of a C-contiguous complex input and none of the stepper's buffers.
-    # At dim 256 the peak reads 3,282,968 B undriven and 4,463,008 B under
-    # the cosine drive, within the bound of two more arrays.
+    # One evaluation holds its output, the real band W2 and mu or nu
+    # times it (half an array each) and that band's product with the
+    # input, plus g, g2 and the products of the drive sum when driven: no
+    # copy of a C-contiguous complex input and none of the stepper's
+    # buffers. At dim 256 the peak reads 3,394,480 B undriven and
+    # 5,766,120 B under the cosine drive, within the bound of 5 and 7
+    # arrays.
     dim = 256
     drive = BITWISE_DRIVES[drive]
     m = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
@@ -857,8 +898,8 @@ def test_evolve_state_buffer_does_not_alias(rng):
 
 @pytest.mark.parametrize("drive", sorted(BITWISE_DRIVES))
 def test_rho_reads_are_fresh_writable_copies(drive, rng):
-    # evolve floors its record matrix in place; that must move neither a
-    # later read nor the state the next step starts from
+    # a caller may write the matrix a read returns; that must move
+    # neither a later read nor the state the next step starts from
     drive = BITWISE_DRIVES[drive]
     start = enveloped_density(33, rng).matrix
     ws, ref = (_Workspace(33, P_BITWISE, driven=drive.is_active(P_BITWISE))

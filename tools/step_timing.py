@@ -20,23 +20,26 @@ a fresh copy of a density matrix (it zeroes the parts below its floor
 and hands LAPACK the live levels only, the rows that keep a part; both
 passes are timed) at dim 32, 64 and 256, for three starts: a coherent
 state (|alpha| = 1.25), a Gaussian (u = 0.2, |alpha| = 1.25) and a
-seeded random state with a thermal-like Fock envelope (ratio 0.4). Every
-tree times the same matrices, built by the first tree. A second table
-gives, per matrix, the milliseconds of raw ``np.linalg.eigvalsh``, then
-for each tree the live levels (the order of the matrix that its
-``_eigvalsh`` hands LAPACK, out of dim) and the real and imaginary parts
-its floor zeroes (the nonzero parts of the matrix that do not reach
-LAPACK, out of 2 * dim**2), both read from one untimed call, and last
-the largest |delta lambda| between the raw spectrum and any tree's.
+seeded random state with a thermal-like Fock envelope (ratio 0.4). Each
+sample first makes one untimed call on another fresh copy, so that no
+cell pays for the caches the cell before it left cold. Every tree times
+the same matrices, built by the first tree. A second table gives, per
+matrix, the milliseconds of raw ``np.linalg.eigvalsh``, then for each
+tree the live levels (the order of the matrix that its ``_eigvalsh``
+hands LAPACK, out of dim) and the real and imaginary parts its floor
+zeroes (the nonzero parts of the matrix that do not reach LAPACK, out
+of 2 * dim**2), both read from one untimed call, and last the largest
+|delta lambda| between the raw spectrum and any tree's.
 
 The samples of every cell are interleaved in one loop, whose first round
-warms up, so slow drift of the machine spreads over all cells alike, and
-each cell shows its median. Given two or more source trees, it times
-them in one process, one column per tree, with a last column saying
-whether every tree ends the cell on the same bytes (for ``step`` the
-whole state matrix, read through ``_Workspace.rho``, so trees that store
-or step different parts of the state are compared; the eigenvalues for
-``spectrum``):
+warms up and every other round of which runs the cells in reverse
+order, so slow drift of the machine spreads over all cells alike and no
+tree always goes first; each cell shows its median. Given two or more
+source trees, it times them in one process, one column per tree, with a
+last column saying whether every tree ends the cell on the same bytes
+(for ``step`` the whole state matrix, read through ``_Workspace.rho``,
+so trees that store or step different parts of the state are compared;
+the eigenvalues for ``spectrum``):
 
     python tools/step_timing.py --src src
     python tools/step_timing.py --src base/src --src src
@@ -114,7 +117,9 @@ class _Spectrum:
         self.fn, self.m, self.last = fn, m, None
 
     def sample(self) -> float:
-        """Milliseconds of one call on a fresh copy of the matrix."""
+        """Milliseconds of one call on a fresh copy of the matrix, after
+        one untimed call on another fresh copy."""
+        self.fn(self.m.copy())
         h = self.m.copy()
         t0 = time.perf_counter()
         self.last = self.fn(h)
@@ -180,9 +185,10 @@ def main(argv=None) -> int:
             cells[(row, "raw")] = _Spectrum(np.linalg.eigvalsh,
                                             mats[(dim, case)])
     times = {key: [] for key in cells}
-    for _ in range(args.samples + 1):      # the first round warms up
-        for key, cell in cells.items():
-            times[key].append(cell.sample())
+    keys = list(cells)
+    for r in range(args.samples + 1):      # the first round warms up
+        for key in keys[::-1] if r % 2 else keys:
+            times[key].append(cells[key].sample())
     median = {key: statistics.median(t[1:]) for key, t in times.items()}
 
     ids = range(len(trees))
