@@ -8,7 +8,10 @@ file starts with a header echoing the resolved configuration and the
 library version, and identical configs produce byte-identical files.
 Every number in a table body is one "%.17g" cell, the bytes of
 format(x, ".17g"): 17 significant digits, integral values such as the
-steady-state level n without a decimal point.  scan sweeps the response
+steady-state level n without a decimal point.  Float tables are
+formatted about 2000 cells at a time by _table_cells, which computes the
+digits of all of them with numpy, certified exact, and passes each cell
+it cannot certify to format itself.  scan sweeps the response
 to the cosine drive f0 cos(Omega t), so it refuses (exit 2) a config
 whose [drive] is fourier, or none with a nonzero f0, and one whose
 response or occupation denominator underflows to zero on the grid.
@@ -30,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import __version__
+from . import __version__, _table_cells
 from . import observables as obs
 from .fock_core import (
     DensityMatrix,
@@ -383,6 +386,9 @@ def _initial_density(cfg: RunConfig,
     return rho0
 
 
+_CHUNK = 2048      # float cells formatted, then written, at a time
+
+
 def _write_table(out_dir: str, name: str, command: str, cfg: RunConfig,
                  table: np.ndarray, extra=(), meta=(), columns=None,
                  footer=(), sep: str = "\t", cell: str = "%.17g") -> str:
@@ -391,11 +397,12 @@ def _write_table(out_dir: str, name: str, command: str, cfg: RunConfig,
     Header: version, command, one ``# key = value`` line per resolved
     setting and ``extra`` pair, one ``# `` line per ``meta`` entry, then
     ``# columns:`` when given.  Body: one line per row of the 2-d array
-    ``table``, its cells through the %-format ``cell`` joined by ``sep``
-    in one format call per row.  A float cell through "%.17g" reads as
-    format(x, ".17g") (both are CPython's PyOS_double_to_string), so a
-    level n < 1e17 stored as a float reads as str(n).  Footer: one ``# ``
-    line per entry.  Returns the path written.
+    ``table``, its cells through the %-format ``cell`` joined by ``sep``.
+    A float64 table through "%.17g" is formatted by _table_cells, about 2000
+    cells at a time, each chunk written before the next is formatted; its
+    cells read as format(x, ".17g"), so a level n < 1e17 stored as a
+    float reads as str(n).  Other tables take one %-format call per row.
+    Footer: one ``# `` line per entry.  Returns the path written.
     """
     os.makedirs(out_dir, exist_ok=True)
     path = os.path.join(out_dir, name)
@@ -408,9 +415,14 @@ def _write_table(out_dir: str, name: str, command: str, cfg: RunConfig,
             fh.write(f"# {line}\n")
         if columns is not None:
             fh.write("# columns: " + " ".join(columns) + "\n")
-        fmt = sep.join([cell] * table.shape[1]) + "\n"
-        for row in table:       # row by row: no list of the whole table
-            fh.write(fmt % tuple(row.tolist()))
+        if cell == "%.17g" and table.dtype == np.float64:
+            rows = max(1, _CHUNK // table.shape[1])
+            for i in range(0, len(table), rows):
+                fh.write(_table_cells.cells(table[i:i + rows], sep))
+        else:
+            fmt = sep.join([cell] * table.shape[1]) + "\n"
+            for row in table:   # row by row: no list of the whole table
+                fh.write(fmt % tuple(row.tolist()))
         for line in footer:
             fh.write(f"# {line}\n")
     return path

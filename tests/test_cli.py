@@ -1,8 +1,12 @@
 import math
+import tempfile
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lindosc import __version__
 from lindosc.cli import _write_table, main, resolve_config
@@ -659,6 +663,82 @@ def test_table_cells_read_as_format_17g(tmp_path):
                     if ln and not ln.startswith("#")]
         assert body == [sep.join(format(x, ".17g") for x in row)
                         for row in table.tolist()]
+
+
+def _assert_body_reads_as_format_17g(directory, table):
+    cfg = resolve_config(None, None)
+    for sep in ("\t", " "):
+        path = _write_table(directory, "t.tsv", "test", cfg, table, sep=sep)
+        with open(path, encoding="utf-8", newline="") as fh:
+            text = fh.read()
+        body = "".join(ln for ln in text.splitlines(keepends=True)
+                       if not ln.startswith("#"))
+        assert body == "".join(sep.join(format(x, ".17g") for x in row)
+                               + "\n" for row in table.tolist())
+
+
+# any 64-bit pattern: nan payloads, infinities, subnormals, both zeros
+_BIT_TABLES = st.tuples(st.integers(1, 7), st.integers(1, 60)).flatmap(
+    lambda shape: st.lists(st.integers(0, 2 ** 64 - 1),
+                           min_size=shape[0] * shape[1],
+                           max_size=shape[0] * shape[1]).map(
+        lambda bits: np.array(bits, np.uint64).view(np.float64)
+        .reshape(shape)))
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(table=_BIT_TABLES)
+def test_float_cells_read_as_format_17g_for_any_bits(table):
+    with tempfile.TemporaryDirectory() as directory:
+        _assert_body_reads_as_format_17g(directory, table)
+
+
+def _neighbours(x, ulps=3):
+    up, down = [x], [x]
+    for _ in range(ulps):
+        up.append(float(np.nextafter(up[-1], math.inf)))
+        down.append(float(np.nextafter(down[-1], -math.inf)))
+    return down[:0:-1] + up
+
+
+def test_float_cells_read_as_format_17g_at_the_hard_cases(tmp_path):
+    cells = []
+    for k in range(-320, 309):            # 10**k, whose exponent is tight
+        cells += _neighbours(float(f"1e{k}"))
+    for x in (1e-5, 1e-4, 1e16, 1e17,     # fixed / exponent switch points
+              1e-280, 1e280,              # edges of the certified range
+              2.0 ** 53, 2.0 ** 52, 1.0):
+        cells += _neighbours(x)
+    # just below a power of ten, some reading as that power
+    cells += [float(f"9.99999999999999999e{k}") for k in range(-310, 308)]
+    cells += [float(f"9.9999999999999995e{k}") for k in range(-310, 308)]
+    # exact ties at the 18th digit: round half to even (.2, .8)
+    cells += [1125899906842624.25, 1125899906842624.75]
+    cells += [float(n) for n in range(10001)]
+    cells += [float(2 ** k + j) for k in range(54) for j in (-1, 0, 1)]
+    cells += [float(10 ** k + j) for k in range(16) for j in (-1, 0, 1)]
+    x = np.array(cells)
+    x = np.concatenate([x, -x, np.zeros(-2 * x.size % 7)])
+    _assert_body_reads_as_format_17g(str(tmp_path), x.reshape(-1, 7))
+
+
+def test_float_table_is_written_a_chunk_at_a_time(tmp_path):
+    # a 201 x 201 table writes about 0.95 MB of text; formatting it whole
+    # before writing holds all of it at once (9.5 MB), a chunk of about
+    # 2000 cells at a time 0.47 MB: the bound guards the closed-form
+    # runs' peak memory, which hold six such grids
+    table = np.random.default_rng(3).standard_normal((201, 201))
+    cfg = resolve_config(None, None)
+    # the first call builds the formatter's lookup tables
+    _write_table(str(tmp_path), "w.txt", "test", cfg, table[:2], sep=" ")
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        _write_table(str(tmp_path), "t.txt", "test", cfg, table, sep=" ")
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert peak < 640 * 1024
 
 
 def test_steady_state_levels_read_as_integers(tmp_path):
