@@ -391,17 +391,17 @@ _CHUNK = 2048      # float cells formatted, then written, at a time
 
 def _write_table(out_dir: str, name: str, command: str, cfg: RunConfig,
                  table: np.ndarray, extra=(), meta=(), columns=None,
-                 footer=(), sep: str = "\t", cell: str = "%.17g") -> str:
+                 footer=(), sep: str = "\t") -> str:
     """Write out_dir/name in the one layout every output file shares.
 
     Header: version, command, one ``# key = value`` line per resolved
     setting and ``extra`` pair, one ``# `` line per ``meta`` entry, then
     ``# columns:`` when given.  Body: one line per row of the 2-d array
-    ``table``, its cells through the %-format ``cell`` joined by ``sep``.
-    A float64 table through "%.17g" is formatted by _table_cells, about 2000
-    cells at a time, each chunk written before the next is formatted; its
-    cells read as format(x, ".17g"), so a level n < 1e17 stored as a
-    float reads as str(n).  Other tables take one %-format call per row.
+    ``table``, its cells joined by ``sep``.  A float64 table is formatted
+    by _table_cells, about 2000 cells at a time, each chunk written before
+    the next is formatted; its cells read as format(x, ".17g"), so a level
+    n < 1e17 stored as a float reads as str(n).  A table of strings (the
+    validate report) is written as it stands.
     Footer: one ``# `` line per entry.  Returns the path written.
     """
     os.makedirs(out_dir, exist_ok=True)
@@ -415,14 +415,13 @@ def _write_table(out_dir: str, name: str, command: str, cfg: RunConfig,
             fh.write(f"# {line}\n")
         if columns is not None:
             fh.write("# columns: " + " ".join(columns) + "\n")
-        if cell == "%.17g" and table.dtype == np.float64:
+        if table.dtype == np.float64:
             rows = max(1, _CHUNK // table.shape[1])
             for i in range(0, len(table), rows):
                 fh.write(_table_cells.cells(table[i:i + rows], sep))
         else:
-            fmt = sep.join([cell] * table.shape[1]) + "\n"
-            for row in table:   # row by row: no list of the whole table
-                fh.write(fmt % tuple(row.tolist()))
+            for row in table:
+                fh.write(sep.join(row.tolist()) + "\n")
         for line in footer:
             fh.write(f"# {line}\n")
     return path
@@ -631,8 +630,7 @@ def cmd_validate(cfg: RunConfig, out_dir: str | None, quiet: bool) -> int:
                           r.actual, r.tolerance) for r in results])
         path = _write_table(out_dir, "validate_report.tsv", "validate", cfg,
                             rows, columns=("status", "key", "expected",
-                                           "actual", "tolerance"),
-                            cell="%s")
+                                           "actual", "tolerance"))
         _say(quiet, f"wrote {path}")
     print(f"{len(results) - len(fails)}/{len(results)} checks passed")
     if fails:

@@ -18,7 +18,8 @@ buffers ``evolve`` steps through; the two share only K
 (``_diagonal_band``). Each of the stepper's operations is a ufunc with
 ``out=`` whose operands and order are those of the plain expression
 (the tests keep it as reference), so it matches it bitwise and a step
-allocates no array.
+allocates no array. The whole step is one list of these calls, bound
+once by ``_Workspace.load``.
 
 Half storage is exact. L maps a Hermitian rho to an exactly Hermitian
 L[rho] in value: the undriven terms do so entry by entry, and the two
@@ -281,9 +282,12 @@ class _Workspace:
     ``_g2`` of one row block each, and the buffers it steps: the stored
     half ``_rho`` of the state, the stage input ``_y`` (both with halo
     rows, in ``_xy``) and the slopes ``_k1``, ``_k2`` and ``_k3`` (k4
-    reuses k3's buffer), with the views of each stage bound once.
-    ``load`` copies the stored half of a start and binds ``step``;
-    ``rho`` rebuilds the matrix as a fresh copy.
+    reuses k3's buffer). ``load`` copies the stored half of a start and
+    binds the whole step once, as one list of ufunc calls on views of
+    these buffers and of the scalar buffers ``_h`` (h/2, h, h/6) and
+    (``driven``) ``_cf`` (1j*conj(f), 1j*f per drive value), which
+    ``step`` writes before it runs the list; ``rho`` rebuilds the
+    matrix as a fresh copy.
 
     One layout holds every band and buffer: rho[i, (i+k) % dim] at
     k*dim + i for rows k = 0..dim//2, diagonal k joined at i = dim-k to
@@ -332,9 +336,11 @@ class _Workspace:
         del k, i, j, W2   # temporaries: not live beside the buffers
         nb = min(max(1, _BLOCK_ENTRIES // dim) * dim, n)
         self._s = np.empty(nb, dtype=c)
+        self._h = np.empty(3)              # h/2, h and h/6 of the step
         if driven:
             self._g = np.empty(nb, dtype=c)
             self._g2 = np.empty(nb, dtype=c)
+            self._cf = np.empty(6, dtype=c)  # 1j*conj(f), 1j*f per drive value
         self._xy = np.zeros(2 * ext, dtype=c)
         self._rho = self._xy[dim:dim + n]
         self._y = self._xy[ext + dim:ext + dim + n]
@@ -358,92 +364,70 @@ class _Workspace:
                 (0, n, dim, 2 * dim, joins), (0, n, 0, 1, ends),
                 (0, n, 0, 0, (2 * dim - 1, dim - 1, e + 1)))
 
-    def _bind(self, x: np.ndarray, o: np.ndarray) -> tuple:
-        """Every view ``_apply`` takes to write L[x] to o on the bound
-        rows: (stored, halo) row pairs of x (driven only) and, per row
-        block, the undriven terms' views of x, o, the bands and the
-        scratch, and the drive's (None unless driven)."""
+    def _bind(self, x: np.ndarray, o: np.ndarray, j: int) -> list:
+        """The calls, as (function, arguments) pairs on views of the
+        stepper's buffers, that write L[x] to o on the bound rows block by
+        block, at the drive value whose coefficients are entries 2j and
+        2j+1 of ``_cf``. The two drive terms are summed before they meet
+        o, which keeps L[rho] exactly Hermitian (see the module
+        docstring)."""
         dim, s, n = self.dim, self._s, self._stage[0].size
-        halo = ()
+        calls = []
         if self._driven:                 # row k of the input is X[k+1]
             X, t = x.reshape(-1, dim), self.K.size // dim
             # rho[i, i-1] = conj(rho[i-1, i]); row t conjugates row dim-t
             # rotated by t
             r, d = X[dim - t + 1], dim - t
-            halo = ((X[2, :-1], X[0, 1:]), (r[t:], X[t + 1, :d]),
-                    (r[:t], X[t + 1, d:]))
-        bound = []
+            calls += [(np.conjugate, (X[2, :-1], X[0, 1:])),
+                      (np.conjugate, (r[t:], X[t + 1, :d])),
+                      (np.conjugate, (r[:t], X[t + 1, d:]))]
+            cfc, cf = self._cf[2 * j, ...], self._cf[2 * j + 1, ...]
         for lo in self._blocks:
             hi = min(lo + s.size, n)
             cut = []
             for a, b, bs, xs, *slots in self._runs(n // dim):
                 a = max(a, lo)
                 r = range(a, max(a, min(b, hi)))
-                cut.append((r, bs, x[_at(r, xs)],
+                cut.append((_at(r, 0), _at(r, -lo), _at(r, bs), x[_at(r, xs)],
                             [_every(*w, lo, hi) for w in slots]))
-            (e, _, xe, _), (mu, _, xm, wm), (nu, bn, xn, wn) = cut[:3]
-            terms = (xe, xm, xn, o[_at(e, 0)], o[_at(mu, 0)], o[_at(nu, 0)],
-                     self.K[_at(e, 0)], self.muW2[_at(mu, 0)],
-                     s[_at(mu, -lo)], s[wm[0]], s[wm[1]],
-                     self.nuW2[_at(nu, bn)], s[_at(nu, -lo)], s[wn[0]],
-                     s[wn[1]])
-            drive = None
-            if self._driven:
-                g, g2 = self._g[:hi - lo], self._g2[:hi - lo]
-                drive = [*(xr for _, _, xr, _ in cut[3:]), g, g2]
-                # a+ rho and a rho go straight into g and g2; rho a+ and
-                # rho a into the scratch, then are subtracted from them
-                for (r, bs, _, (v,)), band, to, sub in zip(
-                        cut[3:], (self.wr, self.wt) * 2, (g, s, g2, s),
-                        ((), (g,), (), (g2,))):
-                    drive += [band[_at(r, bs)], to[_at(r, -lo)], to[v],
-                              *(acc[_at(r, -lo)] for acc in sub)]
-            bound.append((terms, drive))
-        return halo, bound
-
-    def _apply(self, bound: tuple, f) -> None:
-        """Write L[x] at drive value f (None: no drive term) to o, block by
-        block, on the views ``_bind`` returned. The two drive terms are
-        summed before they meet out, which keeps L[rho] exactly
-        Hermitian (see the module docstring)."""
-        halo, blocks = bound
-        if f is not None:
-            # Complex scalars go first, as in c * g: the in-place g *= c
-            # runs the operands the other way round and differs in the
-            # last bit.
-            cfc, cf = 1j * np.conj(f), 1j * f
-            for src, dst in halo:
-                np.conjugate(src, dst)
-        for ((x, x_shift, x_band, out, out_band, out_shift,
-              K, muW2, sm, wm, wm2, nuW2, sn, wn, wn2), drive) in blocks:
-            np.multiply(K, x, out)               # out = K * rho
-            np.multiply(muW2, x_shift, sm)       # mu * a rho a+
-            wm.fill(_NEG_ZERO)
-            wm2.fill(_NEG_ZERO)
-            np.add(out_band, sm, out_band)
-            np.multiply(nuW2, x_band, sn)        # nu * a+ rho a
-            wn.fill(_NEG_ZERO)
-            wn2.fill(_NEG_ZERO)
-            np.add(out_shift, sn, out_shift)
-            if f is None:
+            (e, _, _, xe, _), (mu, smu, bmu, xm, (wm, wm2)), \
+                (nu, snu, bnu, xn, (wn, wn2)) = cut[:3]
+            out = o[e]
+            calls += [
+                (np.multiply, (self.K[e], xe, out)),          # out = K * rho
+                (np.multiply, (self.muW2[bmu], xm, s[smu])),  # mu * a rho a+
+                (s[wm].fill, (_NEG_ZERO,)),
+                (s[wm2].fill, (_NEG_ZERO,)),
+                (np.add, (o[mu], s[smu], o[mu])),
+                (np.multiply, (self.nuW2[bnu], xn, s[snu])),  # nu * a+ rho a
+                (s[wn].fill, (_NEG_ZERO,)),
+                (s[wn2].fill, (_NEG_ZERO,)),
+                (np.add, (o[nu], s[snu], o[nu]))]
+            if not self._driven:
                 continue
-            (x_up, x_next, x_down, x_prev, g, g2,
-             wr_up, g_up, wrap_up, wt_next, s_next, wrap_next, g_next,
-             wr_dn, g_dn, wrap_dn, wt_prev, s_prev, wrap_prev, g_prev) = drive
-            np.multiply(wr_up, x_up, g_up)       # g = a+ rho
-            wrap_up.fill(0)
-            np.multiply(x_next, wt_next, s_next)  # - rho a+
-            wrap_next.fill(0)
-            np.subtract(g_next, s_next, g_next)
-            np.multiply(wr_dn, x_down, g_dn)     # g2 = a rho
-            wrap_dn.fill(0)
-            np.multiply(x_prev, wt_prev, s_prev)  # - rho a
-            wrap_prev.fill(0)
-            np.subtract(g_prev, s_prev, g_prev)
-            np.multiply(cfc, g, g)               # out += cfc*g + cf*g2
-            np.multiply(cf, g2, g2)
-            np.add(g, g2, g)
-            np.add(out, g, out)
+            # a+ rho and a rho go straight into g and g2; rho a+ and rho a
+            # into the scratch, then are subtracted from them. Complex
+            # scalars go first, as in c * g: the in-place g *= c runs the
+            # operands the other way round and differs in the last bit.
+            g, g2 = self._g[:hi - lo], self._g2[:hi - lo]
+            (_, up, bup, xup, (wup,)), (_, nx, bnx, xnx, (wnx,)), \
+                (_, dn, bdn, xdn, (wdn,)), (_, pv, bpv, xpv, (wpv,)) = cut[3:]
+            calls += [
+                (np.multiply, (self.wr[bup], xup, g[up])),    # g = a+ rho
+                (g[wup].fill, (0,)),
+                (np.multiply, (xnx, self.wt[bnx], s[nx])),    # - rho a+
+                (s[wnx].fill, (0,)),
+                (np.subtract, (g[nx], s[nx], g[nx])),
+                (np.multiply, (self.wr[bdn], xdn, g2[dn])),   # g2 = a rho
+                (g2[wdn].fill, (0,)),
+                (np.multiply, (xpv, self.wt[bpv], s[pv])),    # - rho a
+                (s[wpv].fill, (0,)),
+                (np.subtract, (g2[pv], s[pv], g2[pv])),
+                (np.multiply, (cfc, g, g)),   # out += cfc*g + cf*g2
+                (np.multiply, (cf, g2, g2)),
+                (np.add, (g, g2, g)),
+                (np.add, (out, g, out))]
+        return calls
 
     def load(self, m) -> None:
         """Copy the stored half of the start m, which must be exactly
@@ -460,14 +444,29 @@ class _Workspace:
             live = self._rho.view(np.uint64).reshape(rows, -1).any(axis=1)
             rows = 1 + int(np.flatnonzero(live)[-1]) if live.any() else 1
         n = rows * self.dim
-        self._stage = [b[:n] for b in (self._rho, self._y, self._k1,
-                                       self._k2, self._k3)]
+        self._stage = rho, y, k1, k2, k3 = [
+            b[:n] for b in (self._rho, self._y, self._k1, self._k2, self._k3)]
         self._blocks = range(0, n, self._s.size)
         ext = self._xy.size // 2
-        x, y = self._xy[:ext], self._xy[ext:]
-        self._rho_k1 = self._bind(x, self._k1)
-        self._y_k2 = self._bind(y, self._k2)
-        self._y_k3 = self._bind(y, self._k3)
+        rho_in, y_in = self._xy[:ext], self._xy[ext:]   # with halo rows
+        h2, h, h6 = (self._h[i, ...] for i in range(3))   # h/2, h, h/6
+        self._calls = [
+            *self._bind(rho_in, self._k1, 0),
+            (np.multiply, (h2, k1, y)),     # y = rho + (0.5*h) * k1
+            (np.add, (rho, y, y)),
+            *self._bind(y_in, self._k2, 1),
+            (np.multiply, (h2, k2, y)),     # y = rho + (0.5*h) * k2
+            (np.add, (rho, y, y)),
+            *self._bind(y_in, self._k3, 1),
+            (np.multiply, (h, k3, y)),      # y = rho + h * k3
+            (np.add, (rho, y, y)),
+            (np.add, (k2, k3, k2)),         # k1 = k1 + 2.0 * (k2 + k3)
+            (np.multiply, (2.0, k2, k2)),
+            (np.add, (k1, k2, k1)),
+            *self._bind(y_in, self._k3, 2),  # k4, into k3's buffer
+            (np.add, (k1, k3, k1)),         # rho += (h/6.0) * (k1 + k4)
+            (np.multiply, (h6, k1, k1)),
+            (np.add, (rho, k1, rho))]
 
     @property
     def rho(self) -> np.ndarray:
@@ -482,26 +481,19 @@ class _Workspace:
 
     def step(self, h: float, f0, f_mid, f1) -> None:
         """One RK4 step of length h on rho, drive values at its start,
-        midpoint and end; bitwise
+        midpoint and end, given exactly when the stepper was built driven
+        (else None); bitwise
         rho += (h/6) * (k1 + 2*(k2 + k3) + k4) with k2 = L[rho + (h/2) k1]
-        and so on."""
-        rho, y, k1, k2, k3 = self._stage
-        self._apply(self._rho_k1, f0)
-        np.multiply(0.5 * h, k1, y)            # y = rho + (0.5*h) * k1
-        np.add(rho, y, y)
-        self._apply(self._y_k2, f_mid)
-        np.multiply(0.5 * h, k2, y)            # y = rho + (0.5*h) * k2
-        np.add(rho, y, y)
-        self._apply(self._y_k3, f_mid)
-        np.multiply(h, k3, y)                  # y = rho + h * k3
-        np.add(rho, y, y)
-        np.add(k2, k3, k2)                     # k1 = k1 + 2.0 * (k2 + k3)
-        np.multiply(2.0, k2, k2)
-        np.add(k1, k2, k1)
-        self._apply(self._y_k3, f1)            # k4, into k3's buffer
-        np.add(k1, k3, k1)                     # rho += (h/6.0) * (k1 + k4)
-        np.multiply(h / 6.0, k1, k1)
-        np.add(rho, k1, rho)
+        and so on. Writes the step's scalars, then runs the calls that
+        ``load`` bound."""
+        self._h[0], self._h[1], self._h[2] = 0.5 * h, h, h / 6.0
+        if self._driven:
+            cf = self._cf
+            cf[0], cf[1] = 1j * np.conj(f0), 1j * f0
+            cf[2], cf[3] = 1j * np.conj(f_mid), 1j * f_mid
+            cf[4], cf[5] = 1j * np.conj(f1), 1j * f1
+        for fn, args in self._calls:
+            fn(*args)
 
 
 def lindblad_rhs(rho, t: float, params: LindbladParams,

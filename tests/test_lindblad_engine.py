@@ -477,6 +477,12 @@ def test_evolve_bitwise_equals_allocating_rk4(dim, drive, rng):
     ref = _reference_states(rho0.matrix, t, P_BITWISE, drive)
     _assert_run_bitwise(traj, t, ref)
     _assert_stepper_bitwise(rho0.matrix, t, P_BITWISE, drive, ref)
+    # The steps above take two values of h one ulp apart; these intervals
+    # take h = 0.005, 0.005, 0.0055 and 0.005, so the step's scalars must
+    # be written on every step, not once.
+    t = np.array([0.0, 0.02, 0.045, 0.1, 0.13])
+    ref = _reference_states(rho0.matrix, t, P_BITWISE, drive)
+    _assert_stepper_bitwise(rho0.matrix, t, P_BITWISE, drive, ref)
 
 
 def _assert_run_bitwise(traj, t, ref):
@@ -606,12 +612,15 @@ def test_diagonal_step_binds_the_diagonals_and_does_not_allocate(
     ws.load(start)
     assert ws.rho.shape == (dim, dim)
     assert ws.rho.tobytes() == start.tobytes()
-    for bound in (ws._rho_k1, ws._y_k2, ws._y_k3):
-        halo, ((terms, drive),) = bound
-        assert halo == () and drive is None
-        assert max(v.size for v in terms) == dim
-        assert all(v.base is not None for v in terms)  # contiguous views
-        assert all(v.strides in ((), (16,)) for v in terms[:8])
+    # no halo call; every ufunc operand a contiguous view (the 0-d ones
+    # are the step's scalars), no view longer than the diagonal
+    assert all(fn is not np.conjugate for fn, _ in ws._calls)
+    views = _call_views(ws._calls)
+    assert max(v.size for v in views) == dim
+    assert all(v.base is not None for v in views)
+    assert all(v.strides in ((), (16,))
+               for fn, args in ws._calls if isinstance(fn, np.ufunc)
+               for v in args if isinstance(v, np.ndarray))
     h = default_dt(P_BITWISE)
     ws.step(h, None, None, None)
     tracemalloc.start()
@@ -621,6 +630,14 @@ def test_diagonal_step_binds_the_diagonals_and_does_not_allocate(
     finally:
         tracemalloc.stop()
     assert peak < 1024
+
+
+def _call_views(calls):
+    """Every array a bound call reads or writes: its arguments and, for a
+    fill, the array whose method it is."""
+    return [v for fn, args in calls
+            for v in (getattr(fn, "__self__", None), *args)
+            if isinstance(v, np.ndarray)]
 
 
 @pytest.mark.parametrize("rows", [None, 2])
@@ -640,26 +657,34 @@ def test_stage_bindings_alias_the_stepper_buffers(driven, rows, rng,
     assert len(ws._blocks) == (1 if rows is None else 9)
     ext = ws._xy.size // 2
     x, y = ws._xy[:ext], ws._xy[ext:]
-    buffers = [x, y, ws._k1, ws._k2, ws._k3, ws._s, ws.K, ws.muW2, ws.nuW2]
+    slopes = [ws._k1, ws._k2, ws._k3]
+    buffers = [x, y, *slopes, ws._s, ws.K, ws.muW2, ws.nuW2, ws._h]
     if driven:
-        buffers += [ws._g, ws._g2, ws.wr, ws.wt]
-    for (halo, blocks), src, slope in ((ws._rho_k1, x, ws._k1),
-                                       (ws._y_k2, y, ws._k2),
-                                       (ws._y_k3, y, ws._k3)):
-        assert (halo != ()) == driven
-        ins = [v for pair in halo for v in pair]
-        views, outs = list(ins), []
-        for terms, drive in blocks:
-            assert (drive is not None) == driven
-            drive = drive or []
-            ins += [*terms[:3], *drive[:4]]
-            outs += terms[3:6]
-            views += [*terms, *drive]
-        for v in views:
-            if v.size:
-                assert sum(np.shares_memory(v, b) for b in buffers) == 1
-        assert all(np.shares_memory(v, src) for v in ins if v.size)
-        assert all(np.shares_memory(v, slope) for v in outs if v.size)
+        buffers += [ws._g, ws._g2, ws.wr, ws.wt, ws._cf]
+    for v in _call_views(ws._calls):
+        if v.size:
+            assert sum(np.shares_memory(v, b) for b in buffers) == 1
+    # the four stages of n calls each, and between them the 12 calls of
+    # the RK4 combination, which read only the state, the slopes and _h
+    calls = ws._calls
+    n = (len(calls) - 12) // 4
+    cuts = (0, n, n + 2, 2 * n + 2, 2 * n + 4, 3 * n + 4, 3 * n + 9,
+            4 * n + 9, 4 * n + 12)
+    stages = [calls[a:b] for a, b in zip(cuts[::2], cuts[1::2])]
+    combination = [c for a, b in zip(cuts[1::2], cuts[2::2])
+                   for c in calls[a:b]]
+    assert len(calls) == cuts[-1] and len(combination) == 12
+    for v in _call_views(combination):
+        assert any(np.shares_memory(v, b) for b in (ws._xy, *slopes, ws._h))
+    for stage, src, slope in zip(stages, (x, y, y, y), slopes + [ws._k3]):
+        assert any(fn is np.conjugate for fn, _ in stage) == driven
+        views = [v for v in _call_views(stage) if v.size]
+        ins = [v for v in views if np.shares_memory(v, ws._xy)]
+        outs = [v for v in views
+                if any(np.shares_memory(v, k) for k in slopes)]
+        assert ins and outs
+        assert all(np.shares_memory(v, src) for v in ins)
+        assert all(np.shares_memory(v, slope) for v in outs)
 
 
 def test_vacuum_entropy_follows_the_gaussian_width():
@@ -740,7 +765,11 @@ def test_stepper_wrap_slots_keep_signed_zeros(dim, drive, rows, rng,
         f = drive.value(rng.uniform(0.0, 10.0), P_BITWISE) if active else None
         ws = _Workspace(dim, P_BITWISE, driven=active)
         ws.load(m)
-        ws._apply(ws._rho_k1, f)
+        if active:
+            ws._cf[0], ws._cf[1] = 1j * np.conj(f), 1j * f
+        ext = ws._xy.size // 2
+        for fn, args in ws._bind(ws._xy[:ext], ws._k1, 0):   # k1 = L[rho]
+            fn(*args)
         n = ws._stage[0].size
         assert ws._k1[:n].tobytes() == _half(apply(m, f))[:n].tobytes()
 
@@ -765,7 +794,7 @@ def test_undriven_step_does_not_allocate(dim, rng):
     # The bands are complex, so no band product goes through a cast
     # buffer, and every view is bound when the stepper is built. Driven
     # steps are pinned by test_driven_step_does_not_allocate.
-    ws = _Workspace(dim, P_BITWISE)
+    ws = _Workspace(dim, P_BITWISE, driven=False)
     ws.load(enveloped_density(dim, rng).matrix)
     h = default_dt(P_BITWISE)
     ws.step(h, None, None, None)
