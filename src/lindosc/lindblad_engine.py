@@ -250,7 +250,8 @@ def default_dt(params: LindbladParams, drive: DriveFn | None = None) -> float:
                2.0 * math.pi / (200.0 * f_max))
 
 
-_NEG_ZERO = complex(-0.0, -0.0)  # x + (-0-0j) is x bitwise, signed zeros too
+_NEG_ZERO = np.complex128(complex(-0.0, -0.0))  # x + (-0-0j) is x bitwise
+_ZERO = np.complex128(0)  # x - (+0+0j) is x, and the drive's zero fill
 _BLOCK_ENTRIES = 1 << 14  # about this many entries per row block (256 KiB)
 
 
@@ -284,10 +285,8 @@ class _Workspace:
     rows, in ``_xy``) and the slopes ``_k1``, ``_k2`` and ``_k3`` (k4
     reuses k3's buffer). ``load`` copies the stored half of a start and
     binds the whole step once, as one list of ufunc calls on views of
-    these buffers and of the scalar buffers ``_h`` (h/2, h, h/6) and
-    (``driven``) ``_cf`` (1j*conj(f), 1j*f per drive value), which
-    ``step`` writes before it runs the list; ``rho`` rebuilds the
-    matrix as a fresh copy.
+    these buffers and of the scalars ``_h``, which ``step`` writes before
+    it runs the list; ``rho`` rebuilds the matrix as a fresh copy.
 
     One layout holds every band and buffer: rho[i, (i+k) % dim] at
     k*dim + i for rows k = 0..dim//2, diagonal k joined at i = dim-k to
@@ -300,8 +299,8 @@ class _Workspace:
     each product they are set to the exact identity of the ufunc that
     follows (-0-0j before an add, +0+0j before a subtract) or to the
     reference's zero fill, so every entry keeps the bits of the plain
-    expression quoted beside its ufunc, signed zeros included. The bands
-    hold real values stored complex, so that no product casts.
+    expression quoted beside its ufunc, signed zeros included. The bands,
+    scalars and fill values are complex, so that no call casts.
 
     Undriven, the rows are independent (every undriven term keeps i - j),
     and a row of +0.0 words stays so (the step adds signed zeros to
@@ -336,11 +335,11 @@ class _Workspace:
         del k, i, j, W2   # temporaries: not live beside the buffers
         nb = min(max(1, _BLOCK_ENTRIES // dim) * dim, n)
         self._s = np.empty(nb, dtype=c)
-        self._h = np.empty(3)              # h/2, h and h/6 of the step
+        # h/2, h, h/6, 2, then 1j*conj(f), 1j*f per drive value of a step
+        self._h = np.full(4 + 6 * driven, 2, dtype=c)
         if driven:
             self._g = np.empty(nb, dtype=c)
             self._g2 = np.empty(nb, dtype=c)
-            self._cf = np.empty(6, dtype=c)  # 1j*conj(f), 1j*f per drive value
         self._xy = np.zeros(2 * ext, dtype=c)
         self._rho = self._xy[dim:dim + n]
         self._y = self._xy[ext + dim:ext + dim + n]
@@ -367,8 +366,8 @@ class _Workspace:
     def _bind(self, x: np.ndarray, o: np.ndarray, j: int) -> list:
         """The calls, as (function, arguments) pairs on views of the
         stepper's buffers, that write L[x] to o on the bound rows block by
-        block, at the drive value whose coefficients are entries 2j and
-        2j+1 of ``_cf``. The two drive terms are summed before they meet
+        block, at the drive value whose coefficients are entries 2j+4 and
+        2j+5 of ``_h``. The two drive terms are summed before they meet
         o, which keeps L[rho] exactly Hermitian (see the module
         docstring)."""
         dim, s, n = self.dim, self._s, self._stage[0].size
@@ -381,7 +380,7 @@ class _Workspace:
             calls += [(np.conjugate, (X[2, :-1], X[0, 1:])),
                       (np.conjugate, (r[t:], X[t + 1, :d])),
                       (np.conjugate, (r[:t], X[t + 1, d:]))]
-            cfc, cf = self._cf[2 * j, ...], self._cf[2 * j + 1, ...]
+            cfc, cf = self._h[2 * j + 4, ...], self._h[2 * j + 5, ...]
         for lo in self._blocks:
             hi = min(lo + s.size, n)
             cut = []
@@ -414,14 +413,14 @@ class _Workspace:
                 (_, dn, bdn, xdn, (wdn,)), (_, pv, bpv, xpv, (wpv,)) = cut[3:]
             calls += [
                 (np.multiply, (self.wr[bup], xup, g[up])),    # g = a+ rho
-                (g[wup].fill, (0,)),
+                (g[wup].fill, (_ZERO,)),
                 (np.multiply, (xnx, self.wt[bnx], s[nx])),    # - rho a+
-                (s[wnx].fill, (0,)),
+                (s[wnx].fill, (_ZERO,)),
                 (np.subtract, (g[nx], s[nx], g[nx])),
                 (np.multiply, (self.wr[bdn], xdn, g2[dn])),   # g2 = a rho
-                (g2[wdn].fill, (0,)),
+                (g2[wdn].fill, (_ZERO,)),
                 (np.multiply, (xpv, self.wt[bpv], s[pv])),    # - rho a
-                (s[wpv].fill, (0,)),
+                (s[wpv].fill, (_ZERO,)),
                 (np.subtract, (g2[pv], s[pv], g2[pv])),
                 (np.multiply, (cfc, g, g)),   # out += cfc*g + cf*g2
                 (np.multiply, (cf, g2, g2)),
@@ -449,7 +448,7 @@ class _Workspace:
         self._blocks = range(0, n, self._s.size)
         ext = self._xy.size // 2
         rho_in, y_in = self._xy[:ext], self._xy[ext:]   # with halo rows
-        h2, h, h6 = (self._h[i, ...] for i in range(3))   # h/2, h, h/6
+        h2, h, h6, two = (self._h[i, ...] for i in range(4))
         self._calls = [
             *self._bind(rho_in, self._k1, 0),
             (np.multiply, (h2, k1, y)),     # y = rho + (0.5*h) * k1
@@ -461,7 +460,7 @@ class _Workspace:
             (np.multiply, (h, k3, y)),      # y = rho + h * k3
             (np.add, (rho, y, y)),
             (np.add, (k2, k3, k2)),         # k1 = k1 + 2.0 * (k2 + k3)
-            (np.multiply, (2.0, k2, k2)),
+            (np.multiply, (two, k2, k2)),
             (np.add, (k1, k2, k1)),
             *self._bind(y_in, self._k3, 2),  # k4, into k3's buffer
             (np.add, (k1, k3, k1)),         # rho += (h/6.0) * (k1 + k4)
@@ -486,12 +485,12 @@ class _Workspace:
         rho += (h/6) * (k1 + 2*(k2 + k3) + k4) with k2 = L[rho + (h/2) k1]
         and so on. Writes the step's scalars, then runs the calls that
         ``load`` bound."""
-        self._h[0], self._h[1], self._h[2] = 0.5 * h, h, h / 6.0
+        c = self._h
+        c[0], c[1], c[2] = 0.5 * h, h, h / 6.0
         if self._driven:
-            cf = self._cf
-            cf[0], cf[1] = 1j * np.conj(f0), 1j * f0
-            cf[2], cf[3] = 1j * np.conj(f_mid), 1j * f_mid
-            cf[4], cf[5] = 1j * np.conj(f1), 1j * f1
+            c[4], c[5] = 1j * f0.conjugate(), 1j * f0
+            c[6], c[7] = 1j * f_mid.conjugate(), 1j * f_mid
+            c[8], c[9] = 1j * f1.conjugate(), 1j * f1
         for fn, args in self._calls:
             fn(*args)
 

@@ -660,10 +660,21 @@ def test_stage_bindings_alias_the_stepper_buffers(driven, rows, rng,
     slopes = [ws._k1, ws._k2, ws._k3]
     buffers = [x, y, *slopes, ws._s, ws.K, ws.muW2, ws.nuW2, ws._h]
     if driven:
-        buffers += [ws._g, ws._g2, ws.wr, ws.wt, ws._cf]
+        buffers += [ws._g, ws._g2, ws.wr, ws.wt]
     for v in _call_views(ws._calls):
         if v.size:
             assert sum(np.shares_memory(v, b) for b in buffers) == 1
+    # no call converts an operand: every ufunc argument is a complex128
+    # array (the step's scalars are 0-d views of _h), and every fill writes a
+    # complex128 value into a complex128 array
+    for fn, args in ws._calls:
+        if isinstance(fn, np.ufunc):
+            assert all(isinstance(v, np.ndarray) and v.dtype == np.complex128
+                       for v in args)
+        else:
+            assert fn.__name__ == "fill" and len(args) == 1
+            assert fn.__self__.dtype == np.complex128
+            assert type(args[0]) is np.complex128
     # the four stages of n calls each, and between them the 12 calls of
     # the RK4 combination, which read only the state, the slopes and _h
     calls = ws._calls
@@ -766,7 +777,7 @@ def test_stepper_wrap_slots_keep_signed_zeros(dim, drive, rows, rng,
         ws = _Workspace(dim, P_BITWISE, driven=active)
         ws.load(m)
         if active:
-            ws._cf[0], ws._cf[1] = 1j * np.conj(f), 1j * f
+            ws._h[4], ws._h[5] = 1j * np.conj(f), 1j * f
         ext = ws._xy.size // 2
         for fn, args in ws._bind(ws._xy[:ext], ws._k1, 0):   # k1 = L[rho]
             fn(*args)

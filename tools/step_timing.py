@@ -34,7 +34,9 @@ of 2 * dim**2), both read from one untimed call, and last the largest
 The samples of every cell are interleaved in one loop, whose first round
 warms up and every other round of which runs the cells in reverse
 order, so slow drift of the machine spreads over all cells alike and no
-tree always goes first; each cell shows its median. Given two or more
+tree always goes first; each cell shows its median, then its lower and
+upper quartile in brackets, so that a run during which the host slowed
+down reads as a wide spread rather than as slower code. Given two or more
 source trees, it times them in one process, one column per tree, with a
 last column saying whether every tree ends the cell on the same bytes
 (for ``step`` the whole state matrix, read through ``_Workspace.rho``,
@@ -51,7 +53,6 @@ from __future__ import annotations
 
 import argparse
 import cmath
-import statistics
 import sys
 import time
 
@@ -189,7 +190,8 @@ def main(argv=None) -> int:
     for r in range(args.samples + 1):      # the first round warms up
         for key in keys[::-1] if r % 2 else keys:
             times[key].append(cells[key].sample())
-    median = {key: statistics.median(t[1:]) for key, t in times.items()}
+    quartiles = {key: np.percentile(t[1:], (25, 50, 75))
+                 for key, t in times.items()}
 
     ids = range(len(trees))
     compare = len(trees) > 1
@@ -198,7 +200,9 @@ def main(argv=None) -> int:
     for row in rows:
         unit, digits = UNITS[row[0]]
         line = [*map(str, row), unit]
-        line += [f"{median[(row, i)]:.{digits}f}" for i in ids]
+        for i in ids:    # median [lower quartile, upper quartile]
+            lo, mid, hi = (f"{q:.{digits}f}" for q in quartiles[(row, i)])
+            line.append(f"{mid} [{lo}, {hi}]")
         if compare:   # every sample ends on the same bytes
             outs = {cells[(row, i)].last.tobytes() for i in ids}
             line.append("yes" if len(outs) == 1 else "NO")
@@ -214,7 +218,7 @@ def main(argv=None) -> int:
         lapack = [_lapack_input(fc_i._eigvalsh, m) for _, fc_i, _ in trees]
         raw = cells[(row, "raw")].last
         delta = max(np.max(np.abs(raw - cells[(row, i)].last)) for i in ids)
-        print(f"{dim}\t{kind}\t{median[(row, 'raw')]:.2f}\t"
+        print(f"{dim}\t{kind}\t{quartiles[(row, 'raw')][1]:.2f}\t"
               + "".join(f"{a.shape[0]}\t" for a in lapack)
               + "".join(f"{nonzero - np.count_nonzero(a.view(np.float64))}\t"
                         for a in lapack)
