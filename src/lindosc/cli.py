@@ -55,12 +55,11 @@ from .gaussian_class import (
     solve_u,
 )
 from .lindblad_engine import (
-    _MAX_STEPS,
     DriveFn,
     IntegrationDivergedError,
     IntegratorOptions,
     LindbladParams,
-    default_dt,
+    _checked_dt,
     evolve,
     steady_state,
 )
@@ -437,11 +436,10 @@ def _say(quiet: bool, *lines: str) -> None:
 # subcommands
 
 def cmd_evolve(cfg: RunConfig, out_dir: str, quiet: bool) -> int:
-    dt = cfg.dt if cfg.dt is not None else default_dt(cfg.params, cfg.drive)
-    if not cfg.t_max / dt <= _MAX_STEPS:
-        raise ConfigError(
-            f"[integrator] dt = {_fmt(dt)}: t_max = {_fmt(cfg.t_max)} takes "
-            "more steps than a float can count; increase dt")
+    try:  # evolve's own step rule, before any state is built
+        _checked_dt(cfg.params, cfg.drive, cfg.dt, cfg.t_max)
+    except ValueError as exc:
+        raise ConfigError(f"[integrator] {exc}") from exc
     g0 = _gaussian_initial(cfg)
     _ensure_adequate(cfg, g0)
     t = np.linspace(0.0, cfg.t_max, cfg.n_times)

@@ -235,16 +235,15 @@ class DensityDiagnostics(NamedTuple):
 
 def density_diagnostics(rho) -> DensityDiagnostics:
     """|trace-1|, max|rho - rho^+| and the smallest eigenvalue of the
-    Hermitized matrix. Diagnostics never raise; non-finite input yields NaNs.
-    """
-    try:
-        m = _as_matrix(rho)
-        trace_err = float(abs(m.trace() - 1.0))
-        herm_err = float(np.max(np.abs(m - m.conj().T)))
-        min_eig = float(_eigvalsh((m + m.conj().T) / 2.0).min())
-        return DensityDiagnostics(trace_err, herm_err, min_eig)
-    except Exception:
+    Hermitized matrix: NaNs if an entry is not finite, ValueError if rho
+    is not a square matrix."""
+    m = _as_matrix(rho)
+    if not np.isfinite(m).all():
         return DensityDiagnostics(float("nan"), float("nan"), float("nan"))
+    trace_err = float(abs(m.trace() - 1.0))
+    herm_err = float(np.max(np.abs(m - m.conj().T)))
+    min_eig = float(_eigvalsh((m + m.conj().T) / 2.0).min())
+    return DensityDiagnostics(trace_err, herm_err, min_eig)
 
 
 def trace_distance(rho1, rho2) -> float:

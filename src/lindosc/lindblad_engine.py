@@ -250,6 +250,19 @@ def default_dt(params: LindbladParams, drive: DriveFn | None = None) -> float:
                2.0 * math.pi / (200.0 * f_max))
 
 
+def _checked_dt(params, drive, dt, t_end: float) -> float:
+    """The step evolve takes up to t_end: dt, or default_dt when None.
+    Raises ValueError unless it is positive, finite and countable."""
+    if dt is None:
+        dt = default_dt(params, drive)
+    elif not 0 < dt < math.inf:
+        raise ValueError(f"dt must be positive and finite, got {dt!r}")
+    if not t_end / dt <= _MAX_STEPS:
+        raise ValueError(f"dt = {dt:.17g}: t_max = {t_end:.17g} takes more "
+                         "steps than a float can count; increase dt")
+    return dt
+
+
 _NEG_ZERO = np.complex128(complex(-0.0, -0.0))  # x + (-0-0j) is x bitwise
 _ZERO = np.complex128(0)  # x - (+0+0j) is x, and the drive's zero fill
 _BLOCK_ENTRIES = 1 << 14  # about this many entries per row block (256 KiB)
@@ -283,7 +296,7 @@ class _Workspace:
     ``_g2`` of one row block each, and the buffers it steps: the stored
     half ``_rho`` of the state, the stage input ``_y`` (both with halo
     rows, in ``_xy``) and the slopes ``_k1``, ``_k2`` and ``_k3`` (k4
-    reuses k3's buffer). ``load`` copies the stored half of a start and
+    reruns k3's calls). ``load`` copies the stored half of a start and
     binds the whole step once, as one list of ufunc calls on views of
     these buffers and of the scalars ``_h``, which ``step`` writes before
     it runs the list; ``rho`` rebuilds the matrix as a fresh copy.
@@ -449,6 +462,8 @@ class _Workspace:
         ext = self._xy.size // 2
         rho_in, y_in = self._xy[:ext], self._xy[ext:]   # with halo rows
         h2, h, h6, two = (self._h[i, ...] for i in range(4))
+        k3_calls = self._bind(y_in, self._k3, 1)
+        end = [(np.positive, (self._h[8:10], self._h[6:8]))] * self._driven
         self._calls = [
             *self._bind(rho_in, self._k1, 0),
             (np.multiply, (h2, k1, y)),     # y = rho + (0.5*h) * k1
@@ -456,13 +471,14 @@ class _Workspace:
             *self._bind(y_in, self._k2, 1),
             (np.multiply, (h2, k2, y)),     # y = rho + (0.5*h) * k2
             (np.add, (rho, y, y)),
-            *self._bind(y_in, self._k3, 1),
+            *k3_calls,
             (np.multiply, (h, k3, y)),      # y = rho + h * k3
             (np.add, (rho, y, y)),
             (np.add, (k2, k3, k2)),         # k1 = k1 + 2.0 * (k2 + k3)
             (np.multiply, (two, k2, k2)),
             (np.add, (k1, k2, k1)),
-            *self._bind(y_in, self._k3, 2),  # k4, into k3's buffer
+            *end,                           # k4 = L[y] into k3's buffer:
+            *k3_calls,                      # k3's calls at the end value
             (np.add, (k1, k3, k1)),         # rho += (h/6.0) * (k1 + k4)
             (np.multiply, (h6, k1, k1)),
             (np.add, (rho, k1, rho))]
@@ -559,14 +575,7 @@ def evolve(rho0, t_grid, params: LindbladParams,
         if hits.size == 0:
             raise ValueError(f"snapshot time {float(ts)} is not on t_grid")
         snap_index.setdefault(int(hits[0]), []).append(float(ts))
-    if opts.dt is not None and not 0 < opts.dt < math.inf:
-        raise ValueError(f"dt must be positive and finite, got {opts.dt!r}")
-
-    dt = opts.dt if opts.dt is not None else default_dt(params, drive)
-    t_end = t_grid[-1].item()
-    if not t_end / dt <= _MAX_STEPS:
-        raise ValueError(f"dt = {dt!r} is too small: t_grid up to {t_end!r} "
-                         "takes more steps than a float can count")
+    dt = _checked_dt(params, drive, opts.dt, t_grid[-1].item())
 
     dim = rho0.dim
     active = drive.is_active(params)

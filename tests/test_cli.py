@@ -334,6 +334,21 @@ def test_uncountable_step_count_exit_2(tmp_path, capsys, body):
     assert "more steps than a float can count" in err
 
 
+def test_evolve_follows_the_engines_step_rule(tmp_path, capsys,
+                                              monkeypatch):
+    # the CLI checks the step that evolve would take, so a change to
+    # default_dt reaches its step-count check too: exit 2, no traceback
+    monkeypatch.setattr("lindosc.lindblad_engine.default_dt",
+                        lambda params, drive=None: 1e-300)
+    cfg = write_ini(tmp_path, "[initial]\nkind = vacuum\n[integrator]\n"
+                    "dim = 16\n[grid]\nt_max = 1\nn_times = 2\n")
+    rc = main(["evolve", "--config", cfg, "--out",
+               str(tmp_path / "out"), "--quiet"])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith(
+        "config error: [integrator] dt = 1e-300")
+
+
 def test_validate_accepts_longest_grid(tmp_path, capsys, monkeypatch):
     # the basis check samples a capped number of times even when
     # 32 samples a period overflow to inf

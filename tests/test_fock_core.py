@@ -141,6 +141,13 @@ def test_density_diagnostics_fields():
     assert math.isnan(bad.trace_err)
 
 
+@pytest.mark.parametrize("shape", [(3,), (2, 3)])
+def test_density_diagnostics_rejects_a_non_square_input(shape):
+    # only a non-finite entry reads as NaNs; a malformed input is an error
+    with pytest.raises(ValueError, match="square matrix"):
+        density_diagnostics(np.ones(shape))
+
+
 def test_trace_distance_extremes():
     e0 = DensityMatrix.pure(coherent_state(0.0, 6))
     one = np.zeros(6, dtype=complex)

@@ -675,10 +675,20 @@ def test_stage_bindings_alias_the_stepper_buffers(driven, rows, rng,
             assert fn.__name__ == "fill" and len(args) == 1
             assert fn.__self__.dtype == np.complex128
             assert type(args[0]) is np.complex128
+    # a driven stepper copies the end value's coefficients over the
+    # midpoint's before stage 4, one np.positive call within _h
+    calls = list(ws._calls)
+    n = (len(calls) - 12 - driven) // 4
+    copy = calls[3 * n + 9:3 * n + 9 + driven]
+    del calls[3 * n + 9:3 * n + 9 + driven]
+    assert len(copy) == driven
+    for fn, (src, dst) in copy:
+        assert fn is np.positive
+        assert src.shape == dst.shape == (2,)
+        assert src.ctypes.data == ws._h[8:].ctypes.data
+        assert dst.ctypes.data == ws._h[6:].ctypes.data
     # the four stages of n calls each, and between them the 12 calls of
     # the RK4 combination, which read only the state, the slopes and _h
-    calls = ws._calls
-    n = (len(calls) - 12) // 4
     cuts = (0, n, n + 2, 2 * n + 2, 2 * n + 4, 3 * n + 4, 3 * n + 9,
             4 * n + 9, 4 * n + 12)
     stages = [calls[a:b] for a, b in zip(cuts[::2], cuts[1::2])]
@@ -687,6 +697,9 @@ def test_stage_bindings_alias_the_stepper_buffers(driven, rows, rng,
     assert len(calls) == cuts[-1] and len(combination) == 12
     for v in _call_views(combination):
         assert any(np.shares_memory(v, b) for b in (ws._xy, *slopes, ws._h))
+    # stage 4 reruns stage 3's call objects: L[y] into k3, bound once
+    assert len(stages[3]) == len(stages[2]) == n
+    assert all(c4 is c3 for c4, c3 in zip(stages[3], stages[2]))
     for stage, src, slope in zip(stages, (x, y, y, y), slopes + [ws._k3]):
         assert any(fn is np.conjugate for fn, _ in stage) == driven
         views = [v for v in _call_views(stage) if v.size]

@@ -5,7 +5,7 @@ limit-cycle starts, a density matrix from a file, a cosine drive at dim
 256, and undriven runs from a thermal start and from vacuum at dim 256,
 which step only the populations), husimi (cosine and Fourier limit cycles
 and a thermal state), scan (undriven and driven), steady-state and
-validate on configs defined below, plus five configs that must fail (exit
+validate on configs defined below, plus six configs that must fail (exit
 2 or 3), each into its own directory under a temporary root. It prints
 one ``sha256  relpath`` line per output file, sorted by path within each
 run, one ``sha256  run/(stdout)`` line per run for what the command
@@ -111,6 +111,8 @@ RUNS = (
      "[initial]\nkind = coherent\nalpha0 = 3.0\n[integrator]\ndim = 8\n"),
     ("error-divergent-step", "evolve",
      "[grid]\nt_max = 5.0\nn_times = 2\n[integrator]\ndim = 32\ndt = 1.0\n"),
+    # t_max / default_dt overflows: more steps than a float can count
+    ("error-uncountable-step", "evolve", "[grid]\nt_max = 1e308\n"),
 )
 
 
