@@ -11,7 +11,8 @@ and the per-record entropy and minimum eigenvalue of ``evolve``) comes
 from ``_eigvalsh``. It zeroes, in a copy, the parts below eps^2 times the
 largest finite part (never below ``_SPECTRUM_FLOOR``), far below LAPACK's
 own rounding, and LAPACK reduces only the live levels, the rows that keep
-a part; each dead level adds an exact eigenvalue 0.
+a part; each dead level adds an exact eigenvalue 0. Those LAPACK calls,
+and ``materialize``'s Gram product, run on one OpenBLAS thread.
 
 Units: hbar = 1, unit mass. Phase-space coordinates relate to the mode
 amplitude through alpha = (omega*x + i*p) / sqrt(2*omega).
@@ -19,7 +20,13 @@ amplitude through alpha = (omega*x + i*p) / sqrt(2*omega).
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
+import functools
+import glob
 import math
+import os
+import threading
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -42,6 +49,7 @@ POSITIVITY_TOL = 1e-9
 # never below the cube root of the smallest normal double, about 2.8e-103
 _SPECTRUM_FLOOR = np.finfo(np.float64).tiny ** (1.0 / 3.0)
 _EPS2 = np.finfo(np.float64).eps ** 2
+_BLAS_LOCK = threading.RLock()   # reentrant, so a nested scope cannot deadlock
 
 
 class TruncationError(ValueError):
@@ -169,6 +177,42 @@ class DensityMatrix:
         return cls(matrix=m)
 
 
+@functools.cache
+def _openblas_threads():
+    """(get, set) of the thread count of numpy's bundled OpenBLAS, or None."""
+    libdir = os.path.join(os.path.dirname(np.__file__), os.pardir,
+                          "numpy.libs")
+    for path in glob.glob(os.path.join(libdir, "*openblas*.so*")):
+        lib = ctypes.CDLL(path)
+        get = getattr(lib, "scipy_openblas_get_num_threads64_", None)
+        put = getattr(lib, "scipy_openblas_set_num_threads64_", None)
+        if get is not None and put is not None:
+            get.argtypes, get.restype = [], ctypes.c_int
+            put.argtypes, put.restype = [ctypes.c_int], None
+            return get, put
+    return None
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Run the block on one OpenBLAS thread, then restore the caller's
+    count (under a lock, so two Python threads cannot leave it at 1). A
+    threaded call can stall 8-16 ms, and from order 192 its eigenvalues
+    round apart from the serial ones, that is, with the core count."""
+    blas = _openblas_threads()
+    if blas is None:
+        yield
+        return
+    get, put = blas
+    with _BLAS_LOCK:
+        n = get()
+        put(1)
+        try:
+            yield
+        finally:
+            put(n)
+
+
 def _eigvalsh(h: np.ndarray) -> np.ndarray:
     """Ascending eigenvalues of the exactly Hermitian, C-contiguous
     complex128 ``h`` after zeroing, in a copy, every real and imaginary
@@ -204,14 +248,16 @@ def _eigvalsh(h: np.ndarray) -> np.ndarray:
     if live.all():             # mag turns into the floored copy of h
         np.copyto(mag, h.view(np.float64))
         mag[small] = 0.0
-        return np.linalg.eigvalsh(mag.view(np.complex128))
+        with _one_blas_thread():
+            return np.linalg.eigvalsh(mag.view(np.complex128))
     del mag, small             # freed before the live block is gathered
     if not live.any():
         return np.zeros(live.size)
     a = h[np.ix_(live, live)]
     parts = a.view(np.float64)
     parts[np.abs(parts) < floor] = 0.0
-    w = np.linalg.eigvalsh(a)
+    with _one_blas_thread():
+        w = np.linalg.eigvalsh(a)
     k = np.searchsorted(w, 0.0)
     return np.concatenate((w[:k], np.zeros(live.size - w.size), w[k:]))
 

@@ -24,6 +24,7 @@ from .fock_core import (
     DensityMatrix,
     TruncationWarning,
     _check_adequacy,
+    _one_blas_thread,
     _require_dim,
     coherent_state,
     log_factorial,
@@ -166,7 +167,8 @@ def materialize(g: GaussianState, dim: int) -> DensityMatrix:
         M = np.where(valid,
                      np.exp(logmag + 1j * kc * np.angle(g.beta)),
                      0.0)
-    rho = M @ M.conj().T
+    with _one_blas_thread():
+        rho = M @ M.conj().T
     above = 1.0 - rho.trace().real
     if above > _TAIL_WARN:
         warnings.warn(

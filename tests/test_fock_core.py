@@ -1,12 +1,19 @@
+import contextlib
 import math
+import os
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
 
+from lindosc import fock_core, gaussian_class
 from lindosc.fock_core import (
     DensityMatrix,
     TruncationError,
     _eigvalsh,
+    _one_blas_thread,
     coherent_state,
     density_diagnostics,
     log_factorial,
@@ -358,10 +365,179 @@ def test_no_dead_level_spectrum_is_bitwise_the_floored_eigvalsh(dim, rng):
     # parts below the floor, but no row made of them only: LAPACK gets the
     # whole floored matrix, as before live levels were split off. At dim
     # 256 the rows fall to about 0.6**128 ~ 1e-28 of the top, above the
-    # floor of eps**2 ~ 5e-32 times it, and their far parts below it
+    # floor of eps**2 ~ 5e-32 times it, and their far parts below it. The
+    # reference runs on one BLAS thread too: at dim 256 the threaded
+    # LAPACK call rounds differently
     m = enveloped_density(dim, rng, ratio=0.6).matrix
     assert not _dead_levels(m).any()
     ref = floored(m)
     if dim == 256:
         assert not np.array_equal(ref, m)   # the floor does zero parts
-    assert _eigvalsh(m).tobytes() == np.linalg.eigvalsh(ref).tobytes()
+    with _one_blas_thread():
+        want = np.linalg.eigvalsh(ref)
+    assert _eigvalsh(m).tobytes() == want.tobytes()
+
+
+needs_openblas = pytest.mark.skipif(fock_core._openblas_threads() is None,
+                                    reason="numpy bundles no OpenBLAS")
+
+
+@pytest.fixture
+def blas_threads():
+    """(get, set) of the bundled OpenBLAS thread count, with the count set
+    to 2 for the test and the caller's restored after it."""
+    get, put = fock_core._openblas_threads()
+    n = get()
+    put(2)
+    yield get, put
+    put(n)
+
+
+def _lapack_thread_counts(monkeypatch, get):
+    """The list that every later np.linalg.eigvalsh call appends the BLAS
+    thread count it ran with to."""
+    seen = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def recording(a):
+        seen.append(get())
+        return eigvalsh(a)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", recording)
+    return seen
+
+
+@needs_openblas
+def test_eigvalsh_runs_on_one_thread_and_restores_the_count(
+        blas_threads, monkeypatch, rng):
+    # one call on the live-level block and one on the whole matrix
+    get, _ = blas_threads
+    ms = (DensityMatrix.pure(coherent_state(1.25, 64)).matrix,
+          enveloped_density(64, rng).matrix)
+    assert _dead_levels(ms[0]).any() and not _dead_levels(ms[1]).any()
+    seen = _lapack_thread_counts(monkeypatch, get)
+    for m in ms:
+        _eigvalsh(m)
+    assert seen == [1, 1] and get() == 2
+
+
+@needs_openblas
+def test_gram_product_runs_on_one_thread_and_restores_the_count(
+        blas_threads, monkeypatch):
+    get, _ = blas_threads
+    counts = []
+
+    @contextlib.contextmanager
+    def recording():
+        with _one_blas_thread():
+            counts.append(get())
+            yield
+
+    monkeypatch.setattr(gaussian_class, "_one_blas_thread", recording)
+    materialize(GaussianState.from_alpha(0.2, 1.25j), 96)
+    assert counts == [1] and get() == 2
+
+
+@needs_openblas
+def test_count_restored_when_lapack_raises(blas_threads, monkeypatch):
+    get, _ = blas_threads
+
+    def failing(a):
+        raise np.linalg.LinAlgError("no convergence")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", failing)
+    with pytest.raises(np.linalg.LinAlgError):
+        _eigvalsh(np.eye(8, dtype=np.complex128))
+    assert get() == 2
+
+
+@needs_openblas
+def test_count_restored_after_two_threads_at_once(blas_threads, monkeypatch,
+                                                  rng):
+    # the first thread holds its one-thread scope open inside LAPACK while
+    # the second calls _eigvalsh: the lock keeps the second out until the
+    # first has restored the count, so neither restores the other's 1
+    get, _ = blas_threads
+    m = enveloped_density(96, rng, ratio=0.9).matrix
+    inside, release = threading.Event(), threading.Event()
+    seen = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def recording(a):
+        name = threading.current_thread().name
+        if name == "first":
+            inside.set()
+            release.wait(5.0)
+        seen.append((name, get()))
+        return eigvalsh(a)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", recording)
+    threads = [threading.Thread(target=_eigvalsh, args=(m,), name=name)
+               for name in ("first", "second")]
+    threads[0].start()
+    assert inside.wait(5.0)
+    threads[1].start()
+    time.sleep(0.05)           # the second thread reaches the lock
+    release.set()
+    for t in threads:
+        t.join(5.0)
+    assert not any(t.is_alive() for t in threads)
+    assert seen == [("first", 1), ("second", 1)] and get() == 2
+
+
+@needs_openblas
+def test_count_holds_with_more_threads_than_cores(blas_threads, monkeypatch,
+                                                  rng):
+    # many threads switching every microsecond: a lost restore would
+    # leave a 1 behind, a restore inside another scope would show a 2
+    get, _ = blas_threads
+    m = enveloped_density(16, rng, ratio=0.9).matrix
+    seen = _lapack_thread_counts(monkeypatch, get)
+    calls = 2000
+
+    def work():
+        for _ in range(calls):
+            _eigvalsh(m)
+
+    threads = [threading.Thread(target=work)
+               for _ in range(min(os.cpu_count() or 1, 15) + 1)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(30.0)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert seen == [1] * (calls * len(threads)) and get() == 2
+
+
+@needs_openblas
+def test_spectrum_bits_do_not_depend_on_the_thread_count(blas_threads, rng):
+    # at order 256 a threaded LAPACK call rounds apart from a serial one
+    _, put = blas_threads
+    m = enveloped_density(256, rng, ratio=0.6).matrix
+    assert not _dead_levels(m).any()
+    eigs = _eigvalsh(m)
+    put(1)
+    want = np.linalg.eigvalsh(floored(m))
+    put(2)
+    assert eigs.tobytes() == want.tobytes()
+
+
+@needs_openblas
+def test_no_openblas_found_leaves_blas_alone(blas_threads, monkeypatch, rng):
+    # the helper does nothing: LAPACK runs at the caller's count, on the
+    # calls and with the bits of an unwrapped call
+    get, _ = blas_threads
+    g = GaussianState.from_alpha(0.2, 1.25j)
+    want = materialize(g, 96).matrix
+    m = enveloped_density(256, rng, ratio=0.6).matrix
+    monkeypatch.setattr(fock_core, "_openblas_threads", lambda: None)
+    assert materialize(g, 96).matrix.tobytes() == want.tobytes()
+    raw = np.linalg.eigvalsh(floored(m))
+    seen = _lapack_thread_counts(monkeypatch, get)
+    assert _eigvalsh(m).tobytes() == raw.tobytes()
+    assert seen == [2]

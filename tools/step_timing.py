@@ -24,8 +24,11 @@ seeded random state with a thermal-like Fock envelope (ratio 0.4). Each
 sample first makes one untimed call on another fresh copy, so that no
 cell pays for the caches the cell before it left cold. Every tree times
 the same matrices, built by the first tree. A second table gives, per
-matrix, the milliseconds of raw ``np.linalg.eigvalsh``, then for each
-tree the live levels (the order of the matrix that its ``_eigvalsh``
+matrix, the milliseconds of raw ``np.linalg.eigvalsh`` at the default
+BLAS thread count and on one thread (inside ``_one_blas_thread`` of the
+first tree that has it; ``-`` when none has), so that the cost of
+threading reads apart from that of the floor, then for each tree the
+live levels (the order of the matrix that its ``_eigvalsh``
 hands LAPACK, out of dim) and the real and imaginary parts its floor
 zeroes (the nonzero parts of the matrix that do not reach LAPACK, out
 of 2 * dim**2), both read from one untimed call, and last the largest
@@ -127,6 +130,14 @@ class _Spectrum:
         return (time.perf_counter() - t0) * 1e3
 
 
+def _serial(one_thread):
+    """``np.linalg.eigvalsh`` inside the context manager ``one_thread``."""
+    def eigvalsh(h):
+        with one_thread():
+            return np.linalg.eigvalsh(h)
+    return eigvalsh
+
+
 def _lapack_input(fn, m: np.ndarray) -> np.ndarray:
     """The matrix that the spectrum function ``fn`` hands
     ``np.linalg.eigvalsh`` when called on a copy of ``m`` (an empty one
@@ -171,6 +182,8 @@ def main(argv=None) -> int:
     trees = [import_lindosc(src, "lindblad_engine", "fock_core",
                             "gaussian_class") for src in args.src]
     _, fc, gc = trees[0]
+    one_thread = next((fc_i._one_blas_thread for _, fc_i, _ in trees
+                       if hasattr(fc_i, "_one_blas_thread")), None)
     mats = {(dim, kind): _state(fc, gc, dim, kind)
             for dim in SPECTRUM_DIMS for kind in STATES}
     rows = ([("step", dim, run) for dim in STEP_DIMS for run in RUNS]
@@ -185,6 +198,9 @@ def main(argv=None) -> int:
         if layer == "spectrum":
             cells[(row, "raw")] = _Spectrum(np.linalg.eigvalsh,
                                             mats[(dim, case)])
+            if one_thread is not None:
+                cells[(row, "raw1")] = _Spectrum(_serial(one_thread),
+                                                 mats[(dim, case)])
     times = {key: [] for key in cells}
     keys = list(cells)
     for r in range(args.samples + 1):      # the first round warms up
@@ -208,7 +224,7 @@ def main(argv=None) -> int:
             line.append("yes" if len(outs) == 1 else "NO")
         print("\t".join(line))
 
-    print("\ndim\tcase\tms raw\t"
+    print("\ndim\tcase\tms raw\tms raw 1 thread\t"
           + "".join(f"live levels {src}\t" for src in args.src)
           + "".join(f"floored parts {src}\t" for src in args.src)
           + "max |dlambda|")
@@ -218,7 +234,9 @@ def main(argv=None) -> int:
         lapack = [_lapack_input(fc_i._eigvalsh, m) for _, fc_i, _ in trees]
         raw = cells[(row, "raw")].last
         delta = max(np.max(np.abs(raw - cells[(row, i)].last)) for i in ids)
-        print(f"{dim}\t{kind}\t{quartiles[(row, 'raw')][1]:.2f}\t"
+        serial = (f"{quartiles[(row, 'raw1')][1]:.2f}"
+                  if one_thread is not None else "-")
+        print(f"{dim}\t{kind}\t{quartiles[(row, 'raw')][1]:.2f}\t{serial}\t"
               + "".join(f"{a.shape[0]}\t" for a in lapack)
               + "".join(f"{nonzero - np.count_nonzero(a.view(np.float64))}\t"
                         for a in lapack)
